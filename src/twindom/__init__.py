@@ -11,11 +11,7 @@ claim over exhaustive small-graph corpora.
 
 from .characterize import (
     ClassificationReport,
-    EligibilityError,
     classify,
-    classify_block_graph,
-    classify_by_supports,
-    classify_tree,
     gamma_set_count_from_twins,
     girth_implication_holds,
 )

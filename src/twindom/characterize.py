@@ -6,25 +6,28 @@ gamma_t = 2*gamma exactly when its set of special-vertex representatives
 is simultaneously a packing and a dominating set. The verdict then comes
 with the implied values gamma = |S| and gamma_t = 2|S|, plus a concrete
 certificate: a violating pair, an uncovered vertex, or the forbidden
-pattern that made the graph ineligible.
+pattern that made the graph ineligible. Ineligible graphs either fall
+back to the exact oracle (opt-in, capped) or get the verdict ``unknown``.
 
-Specializations: graphs with no induced triangle or hexagon are decided
-through their support vertices, trees through the same route, and
-connected block graphs through the distinguished cut-vertex sets of their
-block decomposition. Ineligible graphs either fall back to the exact
-oracle (opt-in, capped) or get the verdict ``unknown``.
+The paper's specializations need no classifier of their own: on graphs
+with no induced triangle or hexagon (trees among them) the special
+representatives are the support vertices, and on connected block graphs
+the special vertices are the distinguished cut vertices of the block
+decomposition. Both families are eligible (h1 and h2 contain triangles,
+block graphs are chordal), so ``classify`` decides them, and the sweep
+claims ``supports`` and ``blocks`` check both identities.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import domination, structure
 from .domination import DEFAULT_ORACLE_CAP, IsolatedVertexError
 from .forbidden import C3, C6, Embedding, find_induced, girth, is_chordal, is_free
-from .graphs import Graph, basic_stats, component_masks
+from .graphs import Graph, basic_stats
 from .structure import SpecialClasses
 
 VERDICT_YES = "is_gamma2"
@@ -33,18 +36,7 @@ VERDICT_UNKNOWN = "unknown"
 
 METHOD_MAIN = "main_theorem"
 METHOD_CHORDAL = "chordal_fast_path"
-METHOD_SUPPORTS = "c3c6_free"
-METHOD_TREE = "tree"
-METHOD_BLOCK = "block_graph"
 METHOD_ORACLE = "exact_oracle"
-
-
-class EligibilityError(ValueError):
-    """Input violates a classifier's structural precondition."""
-
-    def __init__(self, message: str, witness: Embedding | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ def _least_uncovered(g: Graph, members) -> int:
 
 def _verdict_from_set(g: Graph, s_set: SpecialClasses, method: str,
                       started_ns: int) -> ClassificationReport:
-    """Shared tail: is the candidate set a packing and a dominating set?"""
+    """Eligible graphs: is the candidate set a packing and a dominating set?"""
     reps = sorted(s_set.representatives)
     pack_ok, violation = domination.is_packing(g, reps)
     dom_ok = domination.is_dominating(g, reps)
@@ -192,66 +184,6 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         gamma_set_count=None,
         elapsed_micros=_micros_since(started),
     )
-
-
-def _singleton_classes(vertices) -> SpecialClasses:
-    ordered = sorted(vertices)
-    return SpecialClasses(
-        special=frozenset(ordered),
-        classes=tuple(frozenset({v}) for v in ordered),
-        representatives=frozenset(ordered),
-    )
-
-
-def classify_by_supports(g: Graph) -> ClassificationReport:
-    """Decide triangle- and hexagon-free graphs through support vertices.
-
-    In such graphs the support vertices form a system of twin-class
-    representatives of the special vertices (classes are singletons,
-    except that a lone-edge component is one two-vertex class whose kept
-    endpoint is its support). The verdict therefore reduces to: is the
-    support set a packing and a dominating set?
-    """
-    _require_isolate_free(g)
-    started = time.perf_counter_ns()
-    free, witness = is_free(g, (C3, C6))
-    if not free:
-        raise EligibilityError(
-            f"graph contains an induced {witness.pattern}; support-based classification needs "
-            "a graph with no induced triangle or hexagon",
-            witness,
-        )
-    return _verdict_from_set(g, structure.special_classes(g), METHOD_SUPPORTS, started)
-
-
-def classify_tree(g: Graph) -> ClassificationReport:
-    """Tree specialization: supports must form a packing and dominate."""
-    stats = basic_stats(g)
-    if g.n < 2 or stats.component_count != 1 or stats.edge_count != g.n - 1:
-        raise ValueError("input is not a tree of order at least 2")
-    return replace(classify_by_supports(g), method=METHOD_TREE)
-
-
-def classify_block_graph(g: Graph) -> ClassificationReport:
-    """Block-graph specialization through the distinguished cut vertices.
-
-    For a connected block graph with at least two blocks the special
-    vertices are exactly the cut vertices that are either the unique cut
-    vertex of some block or have non-cut neighbors in two different
-    blocks. Uniqueness of the minimum dominating set then comes for free,
-    so it is not checked separately.
-    """
-    _require_isolate_free(g)
-    started = time.perf_counter_ns()
-    if len(component_masks(g)) != 1:
-        raise ValueError("block-graph classification needs a connected graph")
-    decomp = structure.blocks_and_cut_vertices(g)
-    if len(decomp.blocks) < 2:
-        raise ValueError("block-graph classification needs at least two blocks")
-    if not structure.is_block_graph(g):
-        raise ValueError("input is not a block graph: some block is not complete")
-    dominators = decomp.lone_block_cuts | decomp.multi_block_cuts
-    return _verdict_from_set(g, _singleton_classes(dominators), METHOD_BLOCK, started)
 
 
 def girth_implication_holds(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> bool:

@@ -18,12 +18,10 @@ from itertools import chain
 from multiprocessing import Pool
 
 from . import characterize, domination, generators, structure, sweep
-from .characterize import EligibilityError
 from .domination import DEFAULT_ORACLE_CAP, IsolatedVertexError, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, find_induced, girth, is_chordal
 from .graphs import (
     Graph,
-    GraphParseError,
     basic_stats,
     iter_graph6_lines,
     parse_edgelist,
@@ -487,10 +485,7 @@ def run(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         raise CliUsageError(f"unknown command {args.command!r}")
-    except (CliUsageError, GraphParseError, EligibilityError, IsolatedVertexError,
-            OracleCapExceeded, ValueError) as e:
-        return _fail(f"twindom {args.command}: {e}")
-    except OSError as e:
+    except (ValueError, OracleCapExceeded, OSError) as e:
         return _fail(f"twindom {args.command}: {e}")
 
 

@@ -47,12 +47,13 @@ class SpecialClasses:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Biconnected components plus the two cut-vertex subsets used by the
-    block-graph classifier.
+    """Biconnected components plus two distinguished cut-vertex subsets.
 
     ``lone_block_cuts``: cut vertices that are the unique cut vertex of
     some block. ``multi_block_cuts``: cut vertices having non-cut
-    neighbors in at least two different blocks.
+    neighbors in at least two different blocks. On a connected block graph
+    with at least two blocks their union is the set of special vertices
+    (the sweep's ``blocks`` claim).
     """
 
     blocks: tuple[frozenset[int], ...]

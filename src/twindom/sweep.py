@@ -1,9 +1,10 @@
 """Claim-verification sweep over graph corpora.
 
-Each isolate-free input graph is measured exactly (gamma, gamma_t,
-pattern freeness, special vertices, classifier verdict) and then checked
-against the named claims below. A violation means the library broke an
-established theorem, so the CLI turns any violation into exit code 2.
+Each isolate-free input graph is measured exactly (gamma, gamma_t),
+classified once (eligibility, special classes, packing/domination test,
+verdict), and then checked against the named claims below. A violation
+means the library broke an established theorem, so the CLI turns any
+violation into exit code 2.
 
 Claims:
 
@@ -22,6 +23,13 @@ Claims:
   1 iff every class is a singleton.
 * ``cor4``: a graph with gamma_t = 2*gamma and minimum degree >= 2
   contains an induced triangle or hexagon and has girth at most 6.
+* ``supports``: on graphs with no induced triangle or hexagon the special
+  representatives are the support vertices, and every twin class is a
+  singleton except that a lone-edge component is one two-vertex class.
+* ``blocks``: on connected block graphs with at least two blocks the
+  special vertices are the cut vertices that are the only cut vertex of
+  some block or have non-cut neighbors in two blocks, and every twin
+  class is a singleton.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ from multiprocessing import Pool
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
-from .forbidden import C3, C6, find_induced, girth, is_chordal, is_free
+from .forbidden import C3, C6, girth, is_free
 from .graphs import Graph, basic_stats, parse_graph6, serialize_graph6
 
-CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9")
+CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 
 
 @dataclass
@@ -81,24 +89,27 @@ def check_graph(
     gamma = domination.exact_gamma(g, oracle_cap).value
     gamma_t = domination.exact_gamma_total(g, oracle_cap).value
     is_g2 = gamma_t == 2 * gamma
-    # freeness is searched explicitly even on chordal graphs so cor2 can
-    # check the "chordal implies pattern-free" inclusion
-    free = is_free(g)[0]
-    chordal = is_chordal(g)
-    classes = structure.special_classes(g)
+    report = characterize.classify(g)
+    verdict = report.verdict
+    chordal = report.method == characterize.METHOD_CHORDAL
+    # freeness is searched explicitly on chordal graphs so cor2 can check
+    # the "chordal implies pattern-free" inclusion
+    free = is_free(g)[0] if chordal else report.eligible
+    classes = report.s_set
     reps = sorted(classes.representatives)
-    pack = domination.is_packing(g, reps)[0]
-    dom = domination.is_dominating(g, reps)
-    verdict = characterize.classify(g).verdict
+    pack, dom = report.packing_ok, report.dominating_ok
+    if pack is None:  # ineligible: classify skipped the test, lemma6 needs it
+        pack = domination.is_packing(g, reps)[0]
+        dom = domination.is_dominating(g, reps)
+    has_c3_or_c6 = not is_free(g, (C3, C6))[0]
 
     checked: dict[str, int] = {}
     violations: list[tuple[str, str, str]] = []
-    g6 = serialize_graph6(g).decode("ascii")
 
     def record(claim: str, ok: bool, detail: str) -> None:
         checked[claim] = checked.get(claim, 0) + 1
         if not ok:
-            violations.append((claim, g6, detail))
+            violations.append((claim, serialize_graph6(g).decode("ascii"), detail))
 
     if "bounds" in claims:
         ok = gamma <= gamma_t <= 2 * gamma
@@ -136,9 +147,26 @@ def check_graph(
         record("cor9", ok, f"twin-class product {formula}, enumerated {enum.count}")
 
     if "cor4" in claims and is_g2 and stats.min_degree >= 2:
-        has_short = find_induced(g, C3) is not None or find_induced(g, C6) is not None
-        ok = girth(g) <= 6 and has_short
-        record("cor4", ok, f"girth={girth(g)} induced c3/c6 present={has_short}")
+        gv = girth(g)
+        record("cor4", gv <= 6 and has_c3_or_c6, f"girth={gv} induced c3/c6 present={has_c3_or_c6}")
+
+    if "supports" in claims and not has_c3_or_c6:
+        supports = sorted(structure.support_vertices(g))
+        # two true twins of degree 1 are the ends of a lone-edge component
+        ok = reps == supports and all(
+            len(c) == 1 or (len(c) == 2 and all(g.degree(v) == 1 for v in c))
+            for c in classes.classes
+        )
+        record("supports", ok, f"representatives {reps}, supports {supports}, "
+                               f"classes {[sorted(c) for c in classes.classes]}")
+
+    if "blocks" in claims and stats.component_count == 1 and structure.is_block_graph(g):
+        decomp = structure.blocks_and_cut_vertices(g)
+        if len(decomp.blocks) >= 2:
+            cuts = decomp.lone_block_cuts | decomp.multi_block_cuts
+            ok = classes.special == cuts and all(len(c) == 1 for c in classes.classes)
+            record("blocks", ok, f"special {sorted(classes.special)}, distinguished cut vertices "
+                                 f"{sorted(cuts)}, classes {[sorted(c) for c in classes.classes]}")
 
     return False, checked, violations
 

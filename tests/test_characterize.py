@@ -2,16 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from twindom.characterize import (
-    EligibilityError,
-    classify,
-    classify_block_graph,
-    classify_by_supports,
-    classify_tree,
-    gamma_set_count_from_twins,
-    girth_implication_holds,
+from twindom.characterize import classify, gamma_set_count_from_twins, girth_implication_holds
+from twindom.domination import (
+    IsolatedVertexError,
+    OracleCapExceeded,
+    enumerate_gamma_sets,
+    is_gamma2_exact,
 )
-from twindom.domination import IsolatedVertexError, OracleCapExceeded, is_gamma2_exact
 from twindom.generators import (
     complete,
     corona_p2,
@@ -19,11 +16,28 @@ from twindom.generators import (
     enumerate_small_graphs,
     fixture,
     path,
-    random_block_graph,
-    random_tree,
     star,
 )
 from twindom.graphs import Graph
+
+# Forests, trees and block graphs from the paper's specializations; all
+# are chordal, so classify decides them on its chordal path. A string
+# names a conftest fixture; each dict pins the report fields it lists.
+SPECIALIZATION_CASES = [
+    pytest.param(complete(2), {"verdict": "is_gamma2", "implied": (1, 2), "reps": [0],
+                               "classes": (frozenset({0, 1}),), "count": 2}, id="k2"),
+    pytest.param(Graph(5, [(0, 1), (2, 3), (3, 4)]), {"verdict": "is_gamma2", "count": 2},
+                 id="lone-edge-and-p3"),
+    pytest.param("spider", {"verdict": "not_gamma2", "packing_violation": (1, 2)}, id="spider"),
+    pytest.param(path(4), {"verdict": "not_gamma2", "packing_ok": False}, id="p4"),
+    pytest.param(path(6), {"verdict": "is_gamma2", "reps": [1, 4], "implied": (2, 4)}, id="p6"),
+    pytest.param("two_triangles", {"verdict": "is_gamma2", "reps": [0], "implied": (1, 2)},
+                 id="two-triangles"),
+    pytest.param(Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]),
+                 {"verdict": "not_gamma2", "reps": [0, 1, 2]}, id="triangle-with-pendants"),
+    *(pytest.param(corona_p2(path(k)), {"verdict": "is_gamma2"}, id=f"corona-p{k}")
+      for k in range(1, 5)),
+]
 
 
 class TestClassify:
@@ -104,6 +118,26 @@ class TestClassify:
         with pytest.raises(OracleCapExceeded):
             classify(hexagon_plus_far_cycle, fallback="oracle", oracle_cap=32)
 
+    @pytest.mark.parametrize("g, want", SPECIALIZATION_CASES)
+    def test_specialization_cases(self, g, want, request):
+        if isinstance(g, str):
+            g = request.getfixturevalue(g)
+        rep = classify(g)
+        assert rep.method == "chordal_fast_path"
+        got = {
+            "verdict": rep.verdict,
+            "implied": rep.implied_values,
+            "reps": sorted(rep.s_set.representatives),
+            "classes": rep.s_set.classes,
+            "count": rep.gamma_set_count,
+            "packing_ok": rep.packing_ok,
+            "packing_violation": rep.packing_violation,
+        }
+        assert {k: got[k] for k in want} == want
+        assert (rep.verdict == "is_gamma2") == is_gamma2_exact(g)
+        if rep.verdict == "is_gamma2":
+            assert rep.gamma_set_count == enumerate_gamma_sets(g).count
+
     def test_yes_verdict_forces_certificates(self):
         for n in range(2, 6):
             for g in enumerate_small_graphs(n, "isolate_free"):
@@ -134,124 +168,6 @@ class TestClassify:
                     )
 
 
-class TestClassifyBySupports:
-    def test_k2(self):
-        rep = classify_by_supports(complete(2))
-        assert rep.verdict == "is_gamma2"
-        assert rep.implied_values == (1, 2)
-        assert sorted(rep.s_set.representatives) == [0]
-        # the lone edge is one twin class of two specials: both endpoints
-        # alone are minimum dominating sets
-        assert rep.s_set.classes == (frozenset({0, 1}),)
-        assert rep.gamma_set_count == 2
-
-    def test_isolated_edge_component_count(self):
-        from twindom.domination import enumerate_gamma_sets
-
-        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-        rep = classify_by_supports(g)
-        assert rep.verdict == "is_gamma2"
-        assert rep.gamma_set_count == enumerate_gamma_sets(g).count == 2
-
-    def test_spider_packing_fails(self, spider):
-        rep = classify_by_supports(spider)
-        assert rep.verdict == "not_gamma2"
-        assert rep.packing_violation == (1, 2)  # both middles see the center
-        assert not is_gamma2_exact(spider)
-
-    def test_corona_of_path_is_gamma2(self):
-        for k in range(1, 5):
-            t = corona_p2(path(k))
-            rep = classify_by_supports(t)
-            assert rep.verdict == "is_gamma2"
-            assert is_gamma2_exact(t)
-
-    def test_c6_rejected_with_witness(self):
-        with pytest.raises(EligibilityError) as err:
-            classify_by_supports(cycle(6))
-        assert err.value.witness.pattern == "c6"
-
-    def test_triangle_rejected(self):
-        with pytest.raises(EligibilityError) as err:
-            classify_by_supports(complete(3))
-        assert err.value.witness.pattern == "c3"
-
-    def test_agrees_with_main_classifier(self):
-        from twindom.forbidden import C3, C6, find_induced
-
-        for n in range(2, 6):
-            for g in enumerate_small_graphs(n, "isolate_free"):
-                if find_induced(g, C3) or find_induced(g, C6):
-                    continue
-                assert classify_by_supports(g).verdict == classify(g, fallback="oracle").verdict
-
-
-class TestClassifyTree:
-    def test_k2_smallest_tree(self):
-        assert classify_tree(complete(2)).verdict == "is_gamma2"
-
-    def test_p4_no(self):
-        rep = classify_tree(path(4))
-        assert rep.verdict == "not_gamma2" and rep.method == "tree"
-
-    def test_p6_yes(self):
-        rep = classify_tree(path(6))
-        assert rep.verdict == "is_gamma2"
-        assert sorted(rep.s_set.representatives) == [1, 4]
-        assert rep.implied_values == (2, 4)
-
-    def test_rejects_non_trees(self):
-        with pytest.raises(ValueError):
-            classify_tree(cycle(4))
-        with pytest.raises(ValueError):
-            classify_tree(Graph(4, [(0, 1), (2, 3)]))
-        with pytest.raises(ValueError):
-            classify_tree(Graph(1))
-
-    def test_agrees_with_oracle_and_main_on_random_trees(self):
-        for seed in range(200):
-            t = random_tree(2 + seed % 14, seed)
-            want = "is_gamma2" if is_gamma2_exact(t) else "not_gamma2"
-            assert classify_tree(t).verdict == want
-            assert classify(t).verdict == want
-
-
-class TestClassifyBlockGraph:
-    def test_two_triangles(self, two_triangles):
-        rep = classify_block_graph(two_triangles)
-        assert rep.verdict == "is_gamma2"
-        assert rep.method == "block_graph"
-        assert sorted(rep.s_set.representatives) == [0]
-        assert rep.implied_values == (1, 2)
-
-    def test_p4_is_a_block_graph_but_no(self):
-        rep = classify_block_graph(path(4))
-        assert rep.verdict == "not_gamma2"
-        assert rep.packing_ok is False
-
-    def test_triangle_with_pendants(self):
-        g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])
-        rep = classify_block_graph(g)
-        assert sorted(rep.s_set.representatives) == [0, 1, 2]
-        assert rep.verdict == "not_gamma2"
-        assert not is_gamma2_exact(g)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            classify_block_graph(cycle(6))  # single block
-        with pytest.raises(ValueError):
-            classify_block_graph(Graph(4, [(0, 1), (2, 3)]))  # disconnected
-        with pytest.raises(ValueError):
-            classify_block_graph(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))  # C4 block
-
-    def test_agrees_with_oracle_and_main_on_random_block_graphs(self):
-        for seed in range(200):
-            g = random_block_graph(2 + seed % 4, 2 + seed % 3, seed)
-            want = "is_gamma2" if is_gamma2_exact(g) else "not_gamma2"
-            assert classify_block_graph(g).verdict == want
-            assert classify(g).verdict == want
-
-
 class TestGirthImplication:
     def test_c6(self):
         assert girth_implication_holds(cycle(6))
@@ -279,8 +195,6 @@ class TestGammaSetCount:
     def test_fig1_without_tail_pair(self):
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
                       (1, 5), (2, 3), (2, 5), (3, 4)])
-        from twindom.domination import enumerate_gamma_sets
-
         assert gamma_set_count_from_twins(g) == 2 == enumerate_gamma_sets(g).count
 
     def test_requires_eligibility(self):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from twindom import characterize
+from twindom import characterize, forbidden, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import parse_graph6, serialize_graph6
@@ -209,6 +209,41 @@ class TestSweepCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["ok"] is False
         assert any(c["violations"] for c in obj["claims"].values())
+
+    def _sweep_violations(self, capsys) -> dict:
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--json"]) == 2
+        obj = json.loads(capsys.readouterr().out)
+        return {name: c["violations"] for name, c in obj["claims"].items() if c["violations"]}
+
+    def test_wrong_support_vertices_are_caught(self, capsys, monkeypatch):
+        genuine = structure.support_vertices
+        monkeypatch.setattr(structure, "support_vertices", lambda g: set(sorted(genuine(g))[1:]))
+        assert "supports" in self._sweep_violations(capsys)
+
+    def test_wrong_cut_vertices_are_caught(self, capsys, monkeypatch):
+        genuine = structure.blocks_and_cut_vertices
+        monkeypatch.setattr(
+            structure, "blocks_and_cut_vertices",
+            lambda g: dataclasses.replace(genuine(g), lone_block_cuts=frozenset()),
+        )
+        assert "blocks" in self._sweep_violations(capsys)
+
+    def test_eligibility_is_computed_once_per_graph(self, capsys, monkeypatch):
+        calls = {"is_chordal": 0, "special_classes": 0}
+        for name, genuine in (("is_chordal", forbidden.is_chordal),
+                              ("special_classes", structure.special_classes)):
+            def counted(*args, _name=name, _genuine=genuine, **kwargs):
+                calls[_name] += 1
+                return _genuine(*args, **kwargs)
+
+            # replace every alias, so a call by any import path is counted
+            for module in (forbidden, structure, characterize, sweep):
+                if getattr(module, name, None) is genuine:
+                    monkeypatch.setattr(module, name, counted)
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        isolate_free = obj["graphs"] - obj["skippedIsolated"]
+        assert calls == {"is_chordal": isolate_free, "special_classes": isolate_free}
 
     def test_input_stream_sweep(self, tmp_path, capsys):
         f = tmp_path / "graphs.g6"
