@@ -24,12 +24,9 @@ from twindom.graphs import Graph
 # are chordal, so classify decides them on its chordal path. A string
 # names a conftest fixture; each dict pins the report fields it lists.
 SPECIALIZATION_CASES = [
-    pytest.param(complete(2), {"verdict": "is_gamma2", "implied": (1, 2), "reps": [0],
-                               "classes": (frozenset({0, 1}),), "count": 2}, id="k2"),
     pytest.param(Graph(5, [(0, 1), (2, 3), (3, 4)]), {"verdict": "is_gamma2", "count": 2},
                  id="lone-edge-and-p3"),
     pytest.param("spider", {"verdict": "not_gamma2", "packing_violation": (1, 2)}, id="spider"),
-    pytest.param(path(4), {"verdict": "not_gamma2", "packing_ok": False}, id="p4"),
     pytest.param(path(6), {"verdict": "is_gamma2", "reps": [1, 4], "implied": (2, 4)}, id="p6"),
     pytest.param("two_triangles", {"verdict": "is_gamma2", "reps": [0], "implied": (1, 2)},
                  id="two-triangles"),
@@ -38,6 +35,47 @@ SPECIALIZATION_CASES = [
     *(pytest.param(corona_p2(path(k)), {"verdict": "is_gamma2"}, id=f"corona-p{k}")
       for k in range(1, 5)),
 ]
+
+
+def check_specialization(g, want):
+    """Classify a chordal specialization and pin the report fields in want."""
+    rep = classify(g)
+    assert rep.method == "chordal_fast_path"
+    got = {
+        "verdict": rep.verdict,
+        "implied": rep.implied_values,
+        "reps": sorted(rep.s_set.representatives),
+        "classes": rep.s_set.classes,
+        "count": rep.gamma_set_count,
+        "packing_ok": rep.packing_ok,
+        "packing_violation": rep.packing_violation,
+    }
+    assert {k: got[k] for k in want} == want
+    assert (rep.verdict == "is_gamma2") == is_gamma2_exact(g)
+    if rep.verdict == "is_gamma2":
+        assert rep.gamma_set_count == enumerate_gamma_sets(g).count
+
+
+class TestClassifyBySupports:
+    def test_k2(self):
+        # the lone edge is one twin class of two specials: both endpoints
+        # alone are minimum dominating sets
+        check_specialization(complete(2), {"verdict": "is_gamma2", "implied": (1, 2),
+                                           "reps": [0], "classes": (frozenset({0, 1}),),
+                                           "count": 2})
+
+
+class TestClassifyTree:
+    def test_k2_smallest_tree(self):
+        check_specialization(complete(2), {"verdict": "is_gamma2"})
+
+    def test_p4_no(self):
+        check_specialization(path(4), {"verdict": "not_gamma2"})
+
+
+class TestClassifyBlockGraph:
+    def test_p4_is_a_block_graph_but_no(self):
+        check_specialization(path(4), {"verdict": "not_gamma2", "packing_ok": False})
 
 
 class TestClassify:
@@ -122,21 +160,7 @@ class TestClassify:
     def test_specialization_cases(self, g, want, request):
         if isinstance(g, str):
             g = request.getfixturevalue(g)
-        rep = classify(g)
-        assert rep.method == "chordal_fast_path"
-        got = {
-            "verdict": rep.verdict,
-            "implied": rep.implied_values,
-            "reps": sorted(rep.s_set.representatives),
-            "classes": rep.s_set.classes,
-            "count": rep.gamma_set_count,
-            "packing_ok": rep.packing_ok,
-            "packing_violation": rep.packing_violation,
-        }
-        assert {k: got[k] for k in want} == want
-        assert (rep.verdict == "is_gamma2") == is_gamma2_exact(g)
-        if rep.verdict == "is_gamma2":
-            assert rep.gamma_set_count == enumerate_gamma_sets(g).count
+        check_specialization(g, want)
 
     def test_yes_verdict_forces_certificates(self):
         for n in range(2, 6):
