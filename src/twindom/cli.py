@@ -1,9 +1,10 @@
 """Command-line interface.
 
-One analysis verdict per input graph, line-delimited JSON under --json,
-short human-readable lines otherwise. Exit codes: 0 completed, 1 usage or
-parse error, 2 a verification sweep found a claim violation (which would
-mean a bug, never expected on a healthy build).
+One analysis record per input graph, written in input order as soon as it
+is computed: line-delimited JSON under --json, short human-readable lines
+otherwise. Exit codes: 0 completed, 1 usage or parse error (the records
+before the failing one are already written), 2 a verification sweep found
+a claim violation (which would mean a bug, never expected on a healthy build).
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import time
-from itertools import chain
+from contextlib import nullcontext
+from functools import partial
+from itertools import chain, islice
 from multiprocessing import Pool
+from typing import Iterable
 
 from . import characterize, domination, generators, structure, sweep
-from .domination import DEFAULT_ORACLE_CAP, IsolatedVertexError, OracleCapExceeded
+from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, find_induced, girth, is_chordal
 from .graphs import (
     Graph,
@@ -28,6 +33,9 @@ from .graphs import (
     parse_graph6,
     serialize_graph6,
 )
+
+# classify hands a batch to worker processes only when it has more records
+POOL_MIN_RECORDS = 32
 
 
 class CliUsageError(ValueError):
@@ -47,7 +55,7 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
+def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default=None, metavar="FILE",
                    help="input file ('-' for stdin)")
     p.add_argument("--input", default=None, metavar="FILE", help="input stream file")
@@ -59,9 +67,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="graph6", choices=("graph6", "edgelist"),
                    help="file input format (default graph6)")
     p.add_argument("--seed", type=int, default=0, help="seed for random generator specs")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="line-delimited JSON output")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                    help=f"exact-search size cap (default {DEFAULT_ORACLE_CAP})")
@@ -72,43 +77,11 @@ def build_parser() -> _Parser:
                      description="Decide whether gamma_t = 2*gamma, with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="run the polynomial classifier")
-    _add_input_args(p)
-    _add_common_flags(p)
-    p.add_argument("--fallback", default="none", choices=("none", "oracle"),
-                   help="on ineligible graphs: report unknown (default) or use the exact oracle")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for batch input")
-
-    p = sub.add_parser("analyze", help="full single-graph analysis")
-    _add_input_args(p)
-    _add_common_flags(p)
-    p.add_argument("--fallback", default="none", choices=("none", "oracle"))
-
-    for name, kind in (("gamma", "gamma"), ("gamma-t", "gamma_total")):
-        p = sub.add_parser(name, help=f"exact {kind.replace('_', ' ')} number with witness")
-        _add_input_args(p)
-        _add_common_flags(p)
-
-    p = sub.add_parser("special", help="special vertices and their twin classes")
-    _add_input_args(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("s-set", help="twin classes of special vertices with representatives")
-    _add_input_args(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("count-gamma-sets", help="number of minimum dominating sets")
-    _add_input_args(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("check-free", help="search for induced forbidden patterns")
-    _add_input_args(p)
-    _add_common_flags(p)
-    p.add_argument("--patterns", default="c6,h1,h2",
-                   help="comma list from {c3,c6,h1,h2} (default c6,h1,h2)")
-    p.add_argument("--pattern-file", default=None, metavar="FILE",
-                   help="extra custom pattern as an edge-list file")
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_graph_args(p)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("generate", help="emit graphs as graph6 lines")
     p.add_argument("spec", help="generator spec, as for --generate")
@@ -129,8 +102,8 @@ def build_parser() -> _Parser:
 # -- input handling --------------------------------------------------------
 
 
-def expand_genspec(spec: str, seed: int = 0) -> list[Graph]:
-    """Expand a generator spec into graphs."""
+def expand_genspec(spec: str, seed: int = 0) -> Iterable[Graph]:
+    """Expand a generator spec into graphs; ``enum:`` specs yield them lazily."""
     parts = spec.strip().lower().split(":")
     head = parts[0]
     if head == "corona":
@@ -153,7 +126,7 @@ def expand_genspec(spec: str, seed: int = 0) -> list[Graph]:
         if len(parts) not in (2, 3):
             raise CliUsageError("enum spec is enum:<n>[:<filter>]")
         flt = parts[2] if len(parts) == 3 else "all"
-        return list(generators.enumerate_small_graphs(int(parts[1]), flt))
+        return generators.enumerate_small_graphs(int(parts[1]), flt)
     if len(parts) == 1:
         return [generators.fixture(head)]
     raise CliUsageError(f"unknown generator spec {spec!r}")
@@ -166,7 +139,9 @@ def _read_source(path: str) -> bytes:
         return fh.read()
 
 
-def load_graphs(args) -> list[Graph]:
+def _records(args) -> Iterable:
+    """The input graphs, in order: each a Graph, or a graph6 line still to
+    parse as a (line number, stripped line) pair."""
     sources = [s for s in ("path", "input", "fixture", "generate") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliUsageError(
@@ -180,193 +155,102 @@ def load_graphs(args) -> list[Graph]:
     data = _read_source(args.path if which == "path" else args.input)
     if args.format == "edgelist":
         return [parse_edgelist(data)]
-    graphs = list(iter_graph6_lines(data))
-    if not graphs:
+    lines = enumerate(data.decode("ascii").splitlines(), start=1)
+    records = ((lineno, line) for lineno, raw in lines if (line := raw.strip()))
+    first = next(records, None)
+    if first is None:
         raise CliUsageError("input contains no graphs")
-    return graphs
+    return chain([first], records)
 
 
-# -- output helpers ---------------------------------------------------------
-
-
-def _emit(objs, human_lines, as_json: bool) -> None:
-    if as_json:
-        for obj in objs:
-            print(json.dumps(obj, separators=(",", ":")))
-    else:
-        for line in human_lines:
-            print(line)
+# -- per-graph commands: (graph, args) -> (JSON fields, human-readable tail) --
 
 
 def _vset(g: Graph, vs) -> str:
     return "{" + ",".join(g.label(v) for v in sorted(vs)) + "}"
 
 
-# -- commands ---------------------------------------------------------------
-
-_POOL_STATE: dict = {}
-
-
-def _init_classify_pool(fallback: str, cap: int) -> None:
-    _POOL_STATE["fallback"] = fallback
-    _POOL_STATE["cap"] = cap
+def _classify(g: Graph, args) -> tuple[dict, str]:
+    o = characterize.classify(g, args.fallback, args.oracle_cap).to_json_dict()
+    tail = f"verdict={o['verdict']} method={o['method']}"
+    if o["impliedGamma"] is not None:
+        tail += f" gamma={o['impliedGamma']} gammaT={o['impliedGammaT']}"
+    return o, tail
 
 
-def _classify_line(g6: str) -> dict:
-    g = parse_graph6(g6)
-    report = characterize.classify(g, _POOL_STATE["fallback"], _POOL_STATE["cap"])
-    return report.to_json_dict()
-
-
-def cmd_classify(args) -> int:
-    graphs = load_graphs(args)
-    lines = [serialize_graph6(g).decode("ascii") for g in graphs]
-    if args.jobs > 1 and len(graphs) > 32:
-        with Pool(args.jobs, initializer=_init_classify_pool,
-                  initargs=(args.fallback, args.oracle_cap)) as pool:
-            reports = list(pool.imap(_classify_line, lines, chunksize=64))
-    else:
-        reports = [
-            characterize.classify(g, args.fallback, args.oracle_cap).to_json_dict()
-            for g in graphs
-        ]
-    objs = [{"index": i, "graph6": g6, **rep} for i, (g6, rep) in enumerate(zip(lines, reports))]
-    human = [
-        f"#{o['index']} {o['graph6']} verdict={o['verdict']} method={o['method']}"
-        + (f" gamma={o['impliedGamma']} gammaT={o['impliedGammaT']}"
-           if o["impliedGamma"] is not None else "")
-        for o in objs
-    ]
-    _emit(objs, human, args.json)
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    graphs = load_graphs(args)
-    objs = []
-    human = []
-    for i, g in enumerate(graphs):
-        g6 = serialize_graph6(g).decode("ascii")
-        stats = basic_stats(g)
-        classes = structure.special_classes(g)
-        gv = girth(g)
-        obj = {
-            "index": i,
-            "graph6": g6,
-            "n": g.n,
-            "minDegree": stats.min_degree,
-            "maxDegree": stats.max_degree,
-            "edgeCount": stats.edge_count,
-            "componentCount": stats.component_count,
-            "isolatedCount": stats.isolated_count,
-            "girth": None if math.isinf(gv) else gv,
-            "chordal": is_chordal(g),
-            "special": sorted(classes.special),
-            "twinClasses": [sorted(c) for c in classes.classes],
-            "supportVertices": sorted(structure.support_vertices(g)),
-        }
-        obj["gamma"] = obj["gammaWitness"] = obj["gammaT"] = obj["gammaTWitness"] = None
-        if g.n <= args.oracle_cap:
-            cert_g = domination.exact_gamma(g, args.oracle_cap)
-            obj["gamma"] = cert_g.value
-            obj["gammaWitness"] = sorted(cert_g.witness)
-            if stats.isolated_count == 0:
-                cert_t = domination.exact_gamma_total(g, args.oracle_cap)
-                obj["gammaT"] = cert_t.value
-                obj["gammaTWitness"] = sorted(cert_t.witness)
+def _analyze(g: Graph, args) -> tuple[dict, str]:
+    stats = basic_stats(g)
+    classes = structure.special_classes(g)
+    gv = girth(g)
+    obj = {
+        "n": g.n,
+        "minDegree": stats.min_degree,
+        "maxDegree": stats.max_degree,
+        "edgeCount": stats.edge_count,
+        "componentCount": stats.component_count,
+        "isolatedCount": stats.isolated_count,
+        "girth": None if math.isinf(gv) else gv,
+        "chordal": is_chordal(g),
+        "special": sorted(classes.special),
+        "twinClasses": [sorted(c) for c in classes.classes],
+        "supportVertices": sorted(structure.support_vertices(g)),
+    }
+    obj["gamma"] = obj["gammaWitness"] = obj["gammaT"] = obj["gammaTWitness"] = None
+    if g.n <= args.oracle_cap:
+        cert_g = domination.exact_gamma(g, args.oracle_cap)
+        obj["gamma"] = cert_g.value
+        obj["gammaWitness"] = sorted(cert_g.witness)
         if stats.isolated_count == 0:
-            obj["classification"] = characterize.classify(
-                g, args.fallback, args.oracle_cap
-            ).to_json_dict()
-        else:
-            obj["classification"] = None
-        objs.append(obj)
-        human.append(
-            f"#{i} {g6} n={g.n} m={stats.edge_count} girth={obj['girth']} "
-            f"chordal={obj['chordal']} special={_vset(g, classes.special)} "
-            f"gamma={obj['gamma']} gammaT={obj['gammaT']} "
-            f"verdict={obj['classification']['verdict'] if obj['classification'] else 'n/a'}"
-        )
-    _emit(objs, human, args.json)
-    return 0
+            cert_t = domination.exact_gamma_total(g, args.oracle_cap)
+            obj["gammaT"] = cert_t.value
+            obj["gammaTWitness"] = sorted(cert_t.witness)
+    obj["classification"] = characterize.classify(
+        g, args.fallback, args.oracle_cap
+    ).to_json_dict() if stats.isolated_count == 0 else None
+    return obj, (
+        f"n={g.n} m={stats.edge_count} girth={obj['girth']} "
+        f"chordal={obj['chordal']} special={_vset(g, classes.special)} "
+        f"gamma={obj['gamma']} gammaT={obj['gammaT']} "
+        f"verdict={obj['classification']['verdict'] if obj['classification'] else 'n/a'}"
+    )
 
 
-def cmd_gamma(args, total: bool) -> int:
-    graphs = load_graphs(args)
-    objs = []
-    human = []
-    for i, g in enumerate(graphs):
-        g6 = serialize_graph6(g).decode("ascii")
-        cert = (domination.exact_gamma_total if total else domination.exact_gamma)(
-            g, args.oracle_cap
-        )
-        objs.append({
-            "index": i,
-            "graph6": g6,
-            "kind": cert.kind,
-            "value": cert.value,
-            "witness": sorted(cert.witness),
-        })
-        human.append(f"#{i} {g6} {cert.kind}={cert.value} witness={_vset(g, cert.witness)}")
-    _emit(objs, human, args.json)
-    return 0
+def _gamma(g: Graph, args, total: bool) -> tuple[dict, str]:
+    exact = domination.exact_gamma_total if total else domination.exact_gamma
+    cert = exact(g, args.oracle_cap)
+    obj = {"kind": cert.kind, "value": cert.value, "witness": sorted(cert.witness)}
+    return obj, f"{cert.kind}={cert.value} witness={_vset(g, cert.witness)}"
 
 
-def cmd_special(args, with_representatives: bool) -> int:
-    graphs = load_graphs(args)
-    objs = []
-    human = []
-    for i, g in enumerate(graphs):
-        g6 = serialize_graph6(g).decode("ascii")
-        classes = structure.special_classes(g)
-        obj = {
-            "index": i,
-            "graph6": g6,
-            "special": sorted(classes.special),
-            "classes": [sorted(c) for c in classes.classes],
-        }
-        line = f"#{i} {g6} special={_vset(g, classes.special)} classes=" + "[" + " ".join(
-            _vset(g, c) for c in classes.classes) + "]"
-        if with_representatives:
-            obj["representatives"] = sorted(classes.representatives)
-            line += f" representatives={_vset(g, classes.representatives)}"
-        objs.append(obj)
-        human.append(line)
-    _emit(objs, human, args.json)
-    return 0
+def _special(g: Graph, args, with_representatives: bool) -> tuple[dict, str]:
+    classes = structure.special_classes(g)
+    obj = {"special": sorted(classes.special), "classes": [sorted(c) for c in classes.classes]}
+    tail = f"special={_vset(g, classes.special)} classes=" + "[" + " ".join(
+        _vset(g, c) for c in classes.classes) + "]"
+    if with_representatives:
+        obj["representatives"] = sorted(classes.representatives)
+        tail += f" representatives={_vset(g, classes.representatives)}"
+    return obj, tail
 
 
-def cmd_count_gamma_sets(args) -> int:
-    graphs = load_graphs(args)
-    objs = []
-    human = []
-    for i, g in enumerate(graphs):
-        g6 = serialize_graph6(g).decode("ascii")
-        report = None
-        try:
-            report = characterize.classify(g)
-        except IsolatedVertexError:
-            pass
-        if report is not None and report.eligible and report.verdict == characterize.VERDICT_YES:
-            gamma, count, method = report.implied_values[0], report.gamma_set_count, "twin_classes"
-        else:
-            enum = domination.enumerate_gamma_sets(g, list_cap=0, cap=args.oracle_cap)
-            gamma, count, method = enum.gamma, enum.count, "enumeration"
-        objs.append({"index": i, "graph6": g6, "gamma": gamma, "count": count, "method": method})
-        human.append(f"#{i} {g6} gamma={gamma} gammaSets={count} ({method})")
-    _emit(objs, human, args.json)
-    return 0
+def _count_gamma_sets(g: Graph, args) -> tuple[dict, str]:
+    # classify refuses graphs with an isolated vertex
+    report = characterize.classify(g) if all(g.adj) else None
+    if report is not None and report.eligible and report.verdict == characterize.VERDICT_YES:
+        gamma, count, method = report.implied_values[0], report.gamma_set_count, "twin_classes"
+    else:
+        enum = domination.enumerate_gamma_sets(g, list_cap=0, cap=args.oracle_cap)
+        gamma, count, method = enum.gamma, enum.count, "enumeration"
+    obj = {"gamma": gamma, "count": count, "method": method}
+    return obj, f"gamma={gamma} gammaSets={count} ({method})"
 
 
 def _parse_patterns(args) -> list[Pattern]:
-    out = []
-    for name in args.patterns.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    names = [name.strip() for name in args.patterns.split(",") if name.strip()]
+    for name in names:
         if name not in PATTERNS:
             raise CliUsageError(f"unknown pattern {name!r}; expected c3, c6, h1, h2")
-        out.append(PATTERNS[name])
+    out = [PATTERNS[name] for name in names]
     if args.pattern_file:
         with open(args.pattern_file, "rb") as fh:
             out.append(Pattern("custom", parse_edgelist(fh.read())))
@@ -375,32 +259,94 @@ def _parse_patterns(args) -> list[Pattern]:
     return out
 
 
-def cmd_check_free(args) -> int:
-    patterns = _parse_patterns(args)
-    graphs = load_graphs(args)
-    objs = []
-    human = []
-    for i, g in enumerate(graphs):
-        g6 = serialize_graph6(g).decode("ascii")
-        witness = None
-        for p in patterns:
-            emb = find_induced(g, p)
-            if emb is not None:
-                witness = {"pattern": emb.pattern, "mapping": list(emb.mapping)}
-                break
-        objs.append({
-            "index": i,
-            "graph6": g6,
-            "patterns": [p.name for p in patterns],
-            "free": witness is None,
-            "witness": witness,
-        })
-        human.append(
-            f"#{i} {g6} free={witness is None}"
-            + (f" witness={witness['pattern']}@{witness['mapping']}" if witness else "")
-        )
-    _emit(objs, human, args.json)
+def _check_free(g: Graph, args) -> tuple[dict, str]:
+    # run() has replaced args.patterns by the parsed list
+    found = (find_induced(g, p) for p in args.patterns)
+    emb = next((e for e in found if e is not None), None)
+    witness = {"pattern": emb.pattern, "mapping": list(emb.mapping)} if emb else None
+    obj = {"patterns": [p.name for p in args.patterns], "free": witness is None,
+           "witness": witness}
+    return obj, f"free={witness is None}" + (
+        f" witness={witness['pattern']}@{witness['mapping']}" if witness else "")
+
+
+_FALLBACK = ("--fallback", dict(
+    default="none", choices=("none", "oracle"),
+    help="on ineligible graphs: report unknown (default) or use the exact oracle"))
+
+# name -> (per-graph function, help, options beyond the shared graph args)
+COMMANDS = {
+    "classify": (_classify, "run the polynomial classifier", (
+        _FALLBACK,
+        ("--jobs", dict(type=int, default=os.cpu_count() or 1,
+                        help="worker processes for batch input")))),
+    "analyze": (_analyze, "full single-graph analysis", (_FALLBACK,)),
+    "gamma": (partial(_gamma, total=False), "exact gamma number with witness", ()),
+    "gamma-t": (partial(_gamma, total=True), "exact gamma total number with witness", ()),
+    "special": (partial(_special, with_representatives=False),
+                "special vertices and their twin classes", ()),
+    "s-set": (partial(_special, with_representatives=True),
+              "twin classes of special vertices with representatives", ()),
+    "count-gamma-sets": (_count_gamma_sets, "number of minimum dominating sets", ()),
+    "check-free": (_check_free, "search for induced forbidden patterns", (
+        ("--patterns", dict(default="c6,h1,h2",
+                            help="comma list from {c3,c6,h1,h2} (default c6,h1,h2)")),
+        ("--pattern-file", dict(default=None, metavar="FILE",
+                                help="extra custom pattern as an edge-list file")))),
+}
+
+
+# -- the per-graph driver -----------------------------------------------------
+
+
+def _record(fn, args, item) -> tuple[str, dict, str] | Exception:
+    """(graph6, fields, human tail) of one input graph. A failure is returned,
+    not raised, so that a pool worker keeps the rest of its chunk."""
+    try:
+        if isinstance(item, Graph):
+            fields, tail = fn(item, args)
+            return serialize_graph6(item).decode("ascii"), fields, tail
+        lineno, g6 = item
+        return (g6, *fn(parse_graph6(g6, line=lineno), args))
+    except Exception as e:
+        return e
+
+
+def _emit(obj: dict, tail: str, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(obj, separators=(",", ":")))
+    else:
+        print(f"#{obj['index']} {obj['graph6']} {tail}")
+
+
+def _die_with_parent() -> None:
+    # a parent killed by SIGPIPE would leave its workers waiting forever on
+    # a queue lock that a sibling held when the same signal killed it
+    if sys.platform == "linux":
+        import ctypes  # only pool workers need it
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+
+
+def _drive(fn, args) -> int:
+    """Run ``fn`` on every input graph and write its records in input order."""
+    records = iter(_records(args))
+    head = list(islice(records, POOL_MIN_RECORDS + 1))
+    records, compute = chain(head, records), partial(_record, fn, args)
+    jobs = getattr(args, "jobs", 1)
+    with (Pool(jobs, _die_with_parent) if jobs > 1 and len(head) > POOL_MIN_RECORDS
+          else nullcontext()) as pool:
+        results = pool.imap(compute, records, chunksize=64) if pool else map(compute, records)
+        for index, result in enumerate(results):
+            if isinstance(result, Exception):
+                raise result
+            g6, fields, tail = result
+            _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
     return 0
+
+
+# -- generate and sweep ---------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
@@ -461,35 +407,22 @@ def cmd_sweep(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "gamma":
-            return cmd_gamma(args, total=False)
-        if args.command == "gamma-t":
-            return cmd_gamma(args, total=True)
-        if args.command == "special":
-            return cmd_special(args, with_representatives=False)
-        if args.command == "s-set":
-            return cmd_special(args, with_representatives=True)
-        if args.command == "count-gamma-sets":
-            return cmd_count_gamma_sets(args)
-        if args.command == "check-free":
-            return cmd_check_free(args)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "sweep":
             return cmd_sweep(args)
-        raise CliUsageError(f"unknown command {args.command!r}")
+        if args.command == "check-free":
+            args.patterns = _parse_patterns(args)
+        return _drive(COMMANDS[args.command][0], args)
     except (ValueError, OracleCapExceeded, OSError) as e:
         return _fail(f"twindom {args.command}: {e}")
 
 
 def main() -> None:
+    # exit quietly, as other filters do, when the reader closes the pipe
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

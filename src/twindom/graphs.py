@@ -12,6 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest order representable in the 8-byte size header
+# largest order parse_edgelist accepts: its header and vertex ids are not tied
+# to the input size, and at this order the closed masks alone take ~64 MiB
+MAX_ORDER = 1 << 15
 
 
 class GraphParseError(ValueError):
@@ -324,6 +327,8 @@ def parse_edgelist(text: bytes | str) -> Graph:
                 raise GraphParseError("header count is not an integer", lineno) from None
             if declared_n < 0:
                 raise GraphParseError("header count is negative", lineno)
+            if declared_n > MAX_ORDER:
+                raise GraphParseError(f"header count exceeds the order cap {MAX_ORDER}", lineno)
             continue
         if len(toks) != 2:
             raise GraphParseError(f"expected two tokens, got {len(toks)}", lineno)
@@ -345,10 +350,11 @@ def parse_edgelist(text: bytes | str) -> Graph:
 
     if declared_n is not None:
         n = declared_n
-    elif ids:
-        n = 1 + max(max(u, v) for _, u, v in ids)
     else:
-        n = 0
+        for ln, u, v in ids:
+            if max(u, v) >= MAX_ORDER:
+                raise GraphParseError(f"vertex id {max(u, v)} needs more than {MAX_ORDER} vertices", ln)
+        n = 1 + max((max(u, v) for _, u, v in ids), default=-1)
     if labels is not None and len(labels) < n:
         labels += [str(i) for i in range(len(labels), n)]
 

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
-from twindom import characterize, forbidden, structure, sweep
+import twindom
+from twindom import characterize, cli, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import parse_graph6, serialize_graph6
@@ -152,6 +160,124 @@ class TestAnalysisCommands:
         assert obj["classification"]["verdict"] == "unknown"
 
 
+PER_GRAPH_COMMANDS = ["classify", "analyze", "gamma", "gamma-t", "special", "s-set",
+                      "count-gamma-sets", "check-free"]
+
+
+def write_g6(tmp_path, lines):
+    f = tmp_path / "in.g6"
+    f.write_text("\n".join(lines) + "\n")
+    return f
+
+
+class TestPerGraphDriver:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize("command", PER_GRAPH_COMMANDS)
+    def test_every_command_echoes_each_input_line(self, tmp_path, capsys, command, as_json):
+        lines = [g6(fixture(name)) for name in ("p4", "c6", "star3")]
+        f = write_g6(tmp_path, lines)
+        assert run([command, str(f)] + (["--json"] if as_json else [])) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3
+        for i, (line, g6_line) in enumerate(zip(out, lines)):
+            if as_json:
+                obj = json.loads(line)
+                assert (obj["index"], obj["graph6"]) == (i, g6_line)
+            else:
+                assert line.startswith(f"#{i} {g6_line} ")
+
+    def test_graph6_prefix_is_echoed_as_read(self, tmp_path, capsys):
+        f = write_g6(tmp_path, [">>graph6<<A_"])
+        (obj,) = run_json(capsys, ["classify", str(f), "--json"])
+        assert obj["graph6"] == ">>graph6<<A_" and obj["verdict"] == "is_gamma2"
+
+    @staticmethod
+    def _count_codec_calls(monkeypatch) -> dict:
+        calls = {"parse_graph6": 0, "serialize_graph6": 0}
+        for name in calls:
+            genuine = getattr(graphs, name)
+
+            def counted(*args, _name=name, _genuine=genuine, **kwargs):
+                calls[_name] += 1
+                return _genuine(*args, **kwargs)
+
+            # replace every alias, so a call by any import path is counted
+            for module in (twindom, graphs, cli, generators, sweep):
+                if getattr(module, name, None) is genuine:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_graph6_input_is_parsed_once_and_never_reencoded(self, tmp_path, capsys, monkeypatch):
+        lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
+        f = write_g6(tmp_path, lines)
+        calls = self._count_codec_calls(monkeypatch)
+        assert len(run_json(capsys, ["classify", str(f), "--json", "--jobs", "1"])) == len(lines)
+        assert calls == {"parse_graph6": len(lines), "serialize_graph6": 0}
+
+    def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
+        lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
+        assert len(lines) > cli.POOL_MIN_RECORDS
+        f = write_g6(tmp_path, lines)
+        calls = self._count_codec_calls(monkeypatch)
+        objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
+        assert [o["graph6"] for o in objs] == lines
+        assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
+
+    def test_records_before_a_failing_line_are_written(self, tmp_path, capsys):
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 45)]
+        lines.insert(40, "E")  # line 41: size header without its body
+        f = write_g6(tmp_path, lines)
+        outs = []
+        for jobs in ("1", "2"):
+            assert run(["classify", str(f), "--jobs", jobs]) == 1
+            captured = capsys.readouterr()
+            assert "line 41" in captured.err
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        assert [line.split()[0] for line in outs[0].splitlines()] == [f"#{i}" for i in range(40)]
+
+    @staticmethod
+    def _read_one_line_and_close(tmp_path, argv, stdin=None):
+        """Run the CLI in a new session and close its stdout after one line;
+        (exit status, stderr, process group id). Stderr goes to a file, as
+        a leftover worker would hold a pipe open."""
+        src = str(Path(twindom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        with open(tmp_path / "stderr.txt", "w+b") as ferr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", "from twindom.cli import main; main()", *argv],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=ferr, env=env,
+                start_new_session=True)
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            ferr.seek(0)
+            return code, ferr.read(), proc.pid
+
+    def test_broken_pipe_exits_quietly(self, tmp_path):
+        code, err, _ = self._read_one_line_and_close(tmp_path, ["generate", "enum:6"])
+        assert code == -signal.SIGPIPE
+        assert err == b""
+
+    def test_broken_pipe_leaves_no_pool_worker(self, tmp_path):
+        f = write_g6(tmp_path, [g6(g) for g in enumerate_small_graphs(5, "isolate_free")] * 3)
+        with open(f, "rb") as fin:
+            code, err, group = self._read_one_line_and_close(
+                tmp_path, ["classify", "-", "--jobs", "2"], fin)
+        assert code == -signal.SIGPIPE
+        assert err == b""
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(group, 0)  # any worker still alive in the session?
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        os.killpg(group, signal.SIGKILL)
+        pytest.fail("a pool worker outlived the CLI")
+
+
 class TestGenerate:
     def test_fixture_spec(self, capsys):
         assert run(["generate", "g1"]) == 0
@@ -269,6 +395,13 @@ class TestErrors:
 
     def test_missing_file(self, capsys):
         assert run(["classify", "/nonexistent/file.g6"]) == 1
+
+    @pytest.mark.parametrize("text", ["n 1000000000\n", "0 1000000000\n"])
+    def test_edgelist_order_is_capped(self, tmp_path, capsys, text):
+        f = tmp_path / "huge.edges"
+        f.write_text(text)
+        assert run(["classify", str(f), "--format", "edgelist"]) == 1
+        assert "line 1" in capsys.readouterr().err
 
     def test_malformed_graph6(self, tmp_path, capsys):
         f = tmp_path / "bad.g6"

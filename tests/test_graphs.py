@@ -6,6 +6,7 @@ from hypothesis import given
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
 from twindom.graphs import (
     Graph,
+    MAX_ORDER,
     GraphParseError,
     basic_stats,
     closed_neighborhood,
@@ -156,6 +157,17 @@ class TestEdgelist:
         with pytest.raises(GraphParseError) as err:
             parse_graph(b"n 2\n0 5", "edgelist")
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("text, line", [
+        (f"n {MAX_ORDER + 1}\n", 1),
+        (f"0 1\n0 {MAX_ORDER}\n", 2),
+        # the first label past the cap appears on the last line
+        ("".join(f"a{i} b{i}\n" for i in range(MAX_ORDER // 2)) + "c d\n", MAX_ORDER // 2 + 1),
+    ], ids=["header", "vertex-id", "labels"])
+    def test_order_cap_rejected_before_allocation(self, text, line):
+        with pytest.raises(GraphParseError) as err:
+            parse_graph(text, "edgelist")
+        assert err.value.line == line
 
     def test_labels_first_appearance_order(self):
         g = parse_graph(b"v1 v2\nv2 v3", "edgelist")
