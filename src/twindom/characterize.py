@@ -152,35 +152,23 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         return _verdict_from_set(g, structure.special_classes(g), method, started)
 
     # ineligible: the characterization does not apply
+    method, verdict, implied = METHOD_MAIN, VERDICT_UNKNOWN, None
     if fallback == "oracle":
         cert_g = domination.exact_gamma(g, oracle_cap)
         cert_t = domination.exact_gamma_total(g, oracle_cap)
+        method, implied = METHOD_ORACLE, (cert_g.value, cert_t.value)
         verdict = VERDICT_YES if cert_t.value == 2 * cert_g.value else VERDICT_NO
-        return ClassificationReport(
-            method=METHOD_ORACLE,
-            eligible=False,
-            verdict=verdict,
-            ineligibility_witness=witness,
-            s_set=structure.special_classes(g),
-            packing_ok=None,
-            packing_violation=None,
-            dominating_ok=None,
-            uncovered_vertex=None,
-            implied_values=(cert_g.value, cert_t.value),
-            gamma_set_count=None,
-            elapsed_micros=_micros_since(started),
-        )
     return ClassificationReport(
-        method=METHOD_MAIN,
+        method=method,
         eligible=False,
-        verdict=VERDICT_UNKNOWN,
+        verdict=verdict,
         ineligibility_witness=witness,
         s_set=structure.special_classes(g),
         packing_ok=None,
         packing_violation=None,
         dominating_ok=None,
         uncovered_vertex=None,
-        implied_values=None,
+        implied_values=implied,
         gamma_set_count=None,
         elapsed_micros=_micros_since(started),
     )

@@ -16,26 +16,14 @@ import os
 import signal
 import sys
 import time
-from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice
-from multiprocessing import Pool
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import characterize, domination, generators, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, find_induced, girth, is_chordal
-from .graphs import (
-    Graph,
-    basic_stats,
-    iter_graph6_lines,
-    parse_edgelist,
-    parse_graph6,
-    serialize_graph6,
-)
-
-# classify hands a batch to worker processes only when it has more records
-POOL_MIN_RECORDS = 32
+from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
 
 
 class CliUsageError(ValueError):
@@ -139,6 +127,12 @@ def _read_source(path: str) -> bytes:
         return fh.read()
 
 
+def _graph6_lines(data: bytes) -> Iterator[tuple[int, str]]:
+    """The (line number, stripped line) pairs of the nonblank lines."""
+    lines = enumerate(data.decode("ascii").splitlines(), start=1)
+    return ((lineno, line) for lineno, raw in lines if (line := raw.strip()))
+
+
 def _records(args) -> Iterable:
     """The input graphs, in order: each a Graph, or a graph6 line still to
     parse as a (line number, stripped line) pair."""
@@ -155,8 +149,7 @@ def _records(args) -> Iterable:
     data = _read_source(args.path if which == "path" else args.input)
     if args.format == "edgelist":
         return [parse_edgelist(data)]
-    lines = enumerate(data.decode("ascii").splitlines(), start=1)
-    records = ((lineno, line) for lineno, raw in lines if (line := raw.strip()))
+    records = _graph6_lines(data)
     first = next(records, None)
     if first is None:
         raise CliUsageError("input contains no graphs")
@@ -299,17 +292,13 @@ COMMANDS = {
 # -- the per-graph driver -----------------------------------------------------
 
 
-def _record(fn, args, item) -> tuple[str, dict, str] | Exception:
-    """(graph6, fields, human tail) of one input graph. A failure is returned,
-    not raised, so that a pool worker keeps the rest of its chunk."""
-    try:
-        if isinstance(item, Graph):
-            fields, tail = fn(item, args)
-            return serialize_graph6(item).decode("ascii"), fields, tail
-        lineno, g6 = item
-        return (g6, *fn(parse_graph6(g6, line=lineno), args))
-    except Exception as e:
-        return e
+def _record(fn, args, item) -> tuple[str, dict, str]:
+    """(graph6, fields, human tail) of one input graph."""
+    if isinstance(item, Graph):
+        fields, tail = fn(item, args)
+        return serialize_graph6(item).decode("ascii"), fields, tail
+    lineno, g6 = item
+    return (g6, *fn(parse_graph6(g6, line=lineno), args))
 
 
 def _emit(obj: dict, tail: str, as_json: bool) -> None:
@@ -319,30 +308,11 @@ def _emit(obj: dict, tail: str, as_json: bool) -> None:
         print(f"#{obj['index']} {obj['graph6']} {tail}")
 
 
-def _die_with_parent() -> None:
-    # a parent killed by SIGPIPE would leave its workers waiting forever on
-    # a queue lock that a sibling held when the same signal killed it
-    if sys.platform == "linux":
-        import ctypes  # only pool workers need it
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-
-
 def _drive(fn, args) -> int:
     """Run ``fn`` on every input graph and write its records in input order."""
-    records = iter(_records(args))
-    head = list(islice(records, POOL_MIN_RECORDS + 1))
-    records, compute = chain(head, records), partial(_record, fn, args)
-    jobs = getattr(args, "jobs", 1)
-    with (Pool(jobs, _die_with_parent) if jobs > 1 and len(head) > POOL_MIN_RECORDS
-          else nullcontext()) as pool:
-        results = pool.imap(compute, records, chunksize=64) if pool else map(compute, records)
-        for index, result in enumerate(results):
-            if isinstance(result, Exception):
-                raise result
-            g6, fields, tail = result
-            _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
+    results = sweep.ordered_map(partial(_record, fn, args), _records(args), getattr(args, "jobs", 1))
+    for index, (g6, fields, tail) in enumerate(results):
+        _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
     return 0
 
 
@@ -371,7 +341,8 @@ def cmd_sweep(args) -> int:
             generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)
         )
     else:
-        graphs = iter_graph6_lines(_read_source(args.input))
+        graphs = (parse_graph6(line, line=lineno)
+                  for lineno, line in _graph6_lines(_read_source(args.input)))
 
     started = time.perf_counter_ns()
     result = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)

@@ -27,6 +27,11 @@ class OracleCapExceeded(RuntimeError):
         self.n = n
         self.cap = cap
 
+    def __reduce__(self):
+        # a pool worker's error reaches the parent pickled; the default
+        # would call the class with the message alone
+        return type(self), (self.n, self.cap)
+
 
 class IsolatedVertexError(ValueError):
     """Total domination is undefined on graphs with isolated vertices."""

@@ -108,92 +108,35 @@ def is_free(g: Graph, patterns: tuple[Pattern, ...] = ELIGIBILITY_PATTERNS) -> t
     return True, None
 
 
-class _PartClass:
-    __slots__ = ("members", "prev", "next")
-
-    def __init__(self, members: set[int]):
-        self.members = members
-        self.prev: "_PartClass | None" = None
-        self.next: "_PartClass | None" = None
-
-
-def _lexbfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order via partition refinement.
-
-    Unvisited vertices sit in an ordered list of classes; each pivot's
-    unvisited neighbors split off in front of their class. Ties break to
-    the least vertex id, so the order is deterministic.
-    """
-    n = g.n
-    order: list[int] = []
-    if n == 0:
-        return order
-    sentinel = _PartClass(set())
-    first = _PartClass(set(range(n)))
-    sentinel.next = first
-    first.prev = sentinel
-    node_of: list[_PartClass | None] = [first] * n
-
-    def unlink(node: _PartClass) -> None:
-        node.prev.next = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-
-    for _ in range(n):
-        head = sentinel.next
-        v = min(head.members)
-        head.members.discard(v)
-        node_of[v] = None
-        order.append(v)
-        if not head.members:
-            unlink(head)
-        groups: dict[int, tuple[_PartClass, set[int]]] = {}
-        for w in bit_indices(g.adj[v]):
-            nd = node_of[w]
-            if nd is None:
-                continue
-            entry = groups.get(id(nd))
-            if entry is None:
-                groups[id(nd)] = (nd, {w})
-            else:
-                entry[1].add(w)
-        for nd, grp in groups.values():
-            nd.members -= grp
-            moved = _PartClass(grp)
-            moved.prev = nd.prev
-            moved.next = nd
-            nd.prev.next = moved
-            nd.prev = moved
-            for w in grp:
-                node_of[w] = moved
-            if not nd.members:
-                unlink(nd)
-    return order
-
-
 def is_chordal(g: Graph) -> bool:
-    """Perfect-elimination test on the reversed lexicographic BFS order."""
-    n = g.n
-    if n <= 2:
-        return True
-    order = _lexbfs_order(g)
-    elim = order[::-1]
-    pos = [0] * n
-    for i, v in enumerate(elim):
-        pos[v] = i
-    later_mask = [0] * n  # neighbors of v eliminated after v
-    seen = 0
-    for v in reversed(elim):
-        later_mask[v] = g.adj[v] & seen
-        seen |= 1 << v
-    for v in elim:
-        later = later_mask[v]
-        if later == 0:
-            continue
-        u = min(bit_indices(later), key=lambda w: pos[w])
-        rest = later & ~(1 << u)
-        if rest & ~g.adj[u]:
+    """Maximum cardinality search (Tarjan and Yannakakis, SIAM J. Comput. 1984).
+
+    Each step visits an unvisited vertex with the most visited neighbors.
+    The graph is chordal exactly when the reverse visit order is a perfect
+    elimination order, that is, when every vertex's neighbors visited before
+    it are adjacent to the last visited of them.
+    """
+    n, adj, closed = g.n, g.adj, g.closed
+    weight = [0] * n  # visited neighbors of each unvisited vertex
+    last = [0] * n  # the most recently visited of them
+    buckets = [set(range(n))]  # unvisited vertices by weight
+    visited = top = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        # with no visited neighbor, last[v] is a placeholder and the test passes
+        if adj[v] & visited & ~closed[last[v]]:
             return False
+        visited |= 1 << v
+        for w in bit_indices(adj[v] & ~visited):
+            buckets[weight[w]].remove(w)
+            weight[w] += 1
+            last[w] = v
+            if weight[w] == len(buckets):
+                buckets.append(set())
+            buckets[weight[w]].add(w)
+        top = min(top + 1, len(buckets) - 1)
     return True
 
 

@@ -111,9 +111,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for graph of order {self.n}")
 
-    def relabeled(self, labels: Sequence[str] | None) -> "Graph":
-        return Graph.from_masks(self.n, self.adj, labels)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -287,17 +284,6 @@ def serialize_graph6(g: Graph) -> bytes:
     if filled:
         out.append((acc << (6 - filled)) + 63)
     return head + bytes(out)
-
-
-def iter_graph6_lines(text: bytes | str) -> Iterator[Graph]:
-    """Parse a stream with one graph6 string per line, skipping blank lines."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        yield parse_graph6(stripped, line=lineno)
 
 
 # -- edge-list text -------------------------------------------------------

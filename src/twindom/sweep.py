@@ -34,14 +34,20 @@ Claims:
 
 from __future__ import annotations
 
+import signal
+import sys
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, islice
 from multiprocessing import Pool
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import C3, C6, girth, is_free
-from .graphs import Graph, basic_stats, parse_graph6, serialize_graph6
+from .graphs import Graph, basic_stats, bit_indices, mask_of, serialize_graph6
+
+# ordered_map hands a batch to worker processes only when it has more items
+POOL_MIN_RECORDS = 32
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 
@@ -160,9 +166,11 @@ def check_graph(
         record("supports", ok, f"representatives {reps}, supports {supports}, "
                                f"classes {[sorted(c) for c in classes.classes]}")
 
-    if "blocks" in claims and stats.component_count == 1 and structure.is_block_graph(g):
+    if "blocks" in claims and stats.component_count == 1:
         decomp = structure.blocks_and_cut_vertices(g)
-        if len(decomp.blocks) >= 2:
+        masks = [mask_of(b) for b in decomp.blocks]
+        # a block graph: every block is a clique
+        if len(masks) >= 2 and all(m & ~g.closed[v] == 0 for m in masks for v in bit_indices(m)):
             cuts = decomp.lone_block_cuts | decomp.multi_block_cuts
             ok = classes.special == cuts and all(len(c) == 1 for c in classes.classes)
             record("blocks", ok, f"special {sorted(classes.special)}, distinguished cut vertices "
@@ -171,18 +179,44 @@ def check_graph(
     return False, checked, violations
 
 
-_WORKER_CLAIMS: tuple[str, ...] = CLAIM_NAMES
-_WORKER_CAP: int = DEFAULT_ORACLE_CAP
+def _die_with_parent() -> None:
+    # a parent killed before it closes the pool (by SIGPIPE, SIGKILL, ...)
+    # would leave its workers running, or waiting forever on a queue lock
+    # that a sibling held when the same signal killed it
+    if sys.platform == "linux":
+        import ctypes  # only pool workers need it
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
 
 
-def _init_worker(claims: tuple[str, ...], cap: int) -> None:
-    global _WORKER_CLAIMS, _WORKER_CAP
-    _WORKER_CLAIMS = claims
-    _WORKER_CAP = cap
+def _guarded(fn, item):
+    # a failure travels back as a value, so the worker keeps the rest of its chunk
+    try:
+        return fn(item), None
+    except Exception as e:
+        return None, e
 
 
-def _worker(g6: str) -> tuple[bool, dict[str, int], list[tuple[str, str, str]]]:
-    return check_graph(parse_graph6(g6), _WORKER_CLAIMS, _WORKER_CAP)
+def ordered_map(fn, items, jobs: int):
+    """Yield ``fn(item)`` for every item, in input order.
+
+    With ``jobs > 1`` and more than ``POOL_MIN_RECORDS`` items the calls fan
+    out to a process pool whose workers die with this process. Either way an
+    item's exception is raised when its position is reached, after the
+    results of the items before it have been yielded.
+    """
+    items = iter(items)
+    head = list(islice(items, POOL_MIN_RECORDS + 1))
+    items = chain(head, items)
+    if jobs <= 1 or len(head) <= POOL_MIN_RECORDS:
+        yield from map(fn, items)
+        return
+    with Pool(jobs, _die_with_parent) as pool:
+        for value, error in pool.imap(partial(_guarded, fn), items, chunksize=64):
+            if error is not None:
+                raise error
+            yield value
 
 
 def sweep_graphs(
@@ -193,24 +227,13 @@ def sweep_graphs(
 ) -> SweepResult:
     """Run the claim checks over an iterable of graphs.
 
-    With ``jobs > 1`` the graphs fan out to a process pool; results merge
-    back in input order either way.
+    With ``jobs > 1`` the graphs fan out through :func:`ordered_map`; results
+    merge back in input order either way.
     """
     result = SweepResult(claims={name: ClaimResult() for name in claims})
-    if jobs <= 1:
-        for g in graphs:
-            result.graphs_seen += 1
-            skipped, checked, violations = check_graph(g, claims, oracle_cap)
-            if skipped:
-                result.skipped_isolated += 1
-            result.merge_graph(checked, violations)
-        return result
-
-    lines = (serialize_graph6(g).decode("ascii") for g in graphs)
-    with Pool(jobs, initializer=_init_worker, initargs=(claims, oracle_cap)) as pool:
-        for skipped, checked, violations in pool.imap(_worker, lines, chunksize=64):
-            result.graphs_seen += 1
-            if skipped:
-                result.skipped_isolated += 1
-            result.merge_graph(checked, violations)
+    check = partial(check_graph, claims=claims, oracle_cap=oracle_cap)
+    for skipped, checked, violations in ordered_map(check, graphs, jobs):
+        result.graphs_seen += 1
+        result.skipped_isolated += skipped
+        result.merge_graph(checked, violations)
     return result

@@ -17,7 +17,7 @@ import twindom
 from twindom import characterize, cli, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
-from twindom.graphs import parse_graph6, serialize_graph6
+from twindom.graphs import Graph, parse_graph6, serialize_graph6
 
 
 def g6(g) -> str:
@@ -164,6 +164,42 @@ PER_GRAPH_COMMANDS = ["classify", "analyze", "gamma", "gamma-t", "special", "s-s
                       "count-gamma-sets", "check-free"]
 
 
+CLI = [sys.executable, "-c", "from twindom.cli import main; main()"]
+
+
+def cli_env() -> dict:
+    src = str(Path(twindom.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_cli(argv, timeout=60) -> tuple[int, bytes, bytes]:
+    """Run the CLI in a new session; (exit status, stdout, stderr). The
+    session is killed if the run does not end within ``timeout`` s."""
+    proc = subprocess.Popen([*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=cli_env(), start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"twindom {' '.join(argv)} did not end within {timeout} s")
+    return proc.returncode, out, err
+
+
+def assert_session_ends(group: int, within: float = 30) -> None:
+    """Fail unless every process of the session ``group`` is gone in time."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(group, 0)  # any worker still alive in the session?
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    os.killpg(group, signal.SIGKILL)
+    pytest.fail("a pool worker outlived the CLI")
+
+
 def write_g6(tmp_path, lines):
     f = tmp_path / "in.g6"
     f.write_text("\n".join(lines) + "\n")
@@ -216,7 +252,7 @@ class TestPerGraphDriver:
 
     def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
         lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
-        assert len(lines) > cli.POOL_MIN_RECORDS
+        assert len(lines) > sweep.POOL_MIN_RECORDS
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
@@ -241,14 +277,9 @@ class TestPerGraphDriver:
         """Run the CLI in a new session and close its stdout after one line;
         (exit status, stderr, process group id). Stderr goes to a file, as
         a leftover worker would hold a pipe open."""
-        src = str(Path(twindom.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         with open(tmp_path / "stderr.txt", "w+b") as ferr:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", "from twindom.cli import main; main()", *argv],
-                stdin=stdin, stdout=subprocess.PIPE, stderr=ferr, env=env,
-                start_new_session=True)
+            proc = subprocess.Popen([*CLI, *argv], stdin=stdin, stdout=subprocess.PIPE,
+                                    stderr=ferr, env=cli_env(), start_new_session=True)
             assert proc.stdout.readline()
             proc.stdout.close()
             code = proc.wait(timeout=60)
@@ -267,15 +298,66 @@ class TestPerGraphDriver:
                 tmp_path, ["classify", "-", "--jobs", "2"], fin)
         assert code == -signal.SIGPIPE
         assert err == b""
+        assert_session_ends(group)
+
+
+class TestFanOut:
+    """classify and sweep share one ordered fan-out to worker processes."""
+
+    @pytest.mark.parametrize("argv", [["classify", "--fallback", "oracle"], ["sweep", "--input"]],
+                             ids=["classify", "sweep"])
+    def test_worker_error_ends_like_serial_run(self, tmp_path, argv):
+        # line 36: a hexagon and a disjoint 36-vertex path, ineligible and
+        # above the oracle cap, so its worker raises OracleCapExceeded
+        big = Graph(42, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 41)])
+        lines = [g6(g) for g in islice(enumerate_small_graphs(4, "isolate_free"), 39)]
+        lines.insert(35, g6(big))
+        f = write_g6(tmp_path, lines)
+        runs = [run_cli([*argv, str(f), "--jobs", jobs]) for jobs in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1
+        assert b"exact search refused: n=42 exceeds oracle cap 32" in err
+        assert b"Traceback" not in err
+        assert len(out.splitlines()) == (35 if argv[0] == "classify" else 0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
+    def test_sweep_workers_die_with_the_cli(self):
+        proc = subprocess.Popen([*CLI, "sweep", "--max-n", "6", "--jobs", "2"],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                env=cli_env(), start_new_session=True)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
         deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            try:
-                os.killpg(group, 0)  # any worker still alive in the session?
-            except ProcessLookupError:
-                return
-            time.sleep(0.05)
-        os.killpg(group, signal.SIGKILL)
-        pytest.fail("a pool worker outlived the CLI")
+        try:
+            while len(children.read_text().split()) < 2:  # until both workers run
+                assert time.monotonic() < deadline, "the sweep started no pool"
+                time.sleep(0.05)
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            raise
+        proc.kill()
+        proc.wait(timeout=30)
+        assert_session_ends(proc.pid)
+
+    def test_sweep_pool_parent_never_reencodes(self, tmp_path, capsys, monkeypatch):
+        lines = [g6(g) for g in enumerate_small_graphs(4)]
+        assert len(lines) > sweep.POOL_MIN_RECORDS
+        f = write_g6(tmp_path, lines)
+        calls = TestPerGraphDriver._count_codec_calls(monkeypatch)
+        assert run(["sweep", "--input", str(f), "--jobs", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["graphs"] == len(lines)
+        assert calls == {"parse_graph6": len(lines), "serialize_graph6": 0}
+
+    def test_small_input_sweep_is_identical_at_any_jobs(self, tmp_path, capsys):
+        lines = [g6(g) for g in islice(enumerate_small_graphs(4), 20, 20 + sweep.POOL_MIN_RECORDS)]
+        f = write_g6(tmp_path, lines)
+        outs = []
+        for jobs in ("1", "2"):
+            assert run(["sweep", "--input", str(f), "--jobs", jobs, "--json"]) == 0
+            outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["graphs"] == sweep.POOL_MIN_RECORDS
 
 
 class TestGenerate:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from twindom.forbidden import C3, C6, H1, H2, PATTERNS, find_induced, girth, is_chordal, is_free
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
-from twindom.graphs import basic_stats
+from twindom.graphs import Graph, basic_stats, bit_indices
 
 from conftest import brute_find_induced, brute_girth, brute_is_chordal, small_graphs
 
@@ -133,6 +134,38 @@ class TestChordal:
             for g in enumerate_small_graphs(n):
                 if is_chordal(g):
                     assert is_free(g)[0]
+
+    def test_agrees_with_networkx_beyond_brute_force(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2017)
+        answers = []
+        for _ in range(300):
+            g = _near_chordal(rng, rng.randint(20, 80))
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            answers.append(is_chordal(g))
+            assert answers[-1] == nx.is_chordal(ref), sorted(g.edges())
+        assert True in answers and False in answers
+
+
+def _near_chordal(rng: random.Random, n: int) -> Graph:
+    """A chordal graph, joining each new vertex to a clique of earlier ones,
+    with 0-2 random vertex pairs then toggled between edge and non-edge."""
+    adj = [0] * n
+    for v in range(1, n):
+        clique, common = 0, (1 << v) - 1  # common: earlier vertices adjacent to all of clique
+        for u in rng.sample(range(v), min(v, rng.randint(1, 5))):
+            if common >> u & 1:
+                clique |= 1 << u
+                common &= adj[u]
+        adj[v] = clique
+        for u in bit_indices(clique):
+            adj[u] |= 1 << v
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(n), 2)
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+    return Graph.from_masks(n, adj)
 
 
 class TestGirth:
