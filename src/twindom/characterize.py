@@ -204,4 +204,4 @@ def gamma_set_count_from_twins(g: Graph) -> int:
         raise ValueError("twin-class counting needs a graph with no induced c6, h1, or h2")
     if report.verdict != VERDICT_YES:
         raise ValueError("twin-class counting applies only when gamma_t = 2*gamma")
-    return math.prod(len(c) for c in report.s_set.classes)
+    return report.gamma_set_count

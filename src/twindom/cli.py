@@ -128,8 +128,9 @@ def _read_source(path: str) -> bytes:
 
 
 def _graph6_lines(data: bytes) -> Iterator[tuple[int, str]]:
-    """The (line number, stripped line) pairs of the nonblank lines."""
-    lines = enumerate(data.decode("ascii").splitlines(), start=1)
+    """The (line number, stripped line) pairs of the nonblank lines. A
+    non-ASCII byte survives decoding, so parsing its line reports it."""
+    lines = enumerate(data.decode("ascii", "surrogateescape").splitlines(), start=1)
     return ((lineno, line) for lineno, raw in lines if (line := raw.strip()))
 
 

@@ -43,13 +43,6 @@ PATTERNS: dict[str, Pattern] = {p.name: p for p in (C3, C6, H1, H2)}
 ELIGIBILITY_PATTERNS = (C6, H1, H2)
 
 
-def pattern_by_name(name: str) -> Pattern:
-    try:
-        return PATTERNS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown pattern {name!r}; expected one of {sorted(PATTERNS)}") from None
-
-
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     """Search for an induced embedding of ``pattern`` in ``g``.
 

@@ -9,6 +9,8 @@ them safe to share across worker processes.
 
 from __future__ import annotations
 
+import binascii
+import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest order representable in the 8-byte size header
@@ -186,7 +188,17 @@ def basic_stats(g: Graph) -> BasicStats:
 #
 # Standard 6-bit encoding: printable bytes 63..126, size header followed by
 # the upper triangle of the adjacency matrix in column order, zero-padded
-# to a multiple of six bits.
+# to a multiple of six bits. Each byte carries six bits, most significant
+# first, so a graph6 body is base64 text under another alphabet, and after
+# bit reversal within each decoded byte stream bit k is bit k of a
+# little-endian integer: column j is the run of j bits at offset j(j-1)/2.
+
+_GRAPH6_DIGITS = bytes(range(63, 127))
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
+_FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_INVALID_GRAPH6 = re.compile(rb"[^?-~]")
 
 
 def _graph6_decode_size(data: bytes) -> tuple[int, int]:
@@ -195,67 +207,51 @@ def _graph6_decode_size(data: bytes) -> tuple[int, int]:
         raise GraphParseError("empty graph6 string")
     if data[0] != 126:  # '~'
         return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise GraphParseError("truncated graph6 size header")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, 4
-    if len(data) < 8:
+    # '~' and three digits, or '~~' and six
+    width = 8 if data[:2] in (b"~", b"~~") else 4
+    if len(data) < width:
         raise GraphParseError("truncated graph6 size header")
     n = 0
-    for b in data[2:8]:
+    for b in data[width // 4:width]:
         n = (n << 6) | (b - 63)
-    return n, 8
+    return n, width
 
 
 def parse_graph6(data: bytes | str, line: int | None = None) -> Graph:
     """Decode one graph6-encoded graph."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        data = data.encode("ascii", "surrogateescape")
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"invalid graph6 byte {b!r} at offset {i}", line)
+    bad = _INVALID_GRAPH6.search(data)
+    if bad:
+        raise GraphParseError(f"invalid graph6 byte {data[bad.start()]} at offset {bad.start()}", line)
     try:
         n, start = _graph6_decode_size(data)
     except GraphParseError as e:
         raise GraphParseError(str(e), line) from None
-    nbits = n * (n - 1) // 2
-    body = data[start:]
-    expected = (nbits + 5) // 6
-    if len(body) != expected:
+    expected = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - start != expected:
         raise GraphParseError(
-            f"graph6 body has {len(body)} bytes, expected {expected} for n={n}", line
+            f"graph6 body has {len(data) - start} bytes, expected {expected} for n={n}", line
         )
+    # base64 decodes whole quads: pad with zero digits, which fall past the
+    # triangle like the padding bits. One statement per step keeps at most
+    # two body-sized buffers alive.
+    data = b"".join((memoryview(data)[start:], b"?" * (-expected % 4)))
+    data = data.translate(_TO_BASE64)
+    data = binascii.a2b_base64(data)
+    bits = data.translate(_REVERSED_BITS)
+    del data
     masks = [0] * n
-    bit = 0
-    for b in body:
-        chunk = b - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if (chunk >> k) & 1:
-                # column-order upper triangle: bit index -> pair (i, j), i < j
-                j = _col_of(bit)
-                i = bit - j * (j - 1) // 2
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            bit += 1
+    for j in range(1, n):
+        off = j * (j - 1) // 2
+        col = int.from_bytes(bits[off >> 3:(off + j + 7) >> 3], "little") >> (off & 7) & ((1 << j) - 1)
+        masks[j] = col
+        for i in bit_indices(col):
+            masks[i] |= 1 << j
     return Graph.from_masks(n, masks)
-
-
-def _col_of(bit: int) -> int:
-    # smallest j with j*(j+1)/2 > bit
-    j = int((2 * bit) ** 0.5)
-    while j * (j - 1) // 2 > bit:
-        j -= 1
-    while (j + 1) * j // 2 <= bit:
-        j += 1
-    return j
 
 
 def serialize_graph6(g: Graph) -> bytes:
@@ -265,25 +261,23 @@ def serialize_graph6(g: Graph) -> bytes:
         raise ValueError(f"graph6 supports at most {GRAPH6_MAX_N} vertices")
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
-        head = bytes([126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)])
-    out = []
-    acc = 0
-    filled = 0
+        digits = 3 if n <= 258047 else 6
+        head = b"~" * (digits // 3) + bytes(((n >> 6 * k) & 63) + 63 for k in reversed(range(digits)))
+    # append column j (j bits) to a little-endian bit buffer, flushing whole bytes
+    bits = bytearray()
+    acc = filled = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return head + bytes(out)
+        acc |= (g.adj[j] & ((1 << j) - 1)) << filled
+        whole, filled = divmod(filled + j, 8)
+        bits += (acc & ((1 << 8 * whole) - 1)).to_bytes(whole, "little")
+        acc >>= 8 * whole
+    bits += acc.to_bytes((filled + 7) >> 3, "little")
+    text = binascii.b2a_base64(bits.translate(_REVERSED_BITS), newline=False)
+    del bits
+    # the header joins in base64 form, so one translation maps everything back
+    text = b"".join((head.translate(_TO_BASE64), memoryview(text)[:(n * (n - 1) // 2 + 5) // 6]))
+    return text.translate(_FROM_BASE64)
 
 
 # -- edge-list text -------------------------------------------------------

@@ -227,6 +227,22 @@ class TestPerGraphDriver:
         (obj,) = run_json(capsys, ["classify", str(f), "--json"])
         assert obj["graph6"] == ">>graph6<<A_" and obj["verdict"] == "is_gamma2"
 
+    def test_padding_bits_are_echoed_as_read(self, tmp_path, capsys):
+        f = write_g6(tmp_path, ["B~"])
+        (obj,) = run_json(capsys, ["classify", str(f), "--json"])
+        assert obj["graph6"] == "B~" and obj["verdict"] == "is_gamma2"
+
+    def test_largest_edgelist_is_echoed_in_time(self, tmp_path):
+        # the graph6 echo of an order-cap edge list is 89,475,759 bytes
+        f = tmp_path / "big.edges"
+        f.write_text(f"n {graphs.MAX_ORDER}\n0 {graphs.MAX_ORDER - 1}\n5 9\n")
+        code, out, err = run_cli(["special", str(f), "--format", "edgelist", "--json"], timeout=30)
+        assert (code, err) == (0, b"")
+        echoed = json.loads(out)["graph6"]
+        del out
+        assert len(echoed) == 89_475_759
+        assert list(parse_graph6(echoed).edges()) == [(0, graphs.MAX_ORDER - 1), (5, 9)]
+
     @staticmethod
     def _count_codec_calls(monkeypatch) -> dict:
         calls = {"parse_graph6": 0, "serialize_graph6": 0}
@@ -484,6 +500,22 @@ class TestErrors:
         f.write_text(text)
         assert run(["classify", str(f), "--format", "edgelist"]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["classify", "--jobs", "1"], ["classify", "--jobs", "2"],
+                                      ["sweep", "--jobs", "1", "--input"]],
+                             ids=["classify-jobs1", "classify-jobs2", "sweep"])
+    def test_non_ascii_byte_fails_its_line(self, tmp_path, capsys, argv):
+        lines = [g6(g).encode() for g in islice(enumerate_small_graphs(4, "isolate_free"), 40)]
+        lines.insert(36, b"B\xffw")  # line 37
+        f = tmp_path / "in.g6"
+        f.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(lines) > sweep.POOL_MIN_RECORDS
+        assert run([*argv, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"twindom {argv[0]}: line 37: invalid graph6 byte 255 at offset 1\n"
+        records = 36 if argv[0] == "classify" else 0
+        assert [line.split()[:2] for line in captured.out.splitlines()] == [
+            [f"#{i}", line.decode()] for i, line in enumerate(lines[:records])]
 
     def test_malformed_graph6(self, tmp_path, capsys):
         f = tmp_path / "bad.g6"

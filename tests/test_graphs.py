@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -13,7 +15,9 @@ from twindom.graphs import (
     closed_neighborhood_of_set,
     open_neighborhood,
     parse_graph,
+    parse_graph6,
     serialize_graph,
+    serialize_graph6,
 )
 
 from conftest import small_graphs
@@ -134,6 +138,44 @@ class TestGraph6:
     def test_invalid_byte(self):
         with pytest.raises(GraphParseError):
             parse_graph(b"A\x07", "graph6")
+
+    def test_error_texts(self):
+        with pytest.raises(GraphParseError, match=r"^line 4: graph6 body has 0 bytes, expected 3 for n=6$"):
+            parse_graph6(b"E", line=4)
+        with pytest.raises(GraphParseError, match=r"^graph6 body has 2 bytes, expected 1 for n=3$"):
+            parse_graph6(b"Bw?")
+        with pytest.raises(GraphParseError, match=r"^invalid graph6 byte 7 at offset 1$"):
+            parse_graph6(b"A\x07")
+        # a non-ASCII byte decoded with surrogateescape is reported as that byte
+        for data in (b"B\xffw", "B\udcffw"):
+            with pytest.raises(GraphParseError, match=r"^line 3: invalid graph6 byte 255 at offset 1$"):
+                parse_graph6(data, line=3)
+
+    def test_padding_bits_are_ignored(self):
+        # Bw: n=3 with edges 01, 02, 12 and zero padding; B~ sets the padding
+        assert parse_graph6(b"B~") == parse_graph6(b"Bw") == complete(3)
+
+    def test_eight_byte_size_header(self):
+        assert parse_graph6(b"~~?????Bw") == complete(3)
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        orders = set()
+        for _ in range(200):
+            n = round(20 * 15 ** rng.random())  # log-uniform on 20..300: networkx is O(n^2)
+            p = rng.choice((0.01, 0.1, 0.5, 0.9))
+            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+            g = Graph(n, edges)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))  # networkx numbers vertices in insertion order
+            h.add_edges_from(edges)
+            theirs = nx.to_graph6_bytes(h, nodes=range(n), header=False)
+            assert serialize_graph6(g) + b"\n" == theirs
+            assert parse_graph6(theirs) == g
+            orders.add(n)
+        # both the 1-byte and the 4-byte size headers occur
+        assert min(orders) <= 62 < max(orders)
 
     @given(small_graphs(max_n=12))
     def test_round_trip_property(self, g):
