@@ -12,8 +12,6 @@ claim over exhaustive small-graph corpora.
 from .characterize import (
     ClassificationReport,
     classify,
-    gamma_set_count_from_twins,
-    girth_implication_holds,
 )
 from .domination import (
     DominationCertificate,
@@ -24,9 +22,7 @@ from .domination import (
     exact_gamma,
     exact_gamma_total,
     is_dominating,
-    is_gamma2_exact,
     is_packing,
-    is_total_dominating,
 )
 from .forbidden import (
     C3,
@@ -45,20 +41,12 @@ from .graphs import (
     Graph,
     GraphParseError,
     basic_stats,
-    closed_neighborhood,
-    closed_neighborhood_of_set,
-    open_neighborhood,
-    parse_graph,
-    serialize_graph,
 )
 from .structure import (
     BlockDecomposition,
-    NeighborhoodPartition,
     SpecialClasses,
     blocks_and_cut_vertices,
-    is_block_graph,
     is_special,
-    neighborhood_partition,
     special_classes,
     special_vertices,
     support_vertices,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from . import domination, structure
 from .domination import DEFAULT_ORACLE_CAP, IsolatedVertexError
-from .forbidden import C3, C6, Embedding, find_induced, girth, is_chordal, is_free
-from .graphs import Graph, basic_stats
+from .forbidden import Embedding, is_chordal, is_free
+from .graphs import Graph
 from .structure import SpecialClasses
 
 VERDICT_YES = "is_gamma2"
@@ -172,36 +172,3 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         gamma_set_count=None,
         elapsed_micros=_micros_since(started),
     )
-
-
-def girth_implication_holds(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Check the extremal-girth consequence on one graph.
-
-    Whenever gamma_t = 2*gamma holds (decided by classifier or oracle)
-    and the minimum degree is at least 2, the graph must contain an
-    induced triangle or hexagon, hence have girth at most 6. Returns
-    True when the implication holds (vacuously or not).
-    """
-    stats = basic_stats(g)
-    if stats.min_degree < 2:
-        return True
-    report = classify(g, fallback="oracle", oracle_cap=oracle_cap)
-    if report.verdict != VERDICT_YES:
-        return True
-    if girth(g) > 6:
-        return False
-    return find_induced(g, C3) is not None or find_induced(g, C6) is not None
-
-
-def gamma_set_count_from_twins(g: Graph) -> int:
-    """Number of minimum dominating sets, as the product of twin-class sizes.
-
-    Valid exactly when the main classifier is applicable and answers yes;
-    the count is 1 iff every special vertex is twinless.
-    """
-    report = classify(g, fallback="none")
-    if not report.eligible:
-        raise ValueError("twin-class counting needs a graph with no induced c6, h1, or h2")
-    if report.verdict != VERDICT_YES:
-        raise ValueError("twin-class counting applies only when gamma_t = 2*gamma")
-    return report.gamma_set_count

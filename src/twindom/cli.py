@@ -16,6 +16,7 @@ import os
 import signal
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
@@ -120,18 +121,25 @@ def expand_genspec(spec: str, seed: int = 0) -> Iterable[Graph]:
     raise CliUsageError(f"unknown generator spec {spec!r}")
 
 
-def _read_source(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+def _open_source(path: str):
+    # stdin is left open: it is not ours to close
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _graph6_lines(data: bytes) -> Iterator[tuple[int, str]]:
-    """The (line number, stripped line) pairs of the nonblank lines. A
-    non-ASCII byte survives decoding, so parsing its line reports it."""
-    lines = enumerate(data.decode("ascii", "surrogateescape").splitlines(), start=1)
-    return ((lineno, line) for lineno, raw in lines if (line := raw.strip()))
+def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The (line number, stripped line) pairs of the nonblank lines, read
+    one ``\\n``-terminated chunk at a time. Each chunk is split again by
+    ``str.splitlines``, so ``\\r``, ``\\x0c`` and the other breaks it knows
+    number the lines as a split of the whole input would; ``\\r\\n`` never
+    straddles two chunks. A non-ASCII byte survives decoding, so parsing
+    its line reports it."""
+    lineno = 0
+    with _open_source(path) as fh:
+        for chunk in fh:
+            for raw in chunk.decode("ascii", "surrogateescape").splitlines():
+                lineno += 1
+                if line := raw.strip():
+                    yield lineno, line
 
 
 def _records(args) -> Iterable:
@@ -147,10 +155,11 @@ def _records(args) -> Iterable:
         return [generators.fixture(args.fixture)]
     if which == "generate":
         return expand_genspec(args.generate, args.seed)
-    data = _read_source(args.path if which == "path" else args.input)
+    path = args.path if which == "path" else args.input
     if args.format == "edgelist":
-        return [parse_edgelist(data)]
-    records = _graph6_lines(data)
+        with _open_source(path) as fh:
+            return [parse_edgelist(fh.read())]
+    records = _graph6_lines(path)
     first = next(records, None)
     if first is None:
         raise CliUsageError("input contains no graphs")
@@ -342,8 +351,7 @@ def cmd_sweep(args) -> int:
             generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)
         )
     else:
-        graphs = (parse_graph6(line, line=lineno)
-                  for lineno, line in _graph6_lines(_read_source(args.input)))
+        graphs = (parse_graph6(line, line=lineno) for lineno, line in _graph6_lines(args.input))
 
     started = time.perf_counter_ns()
     result = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)

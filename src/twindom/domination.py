@@ -60,15 +60,6 @@ def is_dominating(g: Graph, s) -> bool:
     return m == g.full
 
 
-def is_total_dominating(g: Graph, s) -> bool:
-    """True when every vertex (members included) has a neighbor in ``s``."""
-    m = 0
-    for v in s:
-        g.check_vertex(v)
-        m |= g.adj[v]
-    return m == g.full
-
-
 def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     """Are the closed neighborhoods of ``s`` pairwise disjoint?
 
@@ -167,8 +158,3 @@ def enumerate_gamma_sets(
             if list_cap is None or len(sets) < list_cap:
                 sets.append(frozenset(combo))
     return GammaSetEnumeration(gamma=gamma, count=count, sets=tuple(sets))
-
-
-def is_gamma2_exact(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Does the total domination number equal twice the domination number?"""
-    return exact_gamma_total(g, cap).value == 2 * exact_gamma(g, cap).value

@@ -13,7 +13,7 @@ import random
 import re
 from typing import Iterator
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph, component_masks
 
 
 def path(k: int) -> Graph:
@@ -168,22 +168,9 @@ def enumerate_small_graphs(n: int, flt: str = "all") -> Iterator[Graph]:
         g = Graph.from_masks(n, adj)
         if flt == "isolate_free" and any(m == 0 for m in adj):
             continue
-        if flt == "connected" and not _connected_masks(adj, n):
+        if flt == "connected" and len(component_masks(g)) != 1:
             continue
         yield g
-
-
-def _connected_masks(adj: list[int], n: int) -> bool:
-    comp = 1
-    frontier = 1
-    full = (1 << n) - 1
-    while frontier:
-        nxt = 0
-        for v in bit_indices(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == full
 
 
 def random_tree(n: int, seed: int) -> Graph:

@@ -92,9 +92,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(bit_indices(self.adj[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as ordered pairs (u, v) with u < v, ascending."""
         for u in range(self.n):
@@ -131,27 +128,6 @@ class BasicStats(NamedTuple):
     edge_count: int
     component_count: int
     isolated_count: int
-
-
-def open_neighborhood(g: Graph, v: int) -> set[int]:
-    """Vertices adjacent to ``v``; never contains ``v``."""
-    g.check_vertex(v)
-    return set(bit_indices(g.adj[v]))
-
-
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """``v`` together with its neighbors."""
-    g.check_vertex(v)
-    return set(bit_indices(g.closed[v]))
-
-
-def closed_neighborhood_of_set(g: Graph, s: Iterable[int]) -> set[int]:
-    """Union of closed neighborhoods over ``s``; empty for empty ``s``."""
-    m = 0
-    for v in s:
-        g.check_vertex(v)
-        m |= g.closed[v]
-    return set(bit_indices(m))
 
 
 def component_masks(g: Graph) -> list[int]:
@@ -355,27 +331,3 @@ def _is_int(tok: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def serialize_edgelist(g: Graph) -> bytes:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def parse_graph(text: bytes | str, fmt: str = "graph6") -> Graph:
-    """Parse one graph in the named format (``graph6`` or ``edgelist``)."""
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
-
-
-def serialize_graph(g: Graph, fmt: str = "graph6") -> bytes:
-    """Serialize; inverse of :func:`parse_graph` on (n, edge set)."""
-    if fmt == "graph6":
-        return serialize_graph6(g)
-    if fmt == "edgelist":
-        return serialize_edgelist(g)
-    raise ValueError(f"unknown graph format {fmt!r}")

@@ -23,16 +23,6 @@ from .graphs import Graph, bit_indices, mask_of
 
 
 @dataclass(frozen=True)
-class NeighborhoodPartition:
-    """The three-way split of N[v]; the parts are disjoint and cover N[v]."""
-
-    vertex: int
-    twins: frozenset[int]
-    inner: frozenset[int]
-    outer: frozenset[int]
-
-
-@dataclass(frozen=True)
 class SpecialClasses:
     """All special vertices grouped into true-twin classes.
 
@@ -63,6 +53,7 @@ class BlockDecomposition:
 
 
 def _tdm_masks(g: Graph, v: int) -> tuple[int, int, int]:
+    """N[v] as (twins, inner, outer) bitmasks; see the module docstring."""
     cv = g.closed[v]
     t = 1 << v
     d = 0
@@ -81,18 +72,6 @@ def _tdm_masks(g: Graph, v: int) -> tuple[int, int, int]:
         else:
             m |= low
     return t, d, m
-
-
-def neighborhood_partition(g: Graph, v: int) -> NeighborhoodPartition:
-    """Split N[v] into twins / inner / outer parts."""
-    g.check_vertex(v)
-    t, d, m = _tdm_masks(g, v)
-    return NeighborhoodPartition(
-        vertex=v,
-        twins=frozenset(bit_indices(t)),
-        inner=frozenset(bit_indices(d)),
-        outer=frozenset(bit_indices(m)),
-    )
 
 
 def is_special(g: Graph, v: int) -> bool:
@@ -237,13 +216,3 @@ def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:
         lone_block_cuts=frozenset(lone),
         multi_block_cuts=frozenset(multi),
     )
-
-
-def is_block_graph(g: Graph) -> bool:
-    """True when every block induces a clique."""
-    for b in blocks_and_cut_vertices(g).blocks:
-        bmask = mask_of(b)
-        for v in b:
-            if bmask & ~g.closed[v]:
-                return False
-    return True

@@ -12,7 +12,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
-from twindom.graphs import Graph
+from twindom.domination import exact_gamma, exact_gamma_total
+from twindom.graphs import Graph, mask_of
+from twindom.structure import blocks_and_cut_vertices
 
 
 # -- independent oracles -----------------------------------------------------
@@ -144,6 +146,19 @@ def brute_girth(g: Graph) -> int | None:
             if _induces_cycle(g, subset):
                 return size
     return None
+
+
+# -- predicates over the library's own results -------------------------------
+
+
+def is_gamma2_exact(g: Graph) -> bool:
+    """gamma_t = 2*gamma, by the exact oracles."""
+    return exact_gamma_total(g).value == 2 * exact_gamma(g).value
+
+
+def is_block_graph(g: Graph) -> bool:
+    """Every block of ``blocks_and_cut_vertices`` induces a clique."""
+    return all(mask_of(b) & ~g.closed[v] == 0 for b in blocks_and_cut_vertices(g).blocks for v in b)
 
 
 # -- hypothesis strategy ------------------------------------------------------

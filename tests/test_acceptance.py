@@ -50,6 +50,10 @@ def full_sweep() -> sweep.SweepResult:
     # every isolate-free graph passed through the unconditional claims
     assert result.claims["lemma6"].checked == result.graphs_seen - result.skipped_isolated
     assert result.claims["bounds"].checked == result.claims["lemma6"].checked
+    assert {name: cr.checked for name, cr in result.claims.items()} == {
+        "bounds": 28263, "lemma6": 28263, "prop7": 27663, "cor2": 14626, "cor9": 6526,
+        "lemma5": 6586, "cor4": 4002, "supports": 4164, "blocks": 4787,
+    }
     return result
 
 
@@ -91,15 +95,17 @@ def test_criterion_1_fixture_values_and_pattern_facts():
 
 
 def test_criterion_2_neighborhood_partition_reproduction():
+    # the split of N[v1]: true twins, neighbors whose closed neighborhood
+    # lies inside N[v1], and the neighbors that reach outside it
     g = fixture("fig1")
-    p = td.neighborhood_partition(g, 0)
-    ok = (
-        p.twins == {0, 1}
-        and p.inner == {2, 3}
-        and p.outer == {4, 5}
-        and set(td.special_vertices(g)) == {0, 1}
-    )
-    report(2, ok, f"twins={sorted(p.twins)} inner={sorted(p.inner)} outer={sorted(p.outer)}")
+    nv = g.closed[0]
+    members = [u for u in range(g.n) if nv >> u & 1]
+    twins = {u for u in members if g.closed[u] == nv}
+    inner = {u for u in members if g.closed[u] != nv and g.closed[u] & ~nv == 0}
+    outer = {u for u in members if g.closed[u] & ~nv}
+    special = td.special_vertices(g)
+    ok = twins == {0, 1} and inner == {2, 3} and outer == {4, 5} and special == [0, 1]
+    report(2, ok, f"twins={sorted(twins)} inner={sorted(inner)} outer={sorted(outer)} special={special}")
 
 
 def test_criterion_3_classifier_matches_oracle_on_eligible_graphs(full_sweep):

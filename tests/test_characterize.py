@@ -2,13 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from twindom.characterize import classify, gamma_set_count_from_twins, girth_implication_holds
-from twindom.domination import (
-    IsolatedVertexError,
-    OracleCapExceeded,
-    enumerate_gamma_sets,
-    is_gamma2_exact,
-)
+from twindom.characterize import classify
+from twindom.domination import IsolatedVertexError, OracleCapExceeded, enumerate_gamma_sets
 from twindom.generators import (
     complete,
     corona_p2,
@@ -19,6 +14,9 @@ from twindom.generators import (
     star,
 )
 from twindom.graphs import Graph
+from twindom.sweep import check_graph
+
+from conftest import is_gamma2_exact
 
 # Forests, trees and block graphs from the paper's specializations; all
 # are chordal, so classify decides them on its chordal path. A string
@@ -193,41 +191,55 @@ class TestClassify:
 
 
 class TestGirthImplication:
+    # the sweep's cor4 claim: gamma_t = 2*gamma and minimum degree >= 2
+    # force an induced triangle or hexagon and girth at most 6
+    @staticmethod
+    def cor4(g):
+        """(cor4 applied, its violations) on one graph."""
+        _, checked, violations = check_graph(g, ("cor4",))
+        return checked.get("cor4", 0), violations
+
     def test_c6(self):
-        assert girth_implication_holds(cycle(6))
+        assert self.cor4(cycle(6)) == (1, [])
 
     def test_triangle(self):
-        assert girth_implication_holds(complete(3))
+        assert self.cor4(complete(3)) == (1, [])
 
     def test_trees_vacuous(self):
-        assert girth_implication_holds(path(5))
+        assert self.cor4(path(5)) == (0, [])
 
     def test_exhaustive_small(self):
+        applied = 0
         for n in range(2, 6):
             for g in enumerate_small_graphs(n, "isolate_free"):
-                assert girth_implication_holds(g), g
+                checked, violations = self.cor4(g)
+                assert violations == [], g
+                applied += checked
+        assert applied > 0
 
 
 class TestGammaSetCount:
+    # classify reports the twin-class product when it decides yes on an
+    # eligible graph, and None otherwise
     def test_complete_graphs(self):
         for n in (2, 3, 5):
-            assert gamma_set_count_from_twins(complete(n)) == n
+            assert classify(complete(n)).gamma_set_count == n
 
     def test_star(self):
-        assert gamma_set_count_from_twins(star(3)) == 1
+        assert classify(star(3)).gamma_set_count == 1
 
     def test_fig1_without_tail_pair(self):
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
                       (1, 5), (2, 3), (2, 5), (3, 4)])
-        assert gamma_set_count_from_twins(g) == 2 == enumerate_gamma_sets(g).count
+        assert classify(g).gamma_set_count == 2 == enumerate_gamma_sets(g).count
 
     def test_requires_eligibility(self):
-        with pytest.raises(ValueError):
-            gamma_set_count_from_twins(cycle(6))
+        rep = classify(cycle(6))
+        assert not rep.eligible and rep.gamma_set_count is None
 
     def test_requires_yes_verdict(self):
-        with pytest.raises(ValueError):
-            gamma_set_count_from_twins(path(4))
+        rep = classify(path(4))
+        assert rep.verdict == "not_gamma2" and rep.gamma_set_count is None
 
 
 class TestReportJson:

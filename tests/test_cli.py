@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -14,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import twindom
-from twindom import characterize, cli, forbidden, generators, graphs, structure, sweep
+from twindom import characterize, cli, domination, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import Graph, parse_graph6, serialize_graph6
+
+from conftest import is_gamma2_exact
 
 
 def g6(g) -> str:
@@ -288,6 +291,32 @@ class TestPerGraphDriver:
         assert outs[0] == outs[1]
         assert [line.split()[0] for line in outs[0].splitlines()] == [f"#{i}" for i in range(40)]
 
+    def test_malformed_first_line_fails_before_the_input_is_read(self, capsys, monkeypatch):
+        limit = 1 << 20
+
+        class EndlessStdin(io.RawIOBase):
+            """A malformed line 1, then valid lines without end; reading
+            past ``limit`` bytes fails the test."""
+            pending, served = b"E\n", 0
+
+            def readable(self):
+                return True
+
+            def readinto(self, buf):
+                assert self.served < limit, f"read {self.served} bytes and line 1 is not parsed yet"
+                while len(self.pending) < len(buf):
+                    self.pending += b"A_\n" * 4096
+                k = len(buf)
+                buf[:k], self.pending = self.pending[:k], self.pending[k:]
+                self.served += k
+                return k
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(EndlessStdin()), encoding="ascii"))
+        assert run(["classify", "-", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "twindom classify: line 1: graph6 body has 0 bytes, expected 3 for n=6\n"
+        assert captured.out == ""
+
     @staticmethod
     def _read_one_line_and_close(tmp_path, argv, stdin=None):
         """Run the CLI in a new session and close its stdout after one line;
@@ -469,6 +498,38 @@ class TestSweepCommand:
         isolate_free = obj["graphs"] - obj["skippedIsolated"]
         assert calls == {"is_chordal": isolate_free, "special_classes": isolate_free}
 
+    def test_gamma_sets_are_enumerated_once_per_graph(self, capsys, monkeypatch):
+        # lemma5 and cor9 both read the minimum dominating sets, and only of
+        # graphs with gamma_t = 2*gamma
+        corpus = [g for n in range(1, 6) for g in enumerate_small_graphs(n, "isolate_free")]
+        expected = sum(map(is_gamma2_exact, corpus))
+        calls = []
+        genuine = domination.enumerate_gamma_sets
+
+        def counted(g, *args, **kwargs):
+            calls.append(serialize_graph6(g))
+            return genuine(g, *args, **kwargs)
+
+        # replace every alias, so a call by any import path is counted
+        for module in (twindom, domination, sweep, cli):
+            if getattr(module, "enumerate_gamma_sets", None) is genuine:
+                monkeypatch.setattr(module, "enumerate_gamma_sets", counted)
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert len(set(calls)) == len(calls) == expected == obj["claims"]["lemma5"]["checked"] > 0
+
+    def test_non_packing_gamma_set_is_caught(self, capsys, monkeypatch):
+        # the whole vertex set dominates, and on an isolate-free graph it
+        # is no packing; the count is left alone, so cor9 still agrees
+        genuine = domination.enumerate_gamma_sets
+
+        def with_whole_vertex_set(g, *args, **kwargs):
+            e = genuine(g, *args, **kwargs)
+            return dataclasses.replace(e, sets=e.sets + (frozenset(range(g.n)),))
+
+        monkeypatch.setattr(domination, "enumerate_gamma_sets", with_whole_vertex_set)
+        assert set(self._sweep_violations(capsys)) == {"lemma5"}
+
     def test_input_stream_sweep(self, tmp_path, capsys):
         f = tmp_path / "graphs.g6"
         f.write_text("\n".join(g6(g) for g in [cycle(6), fixture("g1"), fixture("g2")]) + "\n")
@@ -516,6 +577,27 @@ class TestErrors:
         records = 36 if argv[0] == "classify" else 0
         assert [line.split()[:2] for line in captured.out.splitlines()] == [
             [f"#{i}", line.decode()] for i, line in enumerate(lines[:records])]
+
+    @pytest.mark.parametrize("argv", [["classify", "--jobs", "1"], ["classify", "--jobs", "1", "-"],
+                                      ["sweep", "--jobs", "1", "--input"]],
+                             ids=["classify", "classify-stdin", "sweep"])
+    def test_line_breaks_number_lines_as_splitlines(self, tmp_path, capsys, monkeypatch, argv):
+        # \r, \r\n, \x0b, \x0c, \x1c and \x1d all end a line, as in str.splitlines
+        data = b"A_\rA_\r\n\r\nBw\x0cA_\x0b\nA_\x1cBw\x1d\n\nE\nA_\n"
+        lines = data.decode("ascii").splitlines()
+        assert lines.index("E") == 10
+        f = tmp_path / "in.g6"
+        f.write_bytes(data)
+        if argv[-1] == "-":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        else:
+            argv = [*argv, str(f)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"twindom {argv[0]}: line 11: graph6 body has 0 bytes, expected 3 for n=6\n"
+        records = [line for line in lines[:10] if line] if argv[0] == "classify" else []
+        assert [line.split()[:2] for line in captured.out.splitlines()] == [
+            [f"#{i}", line] for i, line in enumerate(records)]
 
     def test_malformed_graph6(self, tmp_path, capsys):
         f = tmp_path / "bad.g6"

@@ -13,9 +13,7 @@ from twindom.domination import (
     exact_gamma,
     exact_gamma_total,
     is_dominating,
-    is_gamma2_exact,
     is_packing,
-    is_total_dominating,
 )
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
 from twindom.graphs import Graph
@@ -27,6 +25,7 @@ from conftest import (
     brute_is_dominating,
     brute_is_packing,
     brute_is_total_dominating,
+    is_gamma2_exact,
     small_graphs,
 )
 
@@ -42,17 +41,20 @@ class TestPredicates:
         g = fixture("g2")
         assert is_dominating(g, set(range(g.n)))
 
+    # total domination is decided by the exact oracle alone
     def test_k2_totally_dominated_by_both(self):
-        assert is_total_dominating(complete(2), {0, 1})
+        cert = exact_gamma_total(complete(2))
+        assert (cert.value, cert.witness) == (2, {0, 1})
 
     def test_c6_antipodal_not_total(self):
-        assert not is_total_dominating(cycle(6), {0, 3})
+        assert not brute_is_total_dominating(cycle(6), {0, 3})
+        assert exact_gamma_total(cycle(6)).value == 4  # so no pair is total
 
     def test_c6_four_in_a_row_total(self):
         # independent direct evaluation of the open-neighborhood union
-        s = {0, 1, 3, 4}
-        assert brute_is_total_dominating(cycle(6), s)
-        assert is_total_dominating(cycle(6), s)
+        cert = exact_gamma_total(cycle(6))
+        assert cert.witness == {0, 1, 2, 3}
+        assert brute_is_total_dominating(cycle(6), cert.witness)
 
     def test_c6_packing(self):
         assert is_packing(cycle(6), {0, 3}) == (True, None)
@@ -76,7 +78,6 @@ class TestPredicates:
         rng = random.Random(g.n * 31 + g.edge_count)
         s = {v for v in range(g.n) if rng.random() < 0.4}
         assert is_dominating(g, s) == brute_is_dominating(g, s)
-        assert is_total_dominating(g, s) == brute_is_total_dominating(g, s)
         assert is_packing(g, s)[0] == brute_is_packing(g, s)
 
 
@@ -102,13 +103,13 @@ class TestExactGamma:
             assert is_dominating(g, cert.witness)
             assert len(cert.witness) == cert.value
             cert_t = exact_gamma_total(g)
-            assert is_total_dominating(g, cert_t.witness)
+            assert brute_is_total_dominating(g, cert_t.witness)
             assert len(cert_t.witness) == cert_t.value
 
     def test_nothing_smaller_exists(self):
         for n in range(2, 7):
             g = cycle(n + 1) if n % 2 else path(n + 1)
-            for kind, pred in ((exact_gamma, is_dominating), (exact_gamma_total, is_total_dominating)):
+            for kind, pred in ((exact_gamma, is_dominating), (exact_gamma_total, brute_is_total_dominating)):
                 value = kind(g).value
                 for s in combinations(range(g.n), value - 1):
                     assert not pred(g, s)

@@ -19,9 +19,9 @@ from twindom.generators import (
     star,
 )
 from twindom.graphs import Graph, basic_stats
-from twindom.structure import special_classes
+from twindom.structure import blocks_and_cut_vertices, special_classes
 
-from conftest import brute_cut_vertices
+from conftest import brute_cut_vertices, is_block_graph
 
 
 class TestFixtures:
@@ -180,15 +180,11 @@ class TestRandomTree:
 
 class TestRandomBlockGraph:
     def test_two_cliques_share_a_vertex(self):
-        from twindom.structure import blocks_and_cut_vertices, is_block_graph
-
         g = random_block_graph(2, 3, 1)
         assert is_block_graph(g)
         assert len(blocks_and_cut_vertices(g).blocks) == 2
 
     def test_block_count_and_cliqueness(self):
-        from twindom.structure import blocks_and_cut_vertices, is_block_graph
-
         for seed in range(30):
             b = 2 + seed % 5
             g = random_block_graph(b, 2 + seed % 3, seed)

@@ -6,72 +6,80 @@ import pytest
 from hypothesis import given
 
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
+from twindom.domination import is_dominating
 from twindom.graphs import (
     Graph,
     MAX_ORDER,
     GraphParseError,
     basic_stats,
-    closed_neighborhood,
-    closed_neighborhood_of_set,
-    open_neighborhood,
-    parse_graph,
+    bit_indices,
+    parse_edgelist,
     parse_graph6,
-    serialize_graph,
     serialize_graph6,
 )
 
 from conftest import small_graphs
 
 
+def edgelist_text(g: Graph) -> bytes:
+    """``g`` in the edge-list format, with the order fixed by a header."""
+    return "".join([f"n {g.n}\n", *(f"{u} {v}\n" for u, v in g.edges())]).encode("ascii")
+
+
 class TestNeighborhoods:
+    # adj[v] is N(v) and closed[v] is N[v]; a set's N[S] is the union of
+    # closed masks, which is_dominating compares with the full mask
     def test_fig1_open_neighborhood_of_v5(self):
         g = fixture("fig1")
-        assert open_neighborhood(g, 4) == {0, 1, 3, 6}  # v5 -> {v1,v2,v4,v7}
+        assert set(bit_indices(g.adj[4])) == {0, 1, 3, 6}  # v5 -> {v1,v2,v4,v7}
 
     def test_k2(self):
         g = complete(2)
-        assert open_neighborhood(g, 0) == {1}
+        assert set(bit_indices(g.adj[0])) == {1}
 
     def test_c6(self):
-        assert open_neighborhood(cycle(6), 0) == {1, 5}
+        assert set(bit_indices(cycle(6).adj[0])) == {1, 5}
 
     def test_fig1_closed_neighborhood_of_v1(self):
         g = fixture("fig1")
-        assert closed_neighborhood(g, 0) == {0, 1, 2, 3, 4, 5}
+        assert set(bit_indices(g.closed[0])) == {0, 1, 2, 3, 4, 5}
 
     def test_isolated_closed(self):
-        assert closed_neighborhood(Graph(3), 1) == {1}
+        assert set(bit_indices(Graph(3).closed[1])) == {1}
 
     def test_k4_closed(self):
-        assert closed_neighborhood(complete(4), 2) == {0, 1, 2, 3}
+        assert set(bit_indices(complete(4).closed[2])) == {0, 1, 2, 3}
 
     def test_set_neighborhood_antipodal_pair_covers_c6(self):
-        assert closed_neighborhood_of_set(cycle(6), {0, 3}) == set(range(6))
+        g = cycle(6)
+        assert g.closed[0] | g.closed[3] == g.full
 
     def test_set_neighborhood_empty(self):
-        assert closed_neighborhood_of_set(cycle(6), set()) == set()
+        assert not is_dominating(cycle(6), set())
+        assert is_dominating(Graph(0), set())
 
     def test_set_neighborhood_fig1_v1_misses_far_pair(self):
         g = fixture("fig1")
-        assert closed_neighborhood_of_set(g, {0}) == {0, 1, 2, 3, 4, 5}
+        assert list(bit_indices(g.full & ~g.closed[0])) == [6, 7]
+        assert not is_dominating(g, {0})
 
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):
-            open_neighborhood(cycle(3), 3)
+            cycle(3).check_vertex(3)
         with pytest.raises(ValueError):
-            closed_neighborhood(cycle(3), -1)
+            is_dominating(cycle(3), {-1})
 
     @given(small_graphs())
     def test_closed_is_open_plus_self(self, g):
         for v in range(g.n):
-            assert closed_neighborhood(g, v) == open_neighborhood(g, v) | {v}
-            assert len(closed_neighborhood(g, v)) == g.degree(v) + 1
+            assert g.closed[v] == g.adj[v] | 1 << v
+            assert g.closed[v].bit_count() == g.degree(v) + 1
 
     @given(small_graphs())
     def test_set_neighborhood_monotone(self, g):
-        full = set(range(g.n))
-        sub = {v for v in full if v % 2 == 0}
-        assert closed_neighborhood_of_set(g, sub) <= closed_neighborhood_of_set(g, full)
+        # growing a set never undoes domination, and all of V dominates
+        grown = [is_dominating(g, range(k)) for k in range(g.n + 1)]
+        assert grown == sorted(grown) and grown[-1]
 
 
 class TestGraphType:
@@ -107,37 +115,37 @@ class TestGraphType:
 class TestGraph6:
     def test_k2_is_known_encoding(self):
         # hand-computed: n=2 -> 'A'; single upper-triangle bit padded -> '_'
-        assert serialize_graph(complete(2), "graph6") == b"A_"
-        assert parse_graph(b"A_", "graph6") == complete(2)
+        assert serialize_graph6(complete(2)) == b"A_"
+        assert parse_graph6(b"A_") == complete(2)
 
     def test_single_vertex(self):
-        data = serialize_graph(Graph(1), "graph6")
-        assert parse_graph(data, "graph6") == Graph(1)
+        data = serialize_graph6(Graph(1))
+        assert parse_graph6(data) == Graph(1)
 
     def test_round_trip_all_small(self):
         for n in range(1, 6):
             for g in enumerate_small_graphs(n):
-                assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
+                assert parse_graph6(serialize_graph6(g)) == g
 
     def test_round_trip_fixtures(self):
         for name in ("fig1", "h1", "h2", "g1", "g2", "c6", "p12", "star5", "k7"):
             g = fixture(name)
-            assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
+            assert parse_graph6(serialize_graph6(g)) == g
 
     def test_header_prefix_accepted(self):
-        assert parse_graph(b">>graph6<<A_", "graph6") == complete(2)
+        assert parse_graph6(b">>graph6<<A_") == complete(2)
 
     def test_large_order_header(self):
         g = Graph(70, [(0, 69)])
-        assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
+        assert parse_graph6(serialize_graph6(g)) == g
 
     def test_malformed_body_length(self):
         with pytest.raises(GraphParseError):
-            parse_graph(b"E", "graph6")  # order 6 but no body
+            parse_graph6(b"E")  # order 6 but no body
 
     def test_invalid_byte(self):
         with pytest.raises(GraphParseError):
-            parse_graph(b"A\x07", "graph6")
+            parse_graph6(b"A\x07")
 
     def test_error_texts(self):
         with pytest.raises(GraphParseError, match=r"^line 4: graph6 body has 0 bytes, expected 3 for n=6$"):
@@ -179,25 +187,25 @@ class TestGraph6:
 
     @given(small_graphs(max_n=12))
     def test_round_trip_property(self, g):
-        assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
+        assert parse_graph6(serialize_graph6(g)) == g
 
 
 class TestEdgelist:
     def test_simple_path(self):
-        assert parse_graph(b"0 1\n1 2", "edgelist") == path(3)
+        assert parse_edgelist(b"0 1\n1 2") == path(3)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError):
-            parse_graph(b"0 0", "edgelist")
+            parse_edgelist(b"0 0")
 
     def test_header_fixes_order(self):
-        g = parse_graph(b"n 4\n0 1", "edgelist")
+        g = parse_edgelist(b"n 4\n0 1")
         assert g.n == 4
         assert g.edge_count == 1
 
     def test_id_beyond_header_rejected(self):
         with pytest.raises(GraphParseError) as err:
-            parse_graph(b"n 2\n0 5", "edgelist")
+            parse_edgelist(b"n 2\n0 5")
         assert "line 2" in str(err.value)
 
     @pytest.mark.parametrize("text, line", [
@@ -208,27 +216,27 @@ class TestEdgelist:
     ], ids=["header", "vertex-id", "labels"])
     def test_order_cap_rejected_before_allocation(self, text, line):
         with pytest.raises(GraphParseError) as err:
-            parse_graph(text, "edgelist")
+            parse_edgelist(text)
         assert err.value.line == line
 
     def test_labels_first_appearance_order(self):
-        g = parse_graph(b"v1 v2\nv2 v3", "edgelist")
+        g = parse_edgelist(b"v1 v2\nv2 v3")
         assert g.n == 3
         assert g.labels == ("v1", "v2", "v3")
         assert g == path(3)
 
     def test_duplicates_collapse(self):
-        g = parse_graph(b"0 1\n1 0", "edgelist")
+        g = parse_edgelist(b"0 1\n1 0")
         assert g.edge_count == 1
 
     def test_round_trip(self):
         for name in ("fig1", "g1", "g2"):
             g = fixture(name)
-            assert parse_graph(serialize_graph(g, "edgelist"), "edgelist") == g
+            assert parse_edgelist(edgelist_text(g)) == g
 
     @given(small_graphs(max_n=12))
     def test_round_trip_property(self, g):
-        assert parse_graph(serialize_graph(g, "edgelist"), "edgelist") == g
+        assert parse_edgelist(edgelist_text(g)) == g
 
 
 class TestBasicStats:

@@ -4,59 +4,16 @@ import pytest
 from hypothesis import given
 
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
-from twindom.graphs import Graph, closed_neighborhood
+from twindom.graphs import Graph, mask_of
 from twindom.structure import (
     blocks_and_cut_vertices,
-    is_block_graph,
     is_special,
-    neighborhood_partition,
     special_classes,
     special_vertices,
     support_vertices,
 )
 
-from conftest import brute_cut_vertices, small_graphs
-
-
-class TestNeighborhoodPartition:
-    def test_fig1_v1(self):
-        p = neighborhood_partition(fixture("fig1"), 0)
-        assert p.twins == {0, 1}
-        assert p.inner == {2, 3}
-        assert p.outer == {4, 5}
-
-    def test_k2_endpoints_are_twins(self):
-        p = neighborhood_partition(complete(2), 0)
-        assert (p.twins, p.inner, p.outer) == ({0, 1}, set(), set())
-
-    def test_c6_vertex(self):
-        p = neighborhood_partition(cycle(6), 0)
-        assert (p.twins, p.inner, p.outer) == ({0}, set(), {1, 5})
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighborhood_partition(cycle(3), 7)
-
-    @given(small_graphs())
-    def test_parts_partition_closed_neighborhood(self, g):
-        for v in range(g.n):
-            p = neighborhood_partition(g, v)
-            parts = [p.twins, p.inner, p.outer]
-            assert p.twins | p.inner | p.outer == closed_neighborhood(g, v)
-            assert sum(len(x) for x in parts) == g.degree(v) + 1
-            assert v in p.twins
-
-    @given(small_graphs(max_n=7))
-    def test_part_membership_definitions(self, g):
-        for v in range(g.n):
-            p = neighborhood_partition(g, v)
-            nv = closed_neighborhood(g, v)
-            for u in p.twins:
-                assert closed_neighborhood(g, u) == nv
-            for u in p.inner:
-                assert closed_neighborhood(g, u) < nv
-            for u in p.outer:
-                assert closed_neighborhood(g, u) - nv
+from conftest import brute_cut_vertices, is_block_graph, small_graphs
 
 
 class TestSpecial:
@@ -81,8 +38,9 @@ class TestSpecial:
     def test_twins_share_specialness(self, g):
         for v in range(g.n):
             if is_special(g, v):
-                for u in neighborhood_partition(g, v).twins:
-                    assert is_special(g, u)
+                for u in range(g.n):
+                    if g.closed[u] == g.closed[v]:  # a true twin of v
+                        assert is_special(g, u)
 
 
 class TestSpecialClasses:
@@ -152,7 +110,7 @@ class TestSupports:
                 for c in s.classes:
                     a = min(c)
                     assert len(c) == 1 or (
-                        len(c) == 2 and g.degree(a) == 1 and g.neighbors(a) == c - {a}
+                        len(c) == 2 and g.degree(a) == 1 and g.adj[a] == mask_of(c - {a})
                     )
 
 
