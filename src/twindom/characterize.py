@@ -97,41 +97,6 @@ def _least_uncovered(g: Graph, members) -> int:
     return (missing & -missing).bit_length() - 1
 
 
-def _verdict_from_set(g: Graph, s_set: SpecialClasses, method: str,
-                      started_ns: int) -> ClassificationReport:
-    """Eligible graphs: is the candidate set a packing and a dominating set?"""
-    reps = sorted(s_set.representatives)
-    pack_ok, violation = domination.is_packing(g, reps)
-    dom_ok = domination.is_dominating(g, reps)
-    uncovered = None if dom_ok else _least_uncovered(g, reps)
-    if pack_ok and dom_ok:
-        verdict = VERDICT_YES
-        implied = (len(reps), 2 * len(reps))
-        count = math.prod(len(c) for c in s_set.classes)
-    else:
-        verdict = VERDICT_NO
-        implied = None
-        count = None
-    return ClassificationReport(
-        method=method,
-        eligible=True,
-        verdict=verdict,
-        ineligibility_witness=None,
-        s_set=s_set,
-        packing_ok=pack_ok,
-        packing_violation=violation,
-        dominating_ok=dom_ok,
-        uncovered_vertex=uncovered,
-        implied_values=implied,
-        gamma_set_count=count,
-        elapsed_micros=_micros_since(started_ns),
-    )
-
-
-def _micros_since(started_ns: int) -> int:
-    return (time.perf_counter_ns() - started_ns) // 1000
-
-
 def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_CAP) -> ClassificationReport:
     """Main decision procedure.
 
@@ -143,32 +108,38 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
     """
     _require_isolate_free(g)
     started = time.perf_counter_ns()
-    if is_chordal(g):
-        method, witness = METHOD_CHORDAL, None
-    else:
-        free, witness = is_free(g)
-        method = METHOD_MAIN if free else None
-    if method is not None:
-        return _verdict_from_set(g, structure.special_classes(g), method, started)
-
-    # ineligible: the characterization does not apply
-    method, verdict, implied = METHOD_MAIN, VERDICT_UNKNOWN, None
-    if fallback == "oracle":
-        cert_g = domination.exact_gamma(g, oracle_cap)
-        cert_t = domination.exact_gamma_total(g, oracle_cap)
-        method, implied = METHOD_ORACLE, (cert_g.value, cert_t.value)
-        verdict = VERDICT_YES if cert_t.value == 2 * cert_g.value else VERDICT_NO
+    chordal = is_chordal(g)
+    witness = None if chordal else is_free(g)[1]
+    method = METHOD_CHORDAL if chordal else METHOD_MAIN
+    s_set = structure.special_classes(g)
+    reps = sorted(s_set.representatives)
+    pack_ok = violation = dom_ok = uncovered = implied = count = None
+    if witness is None:  # eligible: the representatives decide
+        pack_ok, violation = domination.is_packing(g, reps)
+        dom_ok = domination.is_dominating(g, reps)
+        uncovered = None if dom_ok else _least_uncovered(g, reps)
+        verdict = VERDICT_YES if pack_ok and dom_ok else VERDICT_NO
+        if verdict == VERDICT_YES:
+            implied = (len(reps), 2 * len(reps))
+            count = math.prod(len(c) for c in s_set.classes)
+    elif fallback == "oracle":
+        gamma = domination.exact_gamma(g, oracle_cap).value
+        gamma_t = domination.exact_gamma_total(g, oracle_cap).value
+        method, implied = METHOD_ORACLE, (gamma, gamma_t)
+        verdict = VERDICT_YES if gamma_t == 2 * gamma else VERDICT_NO
+    else:  # ineligible: the characterization does not apply
+        verdict = VERDICT_UNKNOWN
     return ClassificationReport(
         method=method,
-        eligible=False,
+        eligible=witness is None,
         verdict=verdict,
         ineligibility_witness=witness,
-        s_set=structure.special_classes(g),
-        packing_ok=None,
-        packing_violation=None,
-        dominating_ok=None,
-        uncovered_vertex=None,
+        s_set=s_set,
+        packing_ok=pack_ok,
+        packing_violation=violation,
+        dominating_ok=dom_ok,
+        uncovered_vertex=uncovered,
         implied_values=implied,
-        gamma_set_count=None,
-        elapsed_micros=_micros_since(started),
+        gamma_set_count=count,
+        elapsed_micros=(time.perf_counter_ns() - started) // 1000,
     )

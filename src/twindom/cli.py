@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from . import characterize, domination, generators, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
-from .forbidden import PATTERNS, Pattern, find_induced, girth, is_chordal
+from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
 from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
 
 
@@ -264,8 +264,7 @@ def _parse_patterns(args) -> list[Pattern]:
 
 def _check_free(g: Graph, args) -> tuple[dict, str]:
     # run() has replaced args.patterns by the parsed list
-    found = (find_induced(g, p) for p in args.patterns)
-    emb = next((e for e in found if e is not None), None)
+    emb = is_free(g, args.patterns)[1]
     witness = {"pattern": emb.pattern, "mapping": list(emb.mapping)} if emb else None
     obj = {"patterns": [p.name for p in args.patterns], "free": witness is None,
            "witness": witness}
@@ -354,33 +353,17 @@ def cmd_sweep(args) -> int:
         graphs = (parse_graph6(line, line=lineno) for lineno, line in _graph6_lines(args.input))
 
     started = time.perf_counter_ns()
-    result = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
-    elapsed = (time.perf_counter_ns() - started) // 1000
-
-    obj = {
-        "graphs": result.graphs_seen,
-        "skippedIsolated": result.skipped_isolated,
-        "claims": {
-            name: {
-                "checked": cr.checked,
-                "violations": [
-                    {"graph6": v.graph6, "detail": v.detail} for v in cr.violations
-                ],
-            }
-            for name, cr in sorted(result.claims.items())
-        },
-        "ok": result.ok,
-        "elapsedMicros": elapsed,
-    }
+    obj = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
+    obj["elapsedMicros"] = (time.perf_counter_ns() - started) // 1000
     if args.json:
         print(json.dumps(obj, separators=(",", ":")))
     else:
-        print(f"swept {result.graphs_seen} graphs ({result.skipped_isolated} skipped with isolated vertices)")
-        for name, cr in sorted(result.claims.items()):
-            print(f"  {name:8s} checked={cr.checked:8d} violations={len(cr.violations)}")
-            for v in cr.violations[:10]:
-                print(f"    VIOLATION {v.graph6}: {v.detail}")
-    if not result.ok:
+        print(f"swept {obj['graphs']} graphs ({obj['skippedIsolated']} skipped with isolated vertices)")
+        for name, c in obj["claims"].items():
+            print(f"  {name:8s} checked={c['checked']:8d} violations={len(c['violations'])}")
+            for v in c["violations"][:10]:
+                print(f"    VIOLATION {v['graph6']}: {v['detail']}")
+    if not obj["ok"]:
         print("claim violation found: this indicates an implementation bug", file=sys.stderr)
         return 2
     return 0

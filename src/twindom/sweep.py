@@ -37,16 +37,16 @@ Claims:
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import Pool
+from multiprocessing import get_context
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
-from .forbidden import C3, C6, girth, is_free
+from .forbidden import C3, find_induced, girth, is_free
 from .graphs import Graph, basic_stats, bit_indices, mask_of, serialize_graph6
 
 # ordered_map hands a batch to worker processes only when it has more items
@@ -55,45 +55,20 @@ POOL_MIN_RECORDS = 32
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 
 
-@dataclass
-class Violation:
-    claim: str
-    graph6: str
-    detail: str
-
-
-@dataclass
-class ClaimResult:
-    checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-
-
-@dataclass
-class SweepResult:
-    graphs_seen: int = 0
-    skipped_isolated: int = 0
-    claims: dict[str, ClaimResult] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(not c.violations for c in self.claims.values())
-
-    def merge_graph(self, checked: dict[str, int], violations: list[tuple[str, str, str]]) -> None:
-        for name, inc in checked.items():
-            self.claims.setdefault(name, ClaimResult()).checked += inc
-        for claim, g6, detail in violations:
-            self.claims.setdefault(claim, ClaimResult()).violations.append(
-                Violation(claim, g6, detail)
-            )
-
-
 def check_graph(
     g: Graph, claims: tuple[str, ...] = CLAIM_NAMES, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> tuple[bool, dict[str, int], list[tuple[str, str, str]]]:
-    """Check one graph. Returns (skipped, per-claim checked counts, violations)."""
+) -> dict[str, list[dict]] | None:
+    """Check one graph: None when it has an isolated vertex, else each
+    applicable claim mapped to its violations (``{"graph6", "detail"}``
+    entries; an empty list when the claim held).
+
+    The only pattern searches beyond ``classify``'s are ``is_free`` on
+    chordal graphs, for ``cor2``, and a triangle search on graphs with no
+    c6/h1/h2 witness, for ``cor4`` and ``supports``.
+    """
     stats = basic_stats(g)
     if stats.isolated_count:
-        return True, {}, []
+        return None
 
     gamma = domination.exact_gamma(g, oracle_cap).value
     gamma_t = domination.exact_gamma_total(g, oracle_cap).value
@@ -103,26 +78,25 @@ def check_graph(
     chordal = report.method == characterize.METHOD_CHORDAL
     # freeness is searched explicitly on chordal graphs so cor2 can check
     # the "chordal implies pattern-free" inclusion
-    free = is_free(g)[0] if chordal else report.eligible
+    witness = is_free(g)[1] if chordal else report.ineligibility_witness
+    free = witness is None
     classes = report.s_set
     reps = sorted(classes.representatives)
     pack, dom = report.packing_ok, report.dominating_ok
     if pack is None:  # ineligible: classify skipped the test, lemma6 needs it
         pack = domination.is_packing(g, reps)[0]
         dom = domination.is_dominating(g, reps)
-    has_c3_or_c6 = not is_free(g, (C3, C6))[0]
+    # h1 and h2 contain triangles, and without a witness there is no c6
+    has_c3_or_c6 = witness is not None or find_induced(g, C3) is not None
     # lemma5 and cor9 share one enumeration of the minimum dominating sets
     enum = None
     if is_g2 and ("lemma5" in claims or ("cor9" in claims and free)):
         enum = domination.enumerate_gamma_sets(g, cap=oracle_cap)
 
-    checked: dict[str, int] = {}
-    violations: list[tuple[str, str, str]] = []
+    outcome: dict[str, list[dict]] = {}
 
     def record(claim: str, ok: bool, detail: str) -> None:
-        checked[claim] = checked.get(claim, 0) + 1
-        if not ok:
-            violations.append((claim, serialize_graph6(g).decode("ascii"), detail))
+        outcome[claim] = [] if ok else [{"graph6": serialize_graph6(g).decode("ascii"), "detail": detail}]
 
     if "bounds" in claims:
         ok = gamma <= gamma_t <= 2 * gamma
@@ -177,10 +151,10 @@ def check_graph(
             record("blocks", ok, f"special {sorted(classes.special)}, distinguished cut vertices "
                                  f"{sorted(cuts)}, classes {[sorted(c) for c in classes.classes]}")
 
-    return False, checked, violations
+    return outcome
 
 
-def _die_with_parent() -> None:
+def _die_with_parent(parent_pid: int) -> None:
     # a parent killed before it closes the pool (by SIGPIPE, SIGKILL, ...)
     # would leave its workers running, or waiting forever on a queue lock
     # that a sibling held when the same signal killed it
@@ -189,6 +163,9 @@ def _die_with_parent() -> None:
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    # a parent that died before the signal was armed is already gone
+    if os.getppid() != parent_pid:
+        os._exit(1)
 
 
 def _guarded(fn, item):
@@ -213,7 +190,9 @@ def ordered_map(fn, items, jobs: int):
     if jobs <= 1 or len(head) <= POOL_MIN_RECORDS:
         yield from map(fn, items)
         return
-    with Pool(jobs, _die_with_parent) as pool:
+    # forked workers are children of this process, as _die_with_parent expects
+    context = get_context("fork" if sys.platform == "linux" else None)
+    with context.Pool(jobs, _die_with_parent, (os.getpid(),)) as pool:
         for value, error in pool.imap(partial(_guarded, fn), items, chunksize=64):
             if error is not None:
                 raise error
@@ -225,16 +204,25 @@ def sweep_graphs(
     claims: tuple[str, ...] = CLAIM_NAMES,
     jobs: int = 1,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> SweepResult:
+) -> dict:
     """Run the claim checks over an iterable of graphs.
 
-    With ``jobs > 1`` the graphs fan out through :func:`ordered_map`; results
-    merge back in input order either way.
+    Returns the summary ``twindom sweep --json`` prints, less its
+    ``elapsedMicros``: ``graphs``, ``skippedIsolated``, ``claims`` (each
+    named claim once, sorted, as ``{"checked", "violations"}``) and ``ok``.
+    With ``jobs > 1`` the graphs fan out through :func:`ordered_map`;
+    violations are listed in input order either way.
     """
-    result = SweepResult(claims={name: ClaimResult() for name in claims})
+    totals = {name: {"checked": 0, "violations": []} for name in sorted(set(claims))}
+    seen = skipped = 0
     check = partial(check_graph, claims=claims, oracle_cap=oracle_cap)
-    for skipped, checked, violations in ordered_map(check, graphs, jobs):
-        result.graphs_seen += 1
-        result.skipped_isolated += skipped
-        result.merge_graph(checked, violations)
-    return result
+    for outcome in ordered_map(check, graphs, jobs):
+        seen += 1
+        if outcome is None:
+            skipped += 1
+            continue
+        for name, violations in outcome.items():
+            totals[name]["checked"] += 1
+            totals[name]["violations"] += violations
+    return {"graphs": seen, "skippedIsolated": skipped, "claims": totals,
+            "ok": not any(c["violations"] for c in totals.values())}

@@ -40,30 +40,30 @@ def report(criterion: int, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def full_sweep() -> sweep.SweepResult:
+def full_sweep() -> dict:
     graphs = chain.from_iterable(
         enumerate_small_graphs(n) for n in range(1, SWEEP_MAX_N + 1)
     )
     result = sweep.sweep_graphs(graphs, sweep.CLAIM_NAMES, jobs=1)
     expected = sum(2 ** (n * (n - 1) // 2) for n in range(1, SWEEP_MAX_N + 1))
-    assert result.graphs_seen == expected
+    assert result["graphs"] == expected
     # every isolate-free graph passed through the unconditional claims
-    assert result.claims["lemma6"].checked == result.graphs_seen - result.skipped_isolated
-    assert result.claims["bounds"].checked == result.claims["lemma6"].checked
-    assert {name: cr.checked for name, cr in result.claims.items()} == {
+    assert result["claims"]["lemma6"]["checked"] == result["graphs"] - result["skippedIsolated"]
+    assert result["claims"]["bounds"]["checked"] == result["claims"]["lemma6"]["checked"]
+    assert {name: c["checked"] for name, c in result["claims"].items()} == {
         "bounds": 28263, "lemma6": 28263, "prop7": 27663, "cor2": 14626, "cor9": 6526,
         "lemma5": 6586, "cor4": 4002, "supports": 4164, "blocks": 4787,
     }
     return result
 
 
-def _claim_ok(result: sweep.SweepResult, claim: str) -> tuple[bool, str]:
-    cr = result.claims[claim]
-    detail = f"{cr.checked} graphs checked, {len(cr.violations)} violations"
-    if cr.violations:
-        v = cr.violations[0]
-        detail += f"; first: {v.graph6} {v.detail}"
-    return not cr.violations, detail
+def _claim_ok(result: dict, claim: str) -> tuple[bool, str]:
+    c = result["claims"][claim]
+    detail = f"{c['checked']} graphs checked, {len(c['violations'])} violations"
+    if c["violations"]:
+        v = c["violations"][0]
+        detail += f"; first: {v['graph6']} {v['detail']}"
+    return not c["violations"], detail
 
 
 def test_criterion_1_fixture_values_and_pattern_facts():
@@ -163,12 +163,12 @@ def test_criterion_9_specialized_classifiers_agree(full_sweep):
         (random_block_graph(2 + seed % 4, 2 + seed % 3, seed) for seed in range(1000)),
     )
     result = sweep.sweep_graphs(graphs, ("prop7", "supports", "blocks"), jobs=1)
-    assert result.graphs_seen == 2000 and result.skipped_isolated == 0
+    assert result["graphs"] == 2000 and result["skippedIsolated"] == 0
     elapsed = time.perf_counter() - started
-    violations = sum(len(cr.violations) for cr in result.claims.values())
+    violations = sum(len(c["violations"]) for c in result["claims"].values())
     # trees and block graphs are chordal, so prop7 compared every verdict
-    ok = ok and violations == 0 and result.claims["prop7"].checked == 2000 and elapsed < 60.0
-    checked = ", ".join(f"{name} {cr.checked}" for name, cr in result.claims.items())
+    ok = ok and violations == 0 and result["claims"]["prop7"]["checked"] == 2000 and elapsed < 60.0
+    checked = ", ".join(f"{name} {c['checked']}" for name, c in result["claims"].items())
     notes.append(f"2000 random graphs ({checked} checked), {violations} violations, {elapsed:.1f}s")
     report(9, ok, "; ".join(notes))
 

@@ -196,8 +196,8 @@ class TestGirthImplication:
     @staticmethod
     def cor4(g):
         """(cor4 applied, its violations) on one graph."""
-        _, checked, violations = check_graph(g, ("cor4",))
-        return checked.get("cor4", 0), violations
+        violations = check_graph(g, ("cor4",)).get("cor4")
+        return (0, []) if violations is None else (1, violations)
 
     def test_c6(self):
         assert self.cor4(cycle(6)) == (1, [])

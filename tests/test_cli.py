@@ -385,6 +385,17 @@ class TestFanOut:
         proc.wait(timeout=30)
         assert_session_ends(proc.pid)
 
+    @pytest.mark.parametrize("given, survives", [("os.getppid()", True), ("os.getpid()", False)],
+                             ids=["parent-alive", "parent-gone"])
+    def test_worker_start_checks_its_parent(self, given, survives):
+        # a worker whose parent died before PR_SET_PDEATHSIG was armed has
+        # been re-parented, so its parent is no longer the pid it was handed
+        code = f"import os\nfrom twindom import sweep\nsweep._die_with_parent({given})\nprint('ran')"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=cli_env(), timeout=60)
+        assert proc.stderr == b""
+        assert (proc.returncode, proc.stdout) == ((0, b"ran\n") if survives else (1, b""))
+
     def test_sweep_pool_parent_never_reencodes(self, tmp_path, capsys, monkeypatch):
         lines = [g6(g) for g in enumerate_small_graphs(4)]
         assert len(lines) > sweep.POOL_MIN_RECORDS
@@ -497,6 +508,36 @@ class TestSweepCommand:
         obj = json.loads(capsys.readouterr().out)
         isolate_free = obj["graphs"] - obj["skippedIsolated"]
         assert calls == {"is_chordal": isolate_free, "special_classes": isolate_free}
+
+    def test_hexagon_is_searched_once_per_graph(self, capsys, monkeypatch):
+        # cor4 and supports ask for an induced c3 or c6: the eligibility
+        # witness answers it, and with none only a triangle search is left
+        corpus = [g6(g) for n in range(1, 6) for g in enumerate_small_graphs(n, "isolate_free")]
+        free = [g for g in corpus if forbidden.is_free(parse_graph6(g))[0]]
+        calls = {"c3": [], "c6": []}
+        genuine = forbidden.find_induced
+
+        def counted(g, pattern):
+            calls.setdefault(pattern.name, []).append(g6(g))
+            return genuine(g, pattern)
+
+        # replace every alias, so a call by any import path is counted
+        for module in (twindom, forbidden, characterize, sweep, cli):
+            if getattr(module, "find_induced", None) is genuine:
+                monkeypatch.setattr(module, "find_induced", counted)
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["graphs"] - obj["skippedIsolated"] == len(corpus)
+        assert sorted(calls["c6"]) == sorted(corpus)
+        assert sorted(calls["c3"]) == sorted(free)
+
+    def test_sweep_graphs_returns_the_printed_summary(self, capsys):
+        assert run(["sweep", "--max-n", "4", "--jobs", "1", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        del printed["elapsedMicros"]
+        summary = sweep.sweep_graphs(g for n in range(1, 5) for g in enumerate_small_graphs(n))
+        assert summary == printed
+        assert list(summary) == list(printed) and list(summary["claims"]) == list(printed["claims"])
 
     def test_gamma_sets_are_enumerated_once_per_graph(self, capsys, monkeypatch):
         # lemma5 and cor9 both read the minimum dominating sets, and only of

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -166,6 +168,19 @@ class TestBlocks:
     @given(small_graphs(max_n=8))
     def test_cut_vertices_match_removal_oracle_random(self, g):
         assert blocks_and_cut_vertices(g).cut_vertices == brute_cut_vertices(g)
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(6)
+        for _ in range(300):
+            n, p = rng.randint(1, 80), rng.uniform(0.02, 0.3)
+            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+            ref = nx.Graph(edges)
+            ref.add_nodes_from(range(n))
+            d = blocks_and_cut_vertices(Graph(n, edges))
+            assert len(set(d.blocks)) == len(d.blocks)
+            assert set(d.blocks) == set(map(frozenset, nx.biconnected_components(ref))), edges
+            assert d.cut_vertices == set(nx.articulation_points(ref)), edges
 
 
 class TestBlockGraph:
