@@ -10,7 +10,7 @@ subgraph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, bit_indices
 
@@ -19,8 +19,32 @@ _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
 @dataclass(frozen=True)
 class Pattern:
+    """A named pattern graph and its search plan, compiled at construction.
+
+    ``before_adj[i]`` and ``before_non[i]`` list the pattern vertices before
+    ``i`` that ``i`` is and is not adjacent to. ``profile`` is the pattern's
+    minimum degree and whether it has no true or false twins: it decides
+    which host reductions :func:`find_induced` may apply.
+    """
+
     name: str
     graph: Graph
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    before_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    before_non: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    profile: tuple[int, bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, k = self.graph, self.graph.n
+        degrees = tuple(p.degree(i) for i in range(k))
+        plan = {
+            "degrees": degrees,
+            "before_adj": tuple(tuple(j for j in range(i) if p.has_edge(i, j)) for i in range(k)),
+            "before_non": tuple(tuple(j for j in range(i) if not p.has_edge(i, j)) for i in range(k)),
+            "profile": (min(degrees, default=0), len(set(p.adj)) == len(set(p.closed)) == k),
+        }
+        for name, value in plan.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -43,6 +67,62 @@ PATTERNS: dict[str, Pattern] = {p.name: p for p in (C3, C6, H1, H2)}
 ELIGIBILITY_PATTERNS = (C6, H1, H2)
 
 
+def _twin_duplicates(adj: tuple[int, ...], alive: int) -> int:
+    """The vertices of ``alive`` with a smaller true or false twin in the
+    subgraph it induces. Neighborhoods are keyed by their hash and compared
+    again on a hit, so none is kept past its own step."""
+    dupes = 0
+    open_reps: dict[int, list[int]] = {}  # hash of N(v) -> least members seen
+    closed_reps: dict[int, list[int]] = {}  # hash of N[v] -> least members seen
+    for v in bit_indices(alive):
+        hood = adj[v] & alive
+        reps = open_reps.setdefault(hash(hood), [])
+        if any(adj[u] & alive == hood for u in reps):
+            dupes |= 1 << v
+            continue
+        reps.append(v)
+        hood |= 1 << v
+        reps = closed_reps.setdefault(hash(hood), [])
+        if any(adj[u] & alive | 1 << u == hood for u in reps):
+            dupes |= 1 << v
+            continue
+        reps.append(v)
+    return dupes
+
+
+def _core(g: Graph, min_degree: int, collapse: bool) -> tuple[int, list[int]]:
+    """The host vertices a search for a pattern of this profile needs, as a
+    mask, with each one's degree inside it.
+
+    Vertices with fewer than ``min_degree`` neighbors left are peeled off a
+    queue; with ``collapse``, every vertex with a smaller-id true or false
+    twin among those left is dropped too. The two repeat until neither
+    removes anything.
+    """
+    adj = g.adj
+    deg = [m.bit_count() for m in adj]
+    alive = g.full
+    queue = [v for v in range(g.n) if deg[v] < min_degree]
+
+    def drop(v: int) -> None:
+        for w in bit_indices(adj[v] & alive):
+            deg[w] -= 1
+            if deg[w] == min_degree - 1:  # just fell below: queued once
+                queue.append(w)
+
+    while True:
+        while queue:
+            v = queue.pop()
+            alive ^= 1 << v
+            drop(v)
+        dupes = _twin_duplicates(adj, alive) if collapse else 0
+        if not dupes:
+            return alive, deg
+        alive ^= dupes
+        for v in bit_indices(dupes):
+            drop(v)
+
+
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     """Search for an induced embedding of ``pattern`` in ``g``.
 
@@ -50,18 +130,40 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     in ascending id, so a hit is the lexicographically least image tuple.
     Candidates are pruned by degree and by adjacency/non-adjacency against
     all previously mapped vertices.
+
+    The search runs inside a reduced host (:func:`_core`) that keeps the
+    original vertex ids. Each reduction is enabled by the pattern's own
+    ``profile``, computed once when the pattern is built:
+
+    * Peel: vertices with fewer neighbors left than the pattern's minimum
+      degree (2 for c3, c6, h1 and h2) are removed, repeatedly. Every vertex
+      of a copy has that many neighbors inside the copy, so none is removed.
+    * Collapse, only for a pattern with no true or false twins (c6, h1 and
+      h2; not c3, nor custom patterns such as c4): each true-twin and each
+      false-twin class of what is left keeps only its least-id member. Two
+      twins of the host are twins in any copy that holds both, so a copy
+      holds at most one member of a class. Replacing that member by the
+      least one gives another copy, lexicographically smaller unless it
+      already was the least.
+
+    So the least copy survives both reductions, and the witness is the one
+    the search of the whole host finds. The reduced host is kept with the
+    graph, one per profile, so c6, h1 and h2 share one.
     """
-    p = pattern.graph
-    k = p.n
+    k = pattern.graph.n
     if k > g.n:
         return None
-    pdeg = [p.degree(i) for i in range(k)]
-    gdeg = [m.bit_count() for m in g.adj]
-    # per slot: earlier pattern neighbors and non-neighbors
-    before_adj = [[j for j in range(i) if p.has_edge(i, j)] for i in range(k)]
-    before_non = [[j for j in range(i) if not p.has_edge(i, j)] for i in range(k)]
+    cores = g._cores
+    if cores is None:
+        cores = g._cores = {}
+    core = cores.get(pattern.profile)
+    if core is None:
+        core = cores[pattern.profile] = _core(g, *pattern.profile)
+    alive, deg = core
+    if alive.bit_count() < k:
+        return None
+    before_adj, before_non, pdeg = pattern.before_adj, pattern.before_non, pattern.degrees
     gadj = g.adj
-    full = g.full
 
     mapping: list[int] = []
     used = 0
@@ -70,14 +172,14 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
         nonlocal used
         if i == k:
             return True
-        cand = full & ~used
+        cand = alive & ~used
         for j in before_adj[i]:
             cand &= gadj[mapping[j]]
         for j in before_non[i]:
             cand &= ~gadj[mapping[j]]
         need = pdeg[i]
         for u in bit_indices(cand):
-            if gdeg[u] < need:
+            if deg[u] < need:
                 continue
             mapping.append(u)
             used |= 1 << u
@@ -93,7 +195,14 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
 
 
 def is_free(g: Graph, patterns: tuple[Pattern, ...] = ELIGIBILITY_PATTERNS) -> tuple[bool, Embedding | None]:
-    """(True, None) when no pattern embeds induced, else (False, first witness)."""
+    """(True, None) when no pattern embeds induced, else (False, first witness).
+
+    Each pattern is searched by :func:`find_induced`, which peels vertices
+    of too small degree and, for twin-free patterns, collapses twin classes
+    to their least member, without changing the witness. Patterns with the
+    same profile search one reduced host, computed once per graph: c6, h1
+    and h2 (minimum degree 2, twin-free) share one.
+    """
     for p in patterns:
         emb = find_induced(g, p)
         if emb is not None:

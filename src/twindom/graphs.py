@@ -51,9 +51,11 @@ class Graph:
     ``adj[v]`` is the open-neighborhood bitmask of ``v`` and ``closed[v]``
     additionally contains ``v`` itself. ``labels``, when present, holds one
     external display name per vertex and never takes part in equality.
+    ``_cores`` is where :func:`twindom.forbidden.find_induced` keeps the
+    reduced hosts it derives from the graph, and takes no part either.
     """
 
-    __slots__ = ("n", "adj", "closed", "full", "labels")
+    __slots__ = ("n", "adj", "closed", "full", "labels", "_cores")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Sequence[str] | None = None):
         if n < 0:
@@ -74,6 +76,7 @@ class Graph:
         self.closed = tuple(m | (1 << v) for v, m in enumerate(masks))
         self.full = (1 << n) - 1
         self.labels = tuple(labels) if labels is not None else None
+        self._cores = None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must have one entry per vertex")
 

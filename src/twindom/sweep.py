@@ -62,9 +62,11 @@ def check_graph(
     applicable claim mapped to its violations (``{"graph6", "detail"}``
     entries; an empty list when the claim held).
 
-    The only pattern searches beyond ``classify``'s are ``is_free`` on
-    chordal graphs, for ``cor2``, and a triangle search on graphs with no
-    c6/h1/h2 witness, for ``cor4`` and ``supports``.
+    Only what the selected claims read is computed: ``classify`` runs for
+    any claim but ``bounds`` and ``lemma5``. The only pattern searches
+    beyond ``classify``'s are ``is_free`` on chordal graphs, for ``cor2``,
+    and a triangle search on graphs with no c6/h1/h2 witness, for ``cor4``
+    and ``supports``.
     """
     stats = basic_stats(g)
     if stats.isolated_count:
@@ -73,21 +75,20 @@ def check_graph(
     gamma = domination.exact_gamma(g, oracle_cap).value
     gamma_t = domination.exact_gamma_total(g, oracle_cap).value
     is_g2 = gamma_t == 2 * gamma
-    report = characterize.classify(g)
-    verdict = report.verdict
-    chordal = report.method == characterize.METHOD_CHORDAL
-    # freeness is searched explicitly on chordal graphs so cor2 can check
-    # the "chordal implies pattern-free" inclusion
-    witness = is_free(g)[1] if chordal else report.ineligibility_witness
-    free = witness is None
-    classes = report.s_set
-    reps = sorted(classes.representatives)
-    pack, dom = report.packing_ok, report.dominating_ok
-    if pack is None:  # ineligible: classify skipped the test, lemma6 needs it
-        pack = domination.is_packing(g, reps)[0]
-        dom = domination.is_dominating(g, reps)
-    # h1 and h2 contain triangles, and without a witness there is no c6
-    has_c3_or_c6 = witness is not None or find_induced(g, C3) is not None
+    # the names below are bound only when a selected claim reads them
+    report = characterize.classify(g) if set(claims) - {"bounds", "lemma5"} else None
+    if report is not None:
+        verdict = report.verdict
+        chordal = report.method == characterize.METHOD_CHORDAL
+        # chordal graphs are pattern-free; cor2 checks that inclusion by
+        # searching them explicitly
+        witness = is_free(g)[1] if chordal and "cor2" in claims else report.ineligibility_witness
+        free = witness is None
+        classes = report.s_set
+        reps = sorted(classes.representatives)
+    if "cor4" in claims or "supports" in claims:
+        # h1 and h2 contain triangles, and without a witness there is no c6
+        has_c3_or_c6 = witness is not None or find_induced(g, C3) is not None
     # lemma5 and cor9 share one enumeration of the minimum dominating sets
     enum = None
     if is_g2 and ("lemma5" in claims or ("cor9" in claims and free)):
@@ -105,6 +106,10 @@ def check_graph(
         record("bounds", ok, f"gamma={gamma} gamma_t={gamma_t} n={g.n}")
 
     if "lemma6" in claims:
+        pack, dom = report.packing_ok, report.dominating_ok
+        if pack is None:  # ineligible: classify skipped the test, lemma6 needs it
+            pack = domination.is_packing(g, reps)[0]
+            dom = domination.is_dominating(g, reps)
         ok = is_g2 if (pack and dom) else True
         record("lemma6", ok, f"representatives {reps} pack+dominate but gamma_t={gamma_t} != 2*{gamma}")
 

@@ -7,7 +7,7 @@ they share no code path with the implementations they check.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -161,7 +161,18 @@ def is_block_graph(g: Graph) -> bool:
     return all(mask_of(b) & ~g.closed[v] == 0 for b in blocks_and_cut_vertices(g).blocks for v in b)
 
 
-# -- hypothesis strategy ------------------------------------------------------
+def blow_up(base: Graph, sizes, cliques, order) -> Graph:
+    """Replace base vertex ``v`` by ``sizes[v]`` twins: true twins (a clique)
+    when ``cliques[v]``, else false twins (an independent set). Vertex ``i``
+    of the result is renamed ``order[i]``."""
+    starts = [sum(sizes[:v]) for v in range(base.n)]
+    twins = [range(s, s + z) for s, z in zip(starts, sizes)]
+    edges = [e for v in range(base.n) if cliques[v] for e in combinations(twins[v], 2)]
+    edges += [e for u, v in base.edges() for e in product(twins[u], twins[v])]
+    return Graph(len(order), [(order[a], order[b]) for a, b in edges])
+
+
+# -- hypothesis strategies ----------------------------------------------------
 
 
 @st.composite
@@ -170,6 +181,18 @@ def small_graphs(draw, max_n: int = 8, min_n: int = 1):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Graph(n, picked)
+
+
+@st.composite
+def twin_rich_graphs(draw, max_base: int = 5, max_n: int = 9):
+    """Random true/false-twin blow-ups of graphs on at most ``max_base``
+    vertices, at most ``max_n`` vertices in all, randomly relabeled."""
+    base = draw(small_graphs(max_n=max_base))
+    sizes = []
+    for _ in range(base.n):
+        sizes.append(draw(st.integers(1, max_n - sum(sizes) - (base.n - len(sizes) - 1))))
+    cliques = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    return blow_up(base, sizes, cliques, draw(st.permutations(range(sum(sizes)))))
 
 
 # -- shared graphs ------------------------------------------------------------

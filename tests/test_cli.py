@@ -18,9 +18,9 @@ import twindom
 from twindom import characterize, cli, domination, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
-from twindom.graphs import Graph, parse_graph6, serialize_graph6
+from twindom.graphs import Graph, parse_edgelist, parse_graph6, serialize_graph6
 
-from conftest import is_gamma2_exact
+from conftest import blow_up, brute_find_induced, is_gamma2_exact
 
 
 def g6(g) -> str:
@@ -152,6 +152,32 @@ class TestAnalysisCommands:
             ["check-free", "--fixture", "c6", "--patterns", "", "--pattern-file", str(p), "--json"],
         )
         assert obj["free"] is False and obj["witness"]["pattern"] == "custom"
+
+    def test_check_free_c3_keeps_the_least_triangle(self, tmp_path, capsys):
+        # K5 is all true twins: collapsing them would leave no triangle
+        f = write_g6(tmp_path, [g6(generators.complete(5))])
+        (obj,) = run_json(capsys, ["check-free", str(f), "--patterns", "c3", "--json"])
+        assert obj["witness"] == {"pattern": "c3", "mapping": [0, 1, 2]}
+
+    @pytest.mark.parametrize("edges,host", [
+        # the paw has a leaf, so peeling below degree 2 would lose its copies
+        ("0 1\n1 2\n2 0\n2 3\n", Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])),
+        # C4 has false twins, so collapsing the host's twins would lose its copies
+        ("0 1\n1 2\n2 3\n3 0\n", blow_up(Graph(2, [(0, 1)]), [3, 3], [False, False], range(6))),
+        ("0 1\n1 2\n2 3\n3 0\n", blow_up(Graph(2, [(0, 1)]), [3, 3], [False, False],
+                                            [4, 0, 3, 2, 5, 1])),
+        ("0 1\n1 2\n2 3\n3 0\n", blow_up(Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+                                            [2, 1, 1, 1, 2, 1], [True, False, False, False, False, True],
+                                            range(8))),
+    ], ids=["paw", "c4-in-k33", "c4-in-relabeled-k33", "c4-in-k33-blow-up"])
+    def test_check_free_custom_pattern_gives_the_least_witness(self, tmp_path, capsys, edges, host):
+        p = tmp_path / "pat.edges"
+        p.write_text(edges)
+        f = write_g6(tmp_path, [g6(host)])
+        (obj,) = run_json(capsys, ["check-free", str(f), "--patterns", "", "--pattern-file", str(p), "--json"])
+        expect = brute_find_induced(host, parse_edgelist(edges.encode()))
+        assert expect is not None
+        assert obj["witness"] == {"pattern": "custom", "mapping": list(expect)}
 
     def test_analyze_fig1(self, capsys):
         (obj,) = run_json(capsys, ["analyze", "--fixture", "fig1", "--json"])
@@ -530,6 +556,25 @@ class TestSweepCommand:
         assert obj["graphs"] - obj["skippedIsolated"] == len(corpus)
         assert sorted(calls["c6"]) == sorted(corpus)
         assert sorted(calls["c3"]) == sorted(free)
+
+    @pytest.mark.parametrize("claims", ["bounds", "bounds,lemma5"])
+    def test_claims_that_read_no_report_skip_the_classifier(self, capsys, monkeypatch, claims):
+        calls = {"find_induced": 0, "classify": 0}
+        for module_of, name in ((forbidden, "find_induced"), (characterize, "classify")):
+            genuine = getattr(module_of, name)
+
+            def counted(*args, _name=name, _genuine=genuine, **kwargs):
+                calls[_name] += 1
+                return _genuine(*args, **kwargs)
+
+            # replace every alias, so a call by any import path is counted
+            for module in (twindom, forbidden, characterize, sweep, cli):
+                if getattr(module, name, None) is genuine:
+                    monkeypatch.setattr(module, name, counted)
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--claims", claims, "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["ok"] is True and obj["claims"]["bounds"]["checked"] == obj["graphs"] - obj["skippedIsolated"]
+        assert calls == {"find_induced": 0, "classify": 0}
 
     def test_sweep_graphs_returns_the_printed_summary(self, capsys):
         assert run(["sweep", "--max-n", "4", "--jobs", "1", "--json"]) == 0

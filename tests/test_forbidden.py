@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from twindom.forbidden import C3, C6, H1, H2, PATTERNS, find_induced, girth, is_chordal, is_free
+from twindom.forbidden import C3, C6, H1, H2, PATTERNS, Pattern, find_induced, girth, is_chordal, is_free
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
 from twindom.graphs import Graph, basic_stats, bit_indices
 
-from conftest import brute_find_induced, brute_girth, brute_is_chordal, small_graphs
+from conftest import blow_up, brute_find_induced, brute_girth, brute_is_chordal, small_graphs, twin_rich_graphs
 
 
 class TestPatternShapes:
@@ -62,30 +62,120 @@ class TestFindInduced:
         emb = find_induced(complete(5), C3)
         assert emb.mapping == (0, 1, 2)
 
+    # brute force tries image tuples in lexicographic order, so its first
+    # hit is the least witness, the one find_induced promises
+
     def test_agrees_with_naive_oracle_exhaustive(self):
         patterns = list(PATTERNS.values())
         for n in range(1, 6):
             for g in enumerate_small_graphs(n):
                 for p in patterns:
-                    assert (find_induced(g, p) is not None) == (
-                        brute_find_induced(g, p.graph) is not None
-                    ), (g, p.name)
+                    assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), (g, p.name)
 
     def test_agrees_with_naive_oracle_on_fixtures(self):
         for name in ("fig1", "g1", "g2", "c6", "c7", "star4", "k6"):
             g = fixture(name)
             for p in PATTERNS.values():
-                assert (find_induced(g, p) is not None) == (
-                    brute_find_induced(g, p.graph) is not None
-                ), (name, p.name)
+                assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), (name, p.name)
 
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(max_n=8, min_n=6))
     def test_agrees_with_naive_oracle_random(self, g):
         for p in (C6, H1, H2):
-            assert (find_induced(g, p) is not None) == (
-                brute_find_induced(g, p.graph) is not None
-            )
+            assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), p.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(twin_rich_graphs())
+    def test_agrees_with_naive_oracle_on_twin_blow_ups(self, g):
+        # twin classes are what the c6/h1/h2 search collapses, and what the
+        # c3 search must not
+        for p in PATTERNS.values():
+            assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), p.name
+
+    @pytest.mark.parametrize("pattern", [
+        Pattern("paw", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])),  # a leaf and true twins
+        Pattern("c4", Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),  # two false-twin pairs
+        Pattern("p4", path(4)),  # twin-free with leaves
+        Pattern("k2+k1", Graph(3, [(0, 1)])),  # minimum degree 0
+    ])
+    def test_reductions_follow_the_pattern_profile(self, pattern):
+        hosts = [fixture("fig1"), complete(5), blow_up(Graph(2, [(0, 1)]), [3, 3], [False, False], range(6)),
+                 blow_up(cycle(4), [2, 1, 3, 1], [True, False, False, True], range(7))]
+        hosts += [Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), path(5)]
+        for g in hosts:
+            assert _mapping(find_induced(g, pattern)) == brute_find_induced(g, pattern.graph), g
+
+    def test_pattern_profiles(self):
+        assert [p.profile for p in (C3, C6, H1, H2)] == [(2, False), (2, True), (2, True), (2, True)]
+        assert Pattern("c4", cycle(4)).profile == (2, False)
+        assert Pattern("paw", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])).profile == (1, False)
+        assert Pattern("p4", path(4)).profile == (1, True)
+
+    def test_agrees_with_networkx_beyond_brute_force(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(2017)
+        seen = set()
+        for i in range(200):
+            n = rng.randint(20, 80)
+            g = _twin_free(rng, n) if i % 2 else _sparse_blow_up(rng, n)
+            host = nx.Graph(g.edges())
+            host.add_nodes_from(range(g.n))
+            for p in (C3, C6, H1, H2):
+                emb = find_induced(g, p)
+                found = GraphMatcher(host, nx.Graph(p.graph.edges())).subgraph_is_isomorphic()
+                assert (emb is not None) == found, (p.name, sorted(g.edges()))
+                if emb is not None:
+                    m = emb.mapping
+                    assert len(set(m)) == p.graph.n
+                    assert all(p.graph.has_edge(a, b) == g.has_edge(m[a], m[b])
+                               for a in range(p.graph.n) for b in range(a))
+                seen.add((i % 2, p.name, emb is not None))
+        # both kinds of host both hold and lack each hexagon pattern
+        assert {(k, p, hit) for k in (0, 1) for p in ("c6", "h1") for hit in (False, True)} <= seen
+
+
+def _mapping(emb):
+    return None if emb is None else emb.mapping
+
+
+def _sparse(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """The edges of a random tree on ``n`` vertices plus up to n/2 random others."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = len(edges) + rng.randint(0, n // 2)
+    while len(edges) < target:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return edges
+
+
+def _twin_free(rng: random.Random, n: int) -> Graph:
+    """A sparse random graph, joined to a random new neighbor of one twin
+    at a time until no two vertices are twins."""
+    edges = _sparse(rng, n)
+    while True:
+        g = Graph(n, edges)
+        first: dict = {}
+        twin = next((v for v in range(n) for key in (("open", g.adj[v]), ("closed", g.closed[v]))
+                     if first.setdefault(key, v) != v), None)
+        if twin is None:
+            return g
+        u = rng.choice([w for w in range(n) if w != twin and not g.has_edge(w, twin)])
+        edges.add((min(u, twin), max(u, twin)))
+
+
+def _sparse_blow_up(rng: random.Random, n: int) -> Graph:
+    """A random true/false-twin blow-up of a sparse graph on 3n/5 to 3n/4
+    vertices, with ``n`` vertices in all. The base stays small enough in
+    degree for the networkx matcher to exhaust its search."""
+    k = rng.randint(3 * n // 5, 3 * n // 4)
+    sizes = [1] * k
+    for _ in range(n - k):
+        sizes[rng.randrange(k)] += 1
+    order = list(range(n))
+    rng.shuffle(order)
+    return blow_up(Graph(k, _sparse(rng, k)), sizes, [rng.random() < 0.5 for _ in range(k)], order)
 
 
 class TestIsFree:
