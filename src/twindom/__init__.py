@@ -43,9 +43,7 @@ from .graphs import (
     basic_stats,
 )
 from .structure import (
-    BlockDecomposition,
     SpecialClasses,
-    blocks_and_cut_vertices,
     is_special,
     special_classes,
     special_vertices,

@@ -46,9 +46,7 @@ class ClassificationReport:
     verdict: str
     ineligibility_witness: Embedding | None
     s_set: SpecialClasses | None
-    packing_ok: bool | None
     packing_violation: tuple[int, int] | None
-    dominating_ok: bool | None
     uncovered_vertex: int | None
     implied_values: tuple[int, int] | None
     gamma_set_count: int | None
@@ -113,7 +111,7 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
     method = METHOD_CHORDAL if chordal else METHOD_MAIN
     s_set = structure.special_classes(g)
     reps = sorted(s_set.representatives)
-    pack_ok = violation = dom_ok = uncovered = implied = count = None
+    violation = uncovered = implied = count = None
     if witness is None:  # eligible: the representatives decide
         pack_ok, violation = domination.is_packing(g, reps)
         dom_ok = domination.is_dominating(g, reps)
@@ -135,9 +133,7 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         verdict=verdict,
         ineligibility_witness=witness,
         s_set=s_set,
-        packing_ok=pack_ok,
         packing_violation=violation,
-        dominating_ok=dom_ok,
         uncovered_vertex=uncovered,
         implied_values=implied,
         gamma_set_count=count,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, mask_of
+from .graphs import Graph, component_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -33,23 +33,6 @@ class SpecialClasses:
     special: frozenset[int]
     classes: tuple[frozenset[int], ...]
     representatives: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Biconnected components plus two distinguished cut-vertex subsets.
-
-    ``lone_block_cuts``: cut vertices that are the unique cut vertex of
-    some block. ``multi_block_cuts``: cut vertices having non-cut
-    neighbors in at least two different blocks. On a connected block graph
-    with at least two blocks their union is the set of special vertices
-    (the sweep's ``blocks`` claim).
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    lone_block_cuts: frozenset[int]
-    multi_block_cuts: frozenset[int]
 
 
 def _tdm_masks(g: Graph, v: int) -> tuple[int, int, int]:
@@ -132,87 +115,22 @@ def support_vertices(g: Graph) -> set[int]:
     return supports
 
 
-def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:
-    """Biconnected components via an iterative lowpoint traversal.
+def clique_blocks(g: Graph) -> list[int] | None:
+    """The blocks of ``g`` as sorted clique bitmasks when ``g`` is a
+    connected block graph (every block a clique), else None.
 
-    Every edge lands in exactly one block; isolated vertices belong to no
-    block. Blocks are reported sorted by vertex set for determinism.
+    For an edge uv let B(uv) = N[u] & N[v]; on a block graph it is the
+    block holding uv. On a connected graph the vertices and the distinct
+    B(uv) form a connected incidence graph, so sum(|B| - 1) >= n - 1, with
+    equality exactly when it is a tree. Then no two B(uv) share two
+    vertices, and each is a clique: non-adjacent x, y in B(uv) would put u
+    and v in B(ux) too, which lacks y. So the B(uv) are the blocks, and a
+    connected graph is a block graph exactly when equality holds. K2 + C4
+    also meets it, with five blocks on six vertices, hence the
+    connectivity check. K1 has no blocks.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[frozenset[int]] = []
-    cut = [False] * n
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1 or g.adj[root] == 0:
-            continue
-        root_children = 0
-        # frames: (vertex, parent, iterator over neighbor ids)
-        stack = [(root, -1, iter(list(bit_indices(g.adj[root]))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(list(bit_indices(g.adj[w])))))
-                    advanced = True
-                    break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                break
-            pv = stack[-1][0]
-            low[pv] = min(low[pv], low[v])
-            if pv == root:
-                root_children += 1
-            if low[v] >= disc[pv]:
-                # pv separates v's subtree: pop one block
-                members: set[int] = set()
-                while edge_stack:
-                    a, b = edge_stack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (pv, v):
-                        break
-                blocks.append(frozenset(members))
-                if pv != root:
-                    cut[pv] = True
-        if root_children >= 2:
-            cut[root] = True
-
-    blocks.sort(key=sorted)
-    cut_set = frozenset(v for v in range(n) if cut[v])
-
-    lone = set()
-    for b in blocks:
-        in_block_cuts = [v for v in b if cut[v]]
-        if len(in_block_cuts) == 1:
-            lone.add(in_block_cuts[0])
-
-    multi = set()
-    for v in cut_set:
-        touched = 0
-        for b in blocks:
-            if v in b and any(u != v and not cut[u] and g.has_edge(v, u) for u in b):
-                touched += 1
-                if touched >= 2:
-                    multi.add(v)
-                    break
-    return BlockDecomposition(
-        blocks=tuple(blocks),
-        cut_vertices=cut_set,
-        lone_block_cuts=frozenset(lone),
-        multi_block_cuts=frozenset(multi),
-    )
+    closed = g.closed
+    blocks = {closed[u] & closed[v] for u, v in g.edges()}
+    if sum(b.bit_count() - 1 for b in blocks) != g.n - 1 or component_masks(g) != [g.full]:
+        return None
+    return sorted(blocks)

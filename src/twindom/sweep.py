@@ -32,7 +32,10 @@ Claims:
 * ``blocks``: on connected block graphs with at least two blocks the
   special vertices are the cut vertices that are the only cut vertex of
   some block or have non-cut neighbors in two blocks, and every twin
-  class is a singleton.
+  class is a singleton. The blocks are ``structure.clique_blocks``; a cut
+  vertex is a vertex of two or more of them. A block is a clique, so a
+  cut vertex has a non-cut neighbor in it exactly when it holds a non-cut
+  vertex.
 """
 
 from __future__ import annotations
@@ -106,11 +109,11 @@ def check_graph(
         record("bounds", ok, f"gamma={gamma} gamma_t={gamma_t} n={g.n}")
 
     if "lemma6" in claims:
-        pack, dom = report.packing_ok, report.dominating_ok
-        if pack is None:  # ineligible: classify skipped the test, lemma6 needs it
-            pack = domination.is_packing(g, reps)[0]
-            dom = domination.is_dominating(g, reps)
-        ok = is_g2 if (pack and dom) else True
+        if report.eligible:  # classify ran the test and kept its certificates
+            pack_dom = report.packing_violation is None and report.uncovered_vertex is None
+        else:  # ineligible: classify skipped the test, lemma6 needs it
+            pack_dom = domination.is_packing(g, reps)[0] and domination.is_dominating(g, reps)
+        ok = is_g2 if pack_dom else True
         record("lemma6", ok, f"representatives {reps} pack+dominate but gamma_t={gamma_t} != 2*{gamma}")
 
     if "prop7" in claims and free:
@@ -146,17 +149,33 @@ def check_graph(
         record("supports", ok, f"representatives {reps}, supports {supports}, "
                                f"classes {[sorted(c) for c in classes.classes]}")
 
-    if "blocks" in claims and stats.component_count == 1:
-        decomp = structure.blocks_and_cut_vertices(g)
-        masks = [mask_of(b) for b in decomp.blocks]
-        # a block graph: every block is a clique
-        if len(masks) >= 2 and all(m & ~g.closed[v] == 0 for m in masks for v in bit_indices(m)):
-            cuts = decomp.lone_block_cuts | decomp.multi_block_cuts
-            ok = classes.special == cuts and all(len(c) == 1 for c in classes.classes)
+    if "blocks" in claims:
+        blocks = structure.clique_blocks(g)
+        if blocks is not None and len(blocks) >= 2:
+            cuts = _distinguished_cuts(blocks)
+            ok = mask_of(classes.special) == cuts and all(len(c) == 1 for c in classes.classes)
             record("blocks", ok, f"special {sorted(classes.special)}, distinguished cut vertices "
-                                 f"{sorted(cuts)}, classes {[sorted(c) for c in classes.classes]}")
+                                 f"{list(bit_indices(cuts))}, classes {[sorted(c) for c in classes.classes]}")
 
     return outcome
+
+
+def _distinguished_cuts(blocks: list[int]) -> int:
+    """The ``blocks`` claim's distinguished cut vertices, as a mask, from the
+    clique blocks of a block graph (see the module docstring)."""
+    once = cuts = 0
+    for b in blocks:
+        cuts |= once & b
+        once |= b
+    lone = multi = touched = 0
+    for b in blocks:
+        inside = b & cuts
+        if inside & (inside - 1) == 0:  # at most one cut vertex
+            lone |= inside
+        if b & ~cuts:  # a non-cut vertex, adjacent to every cut vertex of b
+            multi |= touched & inside
+            touched |= inside
+    return lone | multi
 
 
 def _die_with_parent(parent_pid: int) -> None:

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from twindom.domination import exact_gamma, exact_gamma_total
-from twindom.graphs import Graph, mask_of
-from twindom.structure import blocks_and_cut_vertices
+from twindom.graphs import Graph, bit_indices
 
 
 # -- independent oracles -----------------------------------------------------
@@ -139,6 +138,36 @@ def brute_cut_vertices(g: Graph) -> set[int]:
     return out
 
 
+def is_block_graph(g: Graph) -> bool:
+    """Connected, and every two non-adjacent vertices are separated by
+    removing one vertex. By Menger's theorem such a pair is joined by no two
+    internally disjoint paths, so lies in no common block: every block is a
+    clique."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+
+    def component_of(removed: int | None) -> dict[int, int]:
+        # each vertex but ``removed`` mapped to the least vertex of its component
+        label: dict[int, int] = {}
+        for root in range(g.n):
+            if root != removed and root not in label:
+                label[root] = root
+                stack = [root]
+                while stack:
+                    for u in nbrs[stack.pop()]:
+                        if u != removed and u not in label:
+                            label[u] = root
+                            stack.append(u)
+        return label
+
+    if g.n == 0 or set(component_of(None).values()) != {0}:
+        return False
+    split = [component_of(w) for w in range(g.n)]
+    return all(
+        any(w not in (u, v) and split[w][u] != split[w][v] for w in range(g.n))
+        for u, v in combinations(range(g.n), 2) if v not in nbrs[u]
+    )
+
+
 def brute_girth(g: Graph) -> int | None:
     """Shortest cycle length by trying all vertex subsets; None if acyclic."""
     for size in range(3, g.n + 1):
@@ -156,9 +185,9 @@ def is_gamma2_exact(g: Graph) -> bool:
     return exact_gamma_total(g).value == 2 * exact_gamma(g).value
 
 
-def is_block_graph(g: Graph) -> bool:
-    """Every block of ``blocks_and_cut_vertices`` induces a clique."""
-    return all(mask_of(b) & ~g.closed[v] == 0 for b in blocks_and_cut_vertices(g).blocks for v in b)
+def in_two_blocks(blocks: list[int]) -> set[int]:
+    """The vertices lying in two or more of the block masks ``blocks``."""
+    return {v for b in blocks for v in bit_indices(b) if sum(c >> v & 1 for c in blocks) >= 2}
 
 
 def blow_up(base: Graph, sizes, cliques, order) -> Graph:

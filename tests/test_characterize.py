@@ -45,7 +45,7 @@ def check_specialization(g, want):
         "reps": sorted(rep.s_set.representatives),
         "classes": rep.s_set.classes,
         "count": rep.gamma_set_count,
-        "packing_ok": rep.packing_ok,
+        "packing_ok": rep.packing_violation is None,
         "packing_violation": rep.packing_violation,
     }
     assert {k: got[k] for k in want} == want
@@ -87,8 +87,8 @@ class TestClassify:
     def test_p4_packing_violation(self):
         rep = classify(path(4))
         assert rep.eligible and rep.verdict == "not_gamma2"
-        assert rep.packing_ok is False
         assert rep.packing_violation == (1, 2)
+        assert rep.uncovered_vertex is None
         assert rep.implied_values is None
 
     def test_two_triangles(self, two_triangles):
@@ -165,7 +165,7 @@ class TestClassify:
             for g in enumerate_small_graphs(n, "isolate_free"):
                 rep = classify(g)
                 if rep.eligible and rep.verdict == "is_gamma2":
-                    assert rep.packing_ok and rep.dominating_ok
+                    assert rep.packing_violation is None and rep.uncovered_vertex is None
                     k = len(rep.s_set.representatives)
                     assert rep.implied_values == (k, 2 * k)
                 elif rep.eligible:

@@ -511,11 +511,9 @@ class TestSweepCommand:
         assert "supports" in self._sweep_violations(capsys)
 
     def test_wrong_cut_vertices_are_caught(self, capsys, monkeypatch):
-        genuine = structure.blocks_and_cut_vertices
-        monkeypatch.setattr(
-            structure, "blocks_and_cut_vertices",
-            lambda g: dataclasses.replace(genuine(g), lone_block_cuts=frozenset()),
-        )
+        # drop the first block, so another block's vertex looks like a non-cut one
+        genuine = structure.clique_blocks
+        monkeypatch.setattr(structure, "clique_blocks", lambda g: (blocks := genuine(g)) and blocks[1:])
         assert "blocks" in self._sweep_violations(capsys)
 
     def test_eligibility_is_computed_once_per_graph(self, capsys, monkeypatch):

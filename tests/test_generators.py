@@ -19,9 +19,9 @@ from twindom.generators import (
     star,
 )
 from twindom.graphs import Graph, basic_stats
-from twindom.structure import blocks_and_cut_vertices, special_classes
+from twindom.structure import clique_blocks, special_classes
 
-from conftest import brute_cut_vertices, is_block_graph
+from conftest import brute_cut_vertices, in_two_blocks, is_block_graph
 
 
 class TestFixtures:
@@ -182,17 +182,17 @@ class TestRandomBlockGraph:
     def test_two_cliques_share_a_vertex(self):
         g = random_block_graph(2, 3, 1)
         assert is_block_graph(g)
-        assert len(blocks_and_cut_vertices(g).blocks) == 2
+        assert len(clique_blocks(g)) == 2
 
     def test_block_count_and_cliqueness(self):
         for seed in range(30):
             b = 2 + seed % 5
             g = random_block_graph(b, 2 + seed % 3, seed)
             assert is_block_graph(g)
-            d = blocks_and_cut_vertices(g)
-            assert len(d.blocks) == b
+            blocks = clique_blocks(g)
+            assert len(blocks) == b
             assert basic_stats(g).component_count == 1
-            assert d.cut_vertices == brute_cut_vertices(g)
+            assert in_two_blocks(blocks) == brute_cut_vertices(g)
 
     def test_deterministic(self):
         assert random_block_graph(5, 4, 7) == random_block_graph(5, 4, 7)

@@ -1,5 +1,6 @@
-"""A check on the package source that needs no linter: every module-level
-import is used, so deleting code cannot leave a dead import behind."""
+"""Checks on the package source that need no linter: every module-level
+import is used, and every module-level private name is used somewhere in
+the package, so deleting code cannot leave a dead import or helper behind."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import pytest
 
 import twindom
 
+PACKAGE = sorted(Path(twindom.__file__).resolve().parent.glob("*.py"))
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in Path(twindom.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +43,57 @@ def test_an_unused_import_is_reported():
         "def f(x: d) -> None:\n    import json\n    return xml.dom\n"
     )
     assert unused_imports(source) == ["b", "os", "osp"]
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Every name ``node`` reads, reaches as an attribute or imports."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
+    return used
+
+
+def unused_private_names(source: str, others: list[str]) -> list[str]:
+    """Module-level ``_names`` that ``source`` defines and that neither
+    another statement of ``source`` nor any of the ``others`` uses."""
+    tree = ast.parse(source)
+    used_elsewhere = set().union(*(_used_names(ast.parse(o)) for o in others))
+    dead = []
+    for stmt in tree.body:
+        for name in _defined_names(stmt):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            rest = [s for s in tree.body if s is not stmt]
+            if name not in used_elsewhere and not any(name in _used_names(s) for s in rest):
+                dead.append(name)
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    others = [p.read_text(encoding="utf-8") for p in PACKAGE if p != path]
+    assert unused_private_names(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_an_unused_helper_is_reported():
+    source = (
+        "_CAP = 3\n_SEEN: set = set()\n"
+        "def _used(x):\n    return x + _CAP\n"
+        "def _recursive(x):\n    return _recursive(x - 1) if x else _used(0)\n"
+        "class _Planted:\n    pass\n"
+        "def public():\n    return _used(1)\n"
+    )
+    other = "from .mod import _SEEN\n"
+    assert unused_private_names(source, [other]) == ["_Planted", "_recursive"]

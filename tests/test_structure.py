@@ -5,17 +5,28 @@ import random
 import pytest
 from hypothesis import given
 
-from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
-from twindom.graphs import Graph, mask_of
+from twindom.generators import (
+    complete,
+    corona_p2,
+    cycle,
+    enumerate_small_graphs,
+    fixture,
+    path,
+    random_block_graph,
+    random_tree,
+    star,
+)
+from twindom.graphs import Graph, bit_indices, mask_of
 from twindom.structure import (
-    blocks_and_cut_vertices,
+    clique_blocks,
     is_special,
     special_classes,
     special_vertices,
     support_vertices,
 )
+from twindom.sweep import _distinguished_cuts
 
-from conftest import brute_cut_vertices, is_block_graph, small_graphs
+from conftest import brute_cut_vertices, in_two_blocks, is_block_graph, small_graphs
 
 
 class TestSpecial:
@@ -116,88 +127,122 @@ class TestSupports:
                     )
 
 
+def distinguished(g: Graph) -> set[int] | None:
+    """The ``blocks`` claim's distinguished cut vertices; None off block graphs."""
+    blocks = clique_blocks(g)
+    return None if blocks is None else set(bit_indices(_distinguished_cuts(blocks)))
+
+
 class TestBlocks:
     def test_two_triangles(self, two_triangles):
-        d = blocks_and_cut_vertices(two_triangles)
-        assert sorted(sorted(b) for b in d.blocks) == [[0, 1, 2], [0, 3, 4]]
-        assert d.cut_vertices == {0}
-        assert d.lone_block_cuts == {0}
-        assert d.multi_block_cuts == {0}
+        blocks = clique_blocks(two_triangles)
+        assert blocks == [mask_of([0, 1, 2]), mask_of([0, 3, 4])]
+        assert in_two_blocks(blocks) == {0}
+        assert distinguished(two_triangles) == {0}
 
     def test_p4(self):
-        d = blocks_and_cut_vertices(path(4))
-        assert sorted(sorted(b) for b in d.blocks) == [[0, 1], [1, 2], [2, 3]]
-        assert d.cut_vertices == {1, 2}
-        assert d.lone_block_cuts == {1, 2}
-        assert d.multi_block_cuts == set()
+        blocks = clique_blocks(path(4))
+        assert blocks == [mask_of([0, 1]), mask_of([1, 2]), mask_of([2, 3])]
+        assert in_two_blocks(blocks) == {1, 2}
+        assert distinguished(path(4)) == {1, 2}
 
     def test_c6_single_block(self):
-        d = blocks_and_cut_vertices(cycle(6))
-        assert len(d.blocks) == 1
-        assert d.cut_vertices == set()
-        assert d.lone_block_cuts == set() == d.multi_block_cuts
+        # one block, but not a clique
+        assert clique_blocks(cycle(6)) is None
+        assert distinguished(cycle(6)) is None
 
     def test_triangle_with_three_pendants(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])
-        d = blocks_and_cut_vertices(g)
-        assert d.cut_vertices == {0, 1, 2}
-        assert d.lone_block_cuts == {0, 1, 2}
-        assert d.multi_block_cuts == set()
+        assert in_two_blocks(clique_blocks(g)) == {0, 1, 2}
+        assert distinguished(g) == {0, 1, 2}
+
+    def test_k2_plus_c4_is_not_connected(self):
+        # every B(uv) is a clique and sum(|B| - 1) = 5 = n - 1, yet two components
+        g = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])
+        assert clique_blocks(g) is None
+        assert not is_block_graph(g)
 
     def test_every_edge_in_exactly_one_block(self):
-        for g in (fixture("fig1"), fixture("g2"), path(6), star(4)):
-            d = blocks_and_cut_vertices(g)
+        for g in (path(6), star(4), complete(4), corona_p2(path(3)), random_block_graph(6, 4, 3)):
+            blocks = clique_blocks(g)
             for u, v in g.edges():
-                holders = [b for b in d.blocks if u in b and v in b]
+                holders = [b for b in blocks if b >> u & 1 and b >> v & 1]
                 assert len(holders) == 1
 
     def test_cut_vertices_match_removal_oracle_exhaustive(self):
         for n in range(1, 7):
             for g in enumerate_small_graphs(n):
-                d = blocks_and_cut_vertices(g)
-                assert d.cut_vertices == brute_cut_vertices(g), g
+                blocks = clique_blocks(g)
+                assert (blocks is not None) == is_block_graph(g), g
+                if blocks is not None:
+                    assert in_two_blocks(blocks) == brute_cut_vertices(g), g
 
     def test_vertex_is_cut_iff_in_two_blocks(self):
+        # on block graphs: cliques meeting in at most one vertex, and a vertex
+        # separates the graph exactly when it lies in two of them
         for n in range(2, 7):
             for g in enumerate_small_graphs(n):
-                d = blocks_and_cut_vertices(g)
+                blocks = clique_blocks(g)
+                if blocks is None:
+                    continue
+                assert all(b & ~g.closed[v] == 0 for b in blocks for v in bit_indices(b))
+                assert all((a & b).bit_count() <= 1 for i, a in enumerate(blocks) for b in blocks[:i])
+                cuts = brute_cut_vertices(g)
                 for v in range(g.n):
-                    n_blocks = sum(1 for b in d.blocks if v in b)
-                    assert (v in d.cut_vertices) == (n_blocks >= 2)
+                    assert (v in cuts) == (sum(b >> v & 1 for b in blocks) >= 2)
 
     @given(small_graphs(max_n=8))
     def test_cut_vertices_match_removal_oracle_random(self, g):
-        assert blocks_and_cut_vertices(g).cut_vertices == brute_cut_vertices(g)
+        blocks = clique_blocks(g)
+        assert (blocks is not None) == is_block_graph(g)
+        if blocks is not None:
+            assert in_two_blocks(blocks) == brute_cut_vertices(g)
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(6)
+        graphs = []
         for _ in range(300):
             n, p = rng.randint(1, 80), rng.uniform(0.02, 0.3)
-            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
-            ref = nx.Graph(edges)
-            ref.add_nodes_from(range(n))
-            d = blocks_and_cut_vertices(Graph(n, edges))
-            assert len(set(d.blocks)) == len(d.blocks)
-            assert set(d.blocks) == set(map(frozenset, nx.biconnected_components(ref))), edges
-            assert d.cut_vertices == set(nx.articulation_points(ref)), edges
+            graphs.append(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+        for seed in range(100):
+            graphs.append(random_block_graph(rng.randint(2, 12), rng.randint(2, 5), seed))
+            graphs.append(random_tree(rng.randint(1, 60), seed))
+            g = random_block_graph(rng.randint(2, 12), rng.randint(2, 5), 1000 + seed)
+            u, v = rng.choice([(u, v) for v in range(g.n) for u in range(v) if not g.has_edge(u, v)])
+            graphs.append(Graph(g.n, [*g.edges(), (u, v)]))
+        outcomes = {True: 0, False: 0}
+        for g in graphs:
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            components = [mask_of(c) for c in nx.biconnected_components(ref)]
+            want = nx.is_connected(ref) and all(
+                b & ~g.closed[v] == 0 for b in components for v in bit_indices(b)
+            )
+            blocks = clique_blocks(g)
+            assert (blocks is not None) == want, list(g.edges())
+            outcomes[want] += 1
+            if want:
+                assert blocks == sorted(components), list(g.edges())
+                assert in_two_blocks(blocks) == set(nx.articulation_points(ref)), list(g.edges())
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 class TestBlockGraph:
     def test_two_triangles_yes(self, two_triangles):
         assert is_block_graph(two_triangles)
+        assert clique_blocks(two_triangles) is not None
 
     def test_c6_no(self):
         assert not is_block_graph(cycle(6))
+        assert clique_blocks(cycle(6)) is None
 
     def test_trees_yes(self):
-        assert is_block_graph(path(7))
-        assert is_block_graph(star(5))
+        for g in (path(7), star(5)):
+            assert is_block_graph(g)
+            assert len(clique_blocks(g)) == g.n - 1
 
     def test_specials_equal_distinguished_cuts_on_block_graphs(self):
-        from twindom.generators import random_block_graph
-
         for seed in range(80):
             g = random_block_graph(2 + seed % 5, 2 + seed % 3, seed)
-            d = blocks_and_cut_vertices(g)
-            assert set(special_vertices(g)) == (d.lone_block_cuts | d.multi_block_cuts)
+            assert set(special_vertices(g)) == distinguished(g)
