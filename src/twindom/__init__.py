@@ -44,9 +44,7 @@ from .graphs import (
 )
 from .structure import (
     SpecialClasses,
-    is_special,
     special_classes,
-    special_vertices,
     support_vertices,
 )
 

@@ -13,18 +13,26 @@ import random
 import re
 from typing import Iterator
 
-from .graphs import Graph, component_masks
+from .graphs import MAX_ORDER, Graph, component_masks
+
+
+def _check_order(n: int) -> None:
+    """Refuse, before anything is allocated, a graph over the order cap."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the order cap {MAX_ORDER}")
 
 
 def path(k: int) -> Graph:
     if k < 1:
         raise ValueError("path needs at least one vertex")
+    _check_order(k)
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least three vertices")
+    _check_order(k)
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -32,13 +40,16 @@ def star(k: int) -> Graph:
     """K_{1,k}: center 0 with k leaves."""
     if k < 1:
         raise ValueError("star needs at least one leaf")
+    _check_order(k + 1)
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def complete(k: int) -> Graph:
     if k < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    _check_order(k)
+    full = (1 << k) - 1
+    return Graph.from_masks(k, [full ^ (1 << v) for v in range(k)])
 
 
 _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
@@ -96,12 +107,12 @@ def corona_p2(h: Graph) -> Graph:
     result has 3n vertices and its girth equals the base girth.
     """
     n = h.n
-    edges = list(h.edges())
+    _check_order(3 * n)
+    masks = [m | (1 << (n + 2 * i)) for i, m in enumerate(h.adj)]
     for i in range(n):
         mid = n + 2 * i
-        edges.append((i, mid))
-        edges.append((mid, mid + 1))
-    return Graph(3 * n, edges)
+        masks += ((1 << i) | (1 << (mid + 1)), 1 << mid)
+    return Graph.from_masks(3 * n, masks)
 
 
 def construction_h(base: Graph, attachments: list[Graph]) -> Graph:
@@ -177,6 +188,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree, decoded from a random parent sequence."""
     if n < 1:
         raise ValueError("order must be positive")
+    _check_order(n)
     if n == 1:
         return Graph(1)
     if n == 2:
@@ -210,14 +222,15 @@ def random_block_graph(blocks: int, max_clique: int, seed: int) -> Graph:
         raise ValueError("need at least two blocks")
     if max_clique < 2:
         raise ValueError("cliques need at least two vertices")
+    _check_order(1 + blocks * (max_clique - 1))  # the largest order it can draw
     rng = random.Random(seed)
     sizes = [rng.randint(2, max_clique) for _ in range(blocks)]
     n = sizes[0]
-    edges = [(i, j) for i in range(sizes[0]) for j in range(i + 1, sizes[0])]
+    masks = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
     for size in sizes[1:]:
         glue = rng.randrange(n)
-        fresh = list(range(n, n + size - 1))
-        members = [glue] + fresh
-        edges.extend((u, v) for k, u in enumerate(members) for v in members[k + 1:])
+        fresh = ((1 << (size - 1)) - 1) << n
+        masks[glue] |= fresh
+        masks += ((fresh | (1 << glue)) ^ (1 << v) for v in range(n, n + size - 1))
         n += size - 1
-    return Graph(n, edges)
+    return Graph.from_masks(n, masks)

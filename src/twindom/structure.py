@@ -11,8 +11,8 @@ For a vertex ``v`` the closed neighborhood splits into three parts:
   ``N[v]``.
 
 A non-isolated vertex ``v`` is *special* when no vertex of ``outer`` is
-adjacent to everything in ``inner``. Isolated vertices are never special,
-and specialness is shared within a twin class.
+adjacent to everything in ``inner``. Isolated vertices are never special.
+Specialness belongs to the twin class, which shares the whole split.
 """
 
 from __future__ import annotations
@@ -35,66 +35,43 @@ class SpecialClasses:
     representatives: frozenset[int]
 
 
-def _tdm_masks(g: Graph, v: int) -> tuple[int, int, int]:
-    """N[v] as (twins, inner, outer) bitmasks; see the module docstring."""
-    cv = g.closed[v]
-    t = 1 << v
-    d = 0
-    m = 0
-    closed = g.closed
-    nbrs = g.adj[v]
-    while nbrs:
-        low = nbrs & -nbrs
-        u = low.bit_length() - 1
-        nbrs ^= low
-        cu = closed[u]
-        if cu == cv:
-            t |= low
-        elif cu & ~cv == 0:
-            d |= low
-        else:
-            m |= low
-    return t, d, m
-
-
-def is_special(g: Graph, v: int) -> bool:
-    """True when no outer neighbor of ``v`` covers all of its inner part.
-
-    Isolated vertices are not special. With an empty inner part any outer
-    neighbor disqualifies ``v``; with an empty outer part a non-isolated
-    ``v`` is vacuously special.
-    """
-    g.check_vertex(v)
-    if g.adj[v] == 0:
-        return False
-    _, d, m = _tdm_masks(g, v)
-    adj = g.adj
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        if d & ~adj[u] == 0:
-            return False
-    return True
-
-
-def special_vertices(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if is_special(g, v)]
-
-
 def special_classes(g: Graph) -> SpecialClasses:
     """Group the special vertices into true-twin classes.
 
-    The representative of each class is its least vertex id; any choice
-    yields the same downstream verdicts, this one makes them reproducible.
+    Specialness is decided once per class: true twins share N[v], and with
+    it the split of N[v] minus the class into inner and outer part. The
+    representative of each class is its least vertex id; any choice yields
+    the same downstream verdicts, this one makes them reproducible.
     """
+    closed, adj = g.closed, g.adj
+    # filled in ascending v, so the classes come out ordered by least member
     groups: dict[int, list[int]] = {}
-    for v in special_vertices(g):
-        groups.setdefault(g.closed[v], []).append(v)
-    classes = tuple(sorted((frozenset(vs) for vs in groups.values()), key=min))
+    for v in range(g.n):
+        if adj[v]:  # isolated vertices are never special
+            groups.setdefault(closed[v], []).append(v)
+    classes = []
+    for cv, members in groups.items():
+        inner = outer = 0
+        rest = adj[members[0]]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cu = closed[low.bit_length() - 1]
+            if cu & ~cv:
+                outer |= low
+            elif cu != cv:  # twins are in neither part
+                inner |= low
+        # an empty inner part is covered by any outer vertex
+        while outer:
+            low = outer & -outer
+            outer ^= low
+            if inner & ~adj[low.bit_length() - 1] == 0:
+                break
+        else:
+            classes.append(frozenset(members))
     return SpecialClasses(
         special=frozenset(v for c in classes for v in c),
-        classes=classes,
+        classes=tuple(classes),
         representatives=frozenset(min(c) for c in classes),
     )
 

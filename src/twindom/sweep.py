@@ -204,10 +204,12 @@ def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
     With ``jobs > 1`` and more than ``POOL_MIN_RECORDS`` items the calls fan
-    out to a process pool whose workers die with this process. Either way an
-    item's exception is raised when its position is reached, after the
-    results of the items before it have been yielded.
+    out to a process pool whose workers die with this process; it has at
+    most one worker per CPU, since the pool forks them all up front. Either
+    way an item's exception is raised when its position is reached, after
+    the results of the items before it have been yielded.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)
     head = list(islice(items, POOL_MIN_RECORDS + 1))
     items = chain(head, items)

@@ -23,6 +23,20 @@ def brute_closed(g: Graph, v: int) -> set[int]:
     return {v} | {u for u in range(g.n) if g.has_edge(u, v)}
 
 
+def brute_special(g: Graph, v: int) -> bool:
+    """The README's definition, for one vertex, over Python sets: ``v`` has
+    a neighbor, and no neighbor of ``v`` with a neighbor outside N[v] is
+    adjacent to every neighbor of ``v`` whose closed neighborhood lies
+    strictly inside N[v]."""
+    nv = brute_closed(g, v)
+    nbrs = nv - {v}
+    if not nbrs:
+        return False
+    inner = [u for u in nbrs if brute_closed(g, u) < nv]
+    outer = [w for w in nbrs if not brute_closed(g, w) <= nv]
+    return not any(all(g.has_edge(w, u) for u in inner) for w in outer)
+
+
 def brute_is_dominating(g: Graph, s) -> bool:
     covered = set()
     for v in s:

@@ -103,7 +103,7 @@ def test_criterion_2_neighborhood_partition_reproduction():
     twins = {u for u in members if g.closed[u] == nv}
     inner = {u for u in members if g.closed[u] != nv and g.closed[u] & ~nv == 0}
     outer = {u for u in members if g.closed[u] & ~nv}
-    special = td.special_vertices(g)
+    special = sorted(td.special_classes(g).special)
     ok = twins == {0, 1} and inner == {2, 3} and outer == {4, 5} and special == [0, 1]
     report(2, ok, f"twins={sorted(twins)} inner={sorted(inner)} outer={sorted(outer)} special={special}")
 

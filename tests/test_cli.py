@@ -11,6 +11,7 @@ import sys
 import time
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -441,6 +442,39 @@ class TestFanOut:
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["graphs"] == sweep.POOL_MIN_RECORDS
 
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_pool_size_is_clamped_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, command):
+        # the fake pool records the size asked for and maps in this process,
+        # so a huge --jobs starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep, "get_context", lambda method=None: SimpleNamespace(Pool=FakePool))
+        lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
+        assert len(lines) > sweep.POOL_MIN_RECORDS
+        f = str(write_g6(tmp_path, lines))
+        argv = ["classify", f] if command == "classify" else ["sweep", "--input", f]
+        outs = []
+        for cpus, jobs in ((3, "1"), (3, "100000"), (None, "100000")):
+            monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+            assert run([*argv, "--json", "--jobs", jobs]) == 0
+            outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
+        # an unknown CPU count counts as one CPU: no pool at all
+        assert sizes == [3]
+        assert outs[0] == outs[1] == outs[2]
+
 
 class TestGenerate:
     def test_fixture_spec(self, capsys):
@@ -645,6 +679,15 @@ class TestErrors:
         f.write_text(text)
         assert run(["classify", str(f), "--format", "edgelist"]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [["--fixture", "c40000"], ["--generate", "tree:40000"],
+                                        ["--generate", "blockgraph:20000:3"]],
+                             ids=["fixture", "tree", "blockgraph"])
+    def test_generated_order_is_capped(self, source):
+        code, out, err = run_cli(["special", *source, "--json"])
+        assert (code, out) == (1, b"")
+        assert len(err.splitlines()) == 1
+        assert b"exceeds the order cap 32768" in err
 
     @pytest.mark.parametrize("argv", [["classify", "--jobs", "1"], ["classify", "--jobs", "2"],
                                       ["sweep", "--jobs", "1", "--input"]],

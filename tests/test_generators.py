@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
+from twindom import generators
 from twindom.domination import exact_gamma, exact_gamma_total, is_dominating, is_packing
 from twindom.forbidden import H1, H2, find_induced, girth
 from twindom.generators import (
@@ -202,3 +206,79 @@ class TestRandomBlockGraph:
             random_block_graph(1, 3, 0)
         with pytest.raises(ValueError):
             random_block_graph(2, 1, 0)
+
+
+def edge_built_block_graph(blocks: int, max_clique: int, seed: int) -> Graph:
+    """random_block_graph's construction from edge tuples, drawing the same
+    random numbers in the same order."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, max_clique) for _ in range(blocks)]
+    n = sizes[0]
+    edges = list(combinations(range(n), 2))
+    for size in sizes[1:]:
+        edges += combinations([rng.randrange(n), *range(n, n + size - 1)], 2)
+        n += size - 1
+    return Graph(n, edges)
+
+
+class TestMaskBuiltGenerators:
+    """complete, corona_p2 and random_block_graph are built from adjacency
+    masks; each must equal its construction from edge tuples."""
+
+    def test_complete(self):
+        for k in range(1, 9):
+            assert complete(k) == Graph(k, combinations(range(k), 2))
+
+    def test_corona(self):
+        for h in (Graph(1), complete(2), cycle(5), fixture("g2"), Graph(3, [(0, 2)])):
+            n = h.n
+            edges = [*h.edges()]
+            edges += [e for i in range(n) for e in ((i, n + 2 * i), (n + 2 * i, n + 2 * i + 1))]
+            assert corona_p2(h) == Graph(3 * n, edges)
+
+    def test_block_graph(self):
+        for seed in range(40):
+            b, k = 2 + seed % 7, 2 + seed % 5
+            assert random_block_graph(b, k, seed) == edge_built_block_graph(b, k, seed)
+
+    def test_complete_allocates_no_edge_list(self):
+        # from edge tuples, complete(2000) peaked at 184 MiB to keep 1.3 MiB
+        tracemalloc.start()
+        try:
+            complete(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestOrderCap:
+    """Each builder checks the order it would build against the cap before
+    building anything. The cap is lowered to CAP here, so a builder that
+    lost its check builds a small graph instead of exhausting memory; the
+    CLI tests use the real one."""
+
+    CAP = 60
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_ORDER", self.CAP)
+
+    @pytest.mark.parametrize("build, order", [
+        (path, lambda k: k),
+        (cycle, lambda k: k),
+        (star, lambda k: k + 1),
+        (complete, lambda k: k),
+        (lambda k: fixture(f"c{k}"), lambda k: k),
+        (lambda k: fixture(f"star{k}"), lambda k: k + 1),
+        (lambda k: random_tree(k, 0), lambda k: k),
+        # 1 + b(k - 1), the largest order it could draw, whatever it draws
+        (lambda b: random_block_graph(b, 3, 0), lambda b: 1 + 2 * b),
+        (lambda k: corona_p2(path(k)), lambda k: 3 * k),
+    ], ids=["path", "cycle", "star", "complete", "fixture-c", "fixture-star", "tree",
+            "blockgraph", "corona"])
+    def test_refused_exactly_over_the_cap(self, build, order):
+        k = max(k for k in range(2, self.CAP + 1) if order(k) <= self.CAP)
+        assert build(k).n <= self.CAP
+        with pytest.raises(ValueError, match=f"order {order(k + 1)} exceeds the order cap {self.CAP}"):
+            build(k + 1)

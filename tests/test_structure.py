@@ -17,43 +17,69 @@ from twindom.generators import (
     star,
 )
 from twindom.graphs import Graph, bit_indices, mask_of
-from twindom.structure import (
-    clique_blocks,
-    is_special,
-    special_classes,
-    special_vertices,
-    support_vertices,
-)
+from twindom.structure import clique_blocks, special_classes, support_vertices
 from twindom.sweep import _distinguished_cuts
 
-from conftest import brute_cut_vertices, in_two_blocks, is_block_graph, small_graphs
+from conftest import (
+    brute_closed,
+    brute_cut_vertices,
+    brute_special,
+    in_two_blocks,
+    is_block_graph,
+    small_graphs,
+    twin_rich_graphs,
+)
+
+
+def specials(g: Graph) -> list[int]:
+    return sorted(special_classes(g).special)
+
+
+def by_definition(g: Graph) -> set[int]:
+    return {v for v in range(g.n) if brute_special(g, v)}
+
+
+def assert_matches_definition(g: Graph) -> None:
+    """special_classes(g) against the per-vertex definition: the special
+    vertices, grouped by equal N[v] in order of least member, and the class
+    minima as representatives."""
+    s = special_classes(g)
+    special = by_definition(g)
+    assert s.special == special
+    groups: dict[frozenset[int], set[int]] = {}
+    for v in sorted(special):
+        groups.setdefault(frozenset(brute_closed(g, v)), set()).add(v)
+    assert s.classes == tuple(frozenset(c) for c in groups.values())
+    assert s.representatives == {min(c) for c in groups.values()}
 
 
 class TestSpecial:
     def test_fig1_only_v1_v2(self):
-        assert special_vertices(fixture("fig1")) == [0, 1]
+        assert specials(fixture("fig1")) == [0, 1]
 
     def test_c6_has_none(self):
-        assert special_vertices(cycle(6)) == []
+        assert specials(cycle(6)) == []
 
     def test_star_center_only(self):
-        g = star(3)
-        assert is_special(g, 0)
-        assert not any(is_special(g, leaf) for leaf in (1, 2, 3))
+        # a leaf's inner part is empty, so its one outer neighbor covers it
+        assert specials(star(3)) == [0]
 
     def test_isolated_vertex_not_special(self):
-        assert not is_special(Graph(1), 0)
+        assert specials(Graph(1)) == []
+        assert specials(Graph(3, [(0, 1)])) == [0, 1]
 
     def test_g1_unique_special(self):
-        assert special_vertices(fixture("g1")) == [0]
+        assert specials(fixture("g1")) == [0]
 
     @given(small_graphs(max_n=7))
     def test_twins_share_specialness(self, g):
+        # special_classes shares specialness by construction, so the claim
+        # is checked on the definition, vertex by vertex
         for v in range(g.n):
-            if is_special(g, v):
-                for u in range(g.n):
-                    if g.closed[u] == g.closed[v]:  # a true twin of v
-                        assert is_special(g, u)
+            for u in range(g.n):
+                if g.closed[u] == g.closed[v]:  # a true twin of v
+                    assert brute_special(g, u) == brute_special(g, v)
+        assert special_classes(g).special == by_definition(g)
 
 
 class TestSpecialClasses:
@@ -91,7 +117,16 @@ class TestSpecialClasses:
             seen |= c
             assert min(c) in s.representatives
         assert seen == s.special
-        assert s.special == set(special_vertices(g))
+        assert s.special == by_definition(g)
+
+    def test_matches_definition_exhaustive(self):
+        for n in range(1, 7):
+            for g in enumerate_small_graphs(n):
+                assert_matches_definition(g)
+
+    @given(twin_rich_graphs())
+    def test_matches_definition_on_twin_rich_graphs(self, g):
+        assert_matches_definition(g)
 
 
 class TestSupports:
@@ -245,4 +280,4 @@ class TestBlockGraph:
     def test_specials_equal_distinguished_cuts_on_block_graphs(self):
         for seed in range(80):
             g = random_block_graph(2 + seed % 5, 2 + seed % 3, seed)
-            assert set(special_vertices(g)) == distinguished(g)
+            assert special_classes(g).special == distinguished(g)
