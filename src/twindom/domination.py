@@ -1,20 +1,23 @@
 """Exact domination and total domination, with witnesses.
 
 These solvers are the ground-truth layer the fast classifiers are checked
-against. They run an iterative-deepening subset search: target size k
-grows from an admissible lower bound, and within one depth the branch is
-always on the least-id uncovered vertex, trying the vertices able to
-cover it in ascending id. That makes witnesses deterministic. The search
-is capped (default 32 vertices) because it is exponential; past the cap
+against. One iterative-deepening cover search gives γ, γ_t and the list
+of minimum dominating sets: target size k grows from an admissible lower
+bound, and within one depth the branch is always on the least-id
+uncovered vertex, trying the vertices able to cover it in ascending id.
+That makes witnesses deterministic. Each node bans the candidates its
+earlier branches tried, since every cover holding one of them was found
+in that branch; so at the optimal depth each minimum set is found exactly
+once, and the enumeration never scans the C(n, γ) subsets. The search is
+capped (default 32 vertices) because it is exponential; past the cap
 callers are expected to use the polynomial classifier instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph
 
 DEFAULT_ORACLE_CAP = 32
 
@@ -84,77 +87,73 @@ def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     raise AssertionError("unreachable")
 
 
-def _min_cover(masks: tuple[int, ...], full: int, start_k: int, n: int) -> tuple[int, list[int]]:
-    """Smallest selection whose masks cover ``full``; (size, witness).
-
-    ``masks`` plays both roles: masks[u] is what selecting u covers, and,
-    the graph being undirected, also who can cover u.
+def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool) -> tuple[int, list[tuple[int, ...]]]:
+    """Smallest selections, from size ``lower`` up, whose masks cover all
+    ``n`` vertices: (size, [first cover found]), or with ``every`` (size,
+    every cover of that size once, as sorted tuples); (0, []) when some
+    vertex has an empty mask. ``masks`` plays both roles: masks[u] is what
+    selecting u covers, and, the graph being undirected, who can cover u.
     """
-    if full == 0:
+    if n > cap:
+        raise OracleCapExceeded(n, cap)
+    if not all(masks):
         return 0, []
-    max_cover = max(masks[v].bit_count() for v in bit_indices(full))
-    lower = max(start_k, -(-full.bit_count() // max_cover))
+    full = (1 << n) - 1
+    max_cover = max([m.bit_count() for m in masks], default=1)
+    found: list[tuple[int, ...]] = []
 
-    def attempt(covered: int, budget: int, chosen: list[int]) -> list[int] | None:
+    def attempt(covered: int, banned: int, budget: int, chosen: list[int]) -> bool:
         missing = full & ~covered
         if missing == 0:
-            return chosen
+            found.append(tuple(sorted(chosen)))
+            return not every
         if budget == 0 or missing.bit_count() > budget * max_cover:
-            return None
+            return False
         v = (missing & -missing).bit_length() - 1
-        for u in bit_indices(masks[v]):
+        cand = masks[v] & ~banned
+        while cand:
+            low = cand & -cand
+            u = low.bit_length() - 1
             chosen.append(u)
-            result = attempt(covered | masks[u], budget - 1, chosen)
-            if result is not None:
-                return result
+            if attempt(covered | masks[u], banned, budget - 1, chosen):
+                return True
             chosen.pop()
-        return None
+            # every cover holding u lies in u's subtree, so later siblings skip it
+            banned |= low
+            cand ^= low
+        return False
 
-    for k in range(lower, n + 1):
-        witness = attempt(0, k, [])
-        if witness is not None:
-            return k, witness
+    for k in range(max(lower, -(-n // max_cover)), n + 1):
+        attempt(0, 0, k, [])
+        if found:
+            return k, found
     raise AssertionError("cover search exhausted without a solution")
 
 
 def exact_gamma(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum dominating set, exactly."""
-    if g.n > cap:
-        raise OracleCapExceeded(g.n, cap)
-    value, witness = _min_cover(g.closed, g.full, 1, g.n)
-    return DominationCertificate("gamma", value, frozenset(witness))
+    value, found = _covers(g.closed, g.n, cap, 0, False)
+    return DominationCertificate("gamma", value, frozenset(found[0]))
 
 
 def exact_gamma_total(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum total dominating set, exactly. Needs an isolate-free graph."""
-    if g.n > cap:
-        raise OracleCapExceeded(g.n, cap)
-    if any(m == 0 for m in g.adj):
+    # no vertex covers itself through an open neighborhood
+    value, found = _covers(g.adj, g.n, cap, min(g.n, 2), False)
+    if not found:
         raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
-    start = 2 if g.n >= 2 else 1  # no vertex covers itself through an open neighborhood
-    value, witness = _min_cover(g.adj, g.full, start, g.n)
-    return DominationCertificate("gamma_total", value, frozenset(witness))
+    return DominationCertificate("gamma_total", value, frozenset(found[0]))
 
 
 def enumerate_gamma_sets(
     g: Graph, list_cap: int | None = None, cap: int = DEFAULT_ORACLE_CAP
 ) -> GammaSetEnumeration:
-    """All minimum dominating sets, by scanning subsets at the optimum size.
+    """All minimum dominating sets, from one search at the optimum size.
 
-    The count is always exact; only the listed sets are truncated at
-    ``list_cap``.
+    The count is always exact; the listed sets come in lexicographic
+    order of their sorted members and are truncated at ``list_cap``.
     """
-    gamma = exact_gamma(g, cap).value
-    full = g.full
-    closed = g.closed
-    count = 0
-    sets: list[frozenset[int]] = []
-    for combo in combinations(range(g.n), gamma):
-        m = 0
-        for v in combo:
-            m |= closed[v]
-        if m == full:
-            count += 1
-            if list_cap is None or len(sets) < list_cap:
-                sets.append(frozenset(combo))
-    return GammaSetEnumeration(gamma=gamma, count=count, sets=tuple(sets))
+    gamma, found = _covers(g.closed, g.n, cap, 0, True)
+    found.sort()
+    listed = found if list_cap is None else found[:max(list_cap, 0)]
+    return GammaSetEnumeration(gamma=gamma, count=len(found), sets=tuple(frozenset(s) for s in listed))

@@ -240,6 +240,10 @@ def twin_rich_graphs(draw, max_base: int = 5, max_n: int = 9):
 
 # -- shared graphs ------------------------------------------------------------
 
+# G(32, 0.1) drawn edge by edge from random.Random(13): isolate-free,
+# ineligible, gamma 9 with 10 minimum dominating sets
+SPARSE_GAMMA9_G6 = "_??@?OP?O???CA?????gKC?A?G??A???G?OoB?O?_??@?????B??CoAB?@?o@A?????c@D??`OA????C????"
+
 
 @pytest.fixture
 def two_triangles() -> Graph:

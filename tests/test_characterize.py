@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
 
+from twindom import domination
 from twindom.characterize import classify
 from twindom.domination import IsolatedVertexError, OracleCapExceeded, enumerate_gamma_sets
+from twindom.forbidden import is_free
 from twindom.generators import (
     complete,
     corona_p2,
@@ -16,7 +19,7 @@ from twindom.generators import (
 from twindom.graphs import Graph
 from twindom.sweep import check_graph
 
-from conftest import is_gamma2_exact
+from conftest import is_gamma2_exact, twin_rich_graphs
 
 # Forests, trees and block graphs from the paper's specializations; all
 # are chordal, so classify decides them on its chordal path. A string
@@ -52,6 +55,25 @@ def check_specialization(g, want):
     assert (rep.verdict == "is_gamma2") == is_gamma2_exact(g)
     if rep.verdict == "is_gamma2":
         assert rep.gamma_set_count == enumerate_gamma_sets(g).count
+
+
+class SearchCalled(Exception):
+    pass
+
+
+def refuse_search(*args):
+    raise SearchCalled
+
+
+def check_oracle_off_the_fast_path(g):
+    """With the exact search replaced by ``refuse_search``, ``classify``
+    with the oracle fallback still decides every eligible graph, and only
+    ineligible graphs reach the search."""
+    if is_free(g)[0]:
+        assert classify(g, fallback="oracle").verdict in ("is_gamma2", "not_gamma2"), g
+    else:
+        with pytest.raises(SearchCalled):
+            classify(g, fallback="oracle")
 
 
 class TestClassifyBySupports:
@@ -176,6 +198,20 @@ class TestClassify:
             for g in enumerate_small_graphs(n, "isolate_free"):
                 rep = classify(g, fallback="oracle")
                 assert (rep.verdict == "is_gamma2") == is_gamma2_exact(g), g
+
+    def test_eligible_graphs_never_reach_the_exact_search(self, monkeypatch):
+        monkeypatch.setattr(domination, "_covers", refuse_search)
+        for n in range(2, 7):
+            for g in enumerate_small_graphs(n, "isolate_free"):
+                check_oracle_off_the_fast_path(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(twin_rich_graphs())
+    def test_eligible_blow_ups_never_reach_the_exact_search(self, g):
+        assume(not any(m == 0 for m in g.adj))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domination, "_covers", refuse_search)
+            check_oracle_off_the_fast_path(g)
 
     def test_implied_values_match_oracle_when_yes(self):
         from twindom.domination import exact_gamma, exact_gamma_total

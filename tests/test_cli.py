@@ -21,7 +21,7 @@ from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import Graph, parse_edgelist, parse_graph6, serialize_graph6
 
-from conftest import blow_up, brute_find_induced, is_gamma2_exact
+from conftest import SPARSE_GAMMA9_G6, blow_up, brute_find_induced, is_gamma2_exact
 
 
 def g6(g) -> str:
@@ -133,6 +133,14 @@ class TestAnalysisCommands:
     def test_count_gamma_sets_enumeration_path(self, capsys):
         (obj,) = run_json(capsys, ["count-gamma-sets", "--fixture", "c6", "--json"])
         assert obj["count"] == 3 and obj["method"] == "enumeration"
+
+    def test_count_gamma_sets_enumeration_near_the_oracle_cap(self, capsys, tmp_path):
+        # scanning all C(32, 9) subsets of size gamma took over 15 s
+        f = write_g6(tmp_path, [SPARSE_GAMMA9_G6])
+        started = time.monotonic()
+        (obj,) = run_json(capsys, ["count-gamma-sets", str(f), "--json"])
+        assert time.monotonic() - started < 5
+        assert (obj["gamma"], obj["count"], obj["method"]) == (9, 10, "enumeration")
 
     def test_check_free_g2(self, capsys):
         (obj,) = run_json(
@@ -301,6 +309,7 @@ class TestPerGraphDriver:
         assert len(lines) > sweep.POOL_MIN_RECORDS
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
         assert [o["graph6"] for o in objs] == lines
         assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
@@ -394,6 +403,7 @@ class TestFanOut:
         assert len(out.splitlines()) == (35 if argv[0] == "classify" else 0)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no pool")
     def test_sweep_workers_die_with_the_cli(self):
         proc = subprocess.Popen([*CLI, "sweep", "--max-n", "6", "--jobs", "2"],
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

@@ -16,7 +16,7 @@ from twindom.domination import (
     is_packing,
 )
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
-from twindom.graphs import Graph
+from twindom.graphs import Graph, parse_graph6
 
 from conftest import (
     brute_gamma,
@@ -25,8 +25,10 @@ from conftest import (
     brute_is_dominating,
     brute_is_packing,
     brute_is_total_dominating,
+    SPARSE_GAMMA9_G6,
     is_gamma2_exact,
     small_graphs,
+    twin_rich_graphs,
 )
 
 
@@ -181,11 +183,51 @@ class TestEnumerateGammaSets:
         assert e.count == 6 and len(e.sets) == 2
 
     def test_matches_brute_sets_exhaustive(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for g in enumerate_small_graphs(n):
                 e = enumerate_gamma_sets(g)
-                assert set(e.sets) == brute_gamma_sets(g)
-                assert e.count == len(brute_gamma_sets(g))
+                assert e.sets == tuple(sorted(brute_gamma_sets(g), key=sorted)), g
+                assert e.count == len(e.sets) and e.gamma == brute_gamma(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_rich_graphs())
+    def test_matches_brute_sets_on_twin_blow_ups(self, g):
+        e = enumerate_gamma_sets(g)
+        assert e.sets == tuple(sorted(brute_gamma_sets(g), key=sorted))
+        assert e.count == len(e.sets)
+
+    @pytest.mark.parametrize("list_cap, listed", [(None, 6), (5, 5), (0, 0), (-1, 0)])
+    def test_list_cap_keeps_the_sorted_prefix(self, list_cap, listed):
+        # C4 as 0-2-1-3: the search meets {2,3} before {1,3}, so truncating
+        # in search order would keep {2,3} and drop {1,3}
+        g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        e = enumerate_gamma_sets(g, list_cap=list_cap)
+        every = tuple(frozenset(s) for s in combinations(range(4), 2))  # every pair dominates
+        assert (e.gamma, e.count) == (2, 6)
+        assert e.sets == every[:listed]
+
+    def test_sparse_32_vertex_graph(self):
+        g = parse_graph6(SPARSE_GAMMA9_G6.encode())
+        e = enumerate_gamma_sets(g)
+        assert (e.gamma, e.count) == (9, 10)
+        assert len(set(e.sets)) == 10
+        assert all(len(s) == 9 and is_dominating(g, s) for s in e.sets)
+
+    def test_disjoint_union_count_is_the_product(self):
+        # gamma-sets of a disjoint union are one gamma-set per component:
+        # three per triangle, two for the edge
+        edges = [(3 * t + a, 3 * t + b) for t in range(8) for a, b in ((0, 1), (0, 2), (1, 2))]
+        g = Graph(26, [*edges, (24, 25)])
+        e = enumerate_gamma_sets(g, list_cap=0)
+        assert (e.gamma, e.count, e.sets) == (9, 3**8 * 2, ())
+
+    def test_cap_is_checked_before_isolated_vertices(self):
+        g = Graph(12, [(v, v + 1) for v in range(10)])  # vertex 11 is isolated
+        for search in (enumerate_gamma_sets, exact_gamma, exact_gamma_total):
+            with pytest.raises(OracleCapExceeded):
+                search(g, cap=10)
+        with pytest.raises(IsolatedVertexError):
+            exact_gamma_total(g, cap=12)
 
 
 class TestIsGamma2:
