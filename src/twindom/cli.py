@@ -183,8 +183,12 @@ def _classify(g: Graph, args) -> tuple[dict, str]:
 
 def _analyze(g: Graph, args) -> tuple[dict, str]:
     stats = basic_stats(g)
-    classes = structure.special_classes(g)
     gv = girth(g)
+    # classify refuses graphs with an isolated vertex, and takes its chordal
+    # path on every chordal graph, which is eligible, at either fallback
+    report = None if stats.isolated_count else characterize.classify(g, args.fallback, args.oracle_cap)
+    chordal = report.method == characterize.METHOD_CHORDAL if report else is_chordal(g)
+    classes = report.s_set if report else structure.special_classes(g)
     obj = {
         "n": g.n,
         "minDegree": stats.min_degree,
@@ -193,7 +197,7 @@ def _analyze(g: Graph, args) -> tuple[dict, str]:
         "componentCount": stats.component_count,
         "isolatedCount": stats.isolated_count,
         "girth": None if math.isinf(gv) else gv,
-        "chordal": is_chordal(g),
+        "chordal": chordal,
         "special": sorted(classes.special),
         "twinClasses": [sorted(c) for c in classes.classes],
         "supportVertices": sorted(structure.support_vertices(g)),
@@ -207,14 +211,12 @@ def _analyze(g: Graph, args) -> tuple[dict, str]:
             cert_t = domination.exact_gamma_total(g, args.oracle_cap)
             obj["gammaT"] = cert_t.value
             obj["gammaTWitness"] = sorted(cert_t.witness)
-    obj["classification"] = characterize.classify(
-        g, args.fallback, args.oracle_cap
-    ).to_json_dict() if stats.isolated_count == 0 else None
+    obj["classification"] = report.to_json_dict() if report else None
     return obj, (
         f"n={g.n} m={stats.edge_count} girth={obj['girth']} "
         f"chordal={obj['chordal']} special={_vset(g, classes.special)} "
         f"gamma={obj['gamma']} gammaT={obj['gammaT']} "
-        f"verdict={obj['classification']['verdict'] if obj['classification'] else 'n/a'}"
+        f"verdict={obj['classification']['verdict'] if report else 'n/a'}"
     )
 
 

@@ -90,37 +90,37 @@ def _twin_duplicates(adj: tuple[int, ...], alive: int) -> int:
     return dupes
 
 
-def _core(g: Graph, min_degree: int, collapse: bool) -> tuple[int, list[int]]:
-    """The host vertices a search for a pattern of this profile needs, as a
-    mask, with each one's degree inside it.
-
-    Vertices with fewer than ``min_degree`` neighbors left are peeled off a
-    queue; with ``collapse``, every vertex with a smaller-id true or false
-    twin among those left is dropped too. The two repeat until neither
-    removes anything.
-    """
-    adj = g.adj
-    deg = [m.bit_count() for m in adj]
-    alive = g.full
-    queue = [v for v in range(g.n) if deg[v] < min_degree]
-
-    def drop(v: int) -> None:
+def _peel(adj: tuple[int, ...], alive: int, deg: list[int], queue: list[int], min_degree: int) -> int:
+    """``alive`` less the vertices on ``queue``, which must be alive, and then,
+    repeatedly, less every vertex left with fewer than ``min_degree``
+    neighbors. ``deg`` is kept as each vertex's degree inside what is left."""
+    while queue:
+        v = queue.pop()
+        alive ^= 1 << v
         for w in bit_indices(adj[v] & alive):
             deg[w] -= 1
             if deg[w] == min_degree - 1:  # just fell below: queued once
                 queue.append(w)
+    return alive
 
-    while True:
-        while queue:
-            v = queue.pop()
-            alive ^= 1 << v
-            drop(v)
-        dupes = _twin_duplicates(adj, alive) if collapse else 0
-        if not dupes:
-            return alive, deg
-        alive ^= dupes
+
+def _core(g: Graph, min_degree: int, collapse: bool) -> tuple[int, list[int]]:
+    """The host vertices a search for a pattern of this profile needs, as a
+    mask, with each one's degree inside it.
+
+    Vertices with fewer than ``min_degree`` neighbors left are peeled off;
+    with ``collapse``, every vertex with a smaller-id true or false twin
+    among those left is dropped too, each followed by a peel. The two repeat
+    until neither removes anything, which no order of removal changes.
+    """
+    adj = g.adj
+    deg = [m.bit_count() for m in adj]
+    alive = _peel(adj, g.full, deg, [v for v in range(g.n) if deg[v] < min_degree], min_degree)
+    while collapse and (dupes := _twin_duplicates(adj, alive)):
         for v in bit_indices(dupes):
-            drop(v)
+            if alive >> v & 1:  # not peeled since the duplicates were found
+                alive = _peel(adj, alive, deg, [v], min_degree)
+    return alive, deg
 
 
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
@@ -243,28 +243,35 @@ def is_chordal(g: Graph) -> bool:
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle; ``math.inf`` for forests."""
-    best = math.inf
+    """Length of a shortest cycle; ``math.inf`` for forests.
+
+    Every cycle lies in the 2-core (c3's reduced host). A breadth-first
+    search from ``s`` by layer masks finds a shortest cycle through ``s``:
+    an edge inside layer d closes one of length 2d + 1, a vertex of layer
+    d + 1 with two parents one of length 2d + 2. So ``s`` is deleted after
+    its search and the rest peeled again (Itai and Rodeh, *Finding a minimum
+    circuit in a graph*, SIAM J. Comput. 1978), which empties a forest.
+    """
     adj = g.adj
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        # cycles discoverable while expanding level d have length >= 2d
-        while frontier and 2 * dist[frontier[0]] < best:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                for w in bit_indices(adj[u]):
-                    if w not in dist:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cycle = du + dist[w] + 1
-                        if cycle < best:
-                            best = cycle
-            frontier = nxt
-        if best == 3:
-            break
+    alive, deg = _core(g, 2, False)  # not find_induced's memo: the peels below change deg
+    best = math.inf
+    while alive and best > 3:
+        s = (alive & -alive).bit_length() - 1
+        seen = layer = 1 << s
+        d = 0
+        while layer and 2 * d + 1 < best:
+            nxt = 0
+            for u in bit_indices(layer):
+                hood = adj[u] & alive
+                if hood & layer:
+                    best = 2 * d + 1
+                    break
+                fresh = hood & ~seen
+                if fresh & nxt:
+                    best = min(best, 2 * d + 2)
+                nxt |= fresh
+            seen |= nxt
+            layer = nxt
+            d += 1
+        alive = _peel(adj, alive, deg, [s], 2)
     return best

@@ -191,6 +191,23 @@ def brute_girth(g: Graph) -> int | None:
     return None
 
 
+def brute_reduced_host(g: Graph, min_degree: int, collapse: bool) -> set[int]:
+    """The vertices left by dropping, until a round drops nothing, every
+    vertex with fewer than ``min_degree`` neighbors left and, with
+    ``collapse``, every vertex with a smaller true or false twin among
+    those left."""
+    alive = set(range(g.n))
+    while True:
+        nbrs = {v: {u for u in alive if g.has_edge(u, v)} for v in alive}
+        drop = {v for v in alive if len(nbrs[v]) < min_degree}
+        if collapse:
+            drop |= {v for v in alive for u in alive
+                     if u < v and (nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v})}
+        if not drop:
+            return alive
+        alive -= drop
+
+
 # -- predicates over the library's own results -------------------------------
 
 

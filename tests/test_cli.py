@@ -197,6 +197,52 @@ class TestAnalysisCommands:
         assert obj["gamma"] == 2 and obj["gammaT"] == 3
         assert obj["classification"]["verdict"] == "unknown"
 
+    @pytest.mark.parametrize("edges", [None, "n 4\n0 1\n1 2\n"], ids=["fig1", "isolated-vertex"])
+    def test_analyze_decides_chordality_and_specialness_once(self, tmp_path, capsys, monkeypatch, edges):
+        calls = {"is_chordal": 0, "special_classes": 0}
+
+        def counted(name, fn):
+            def wrapper(g):
+                calls[name] += 1
+                return fn(g)
+            return wrapper
+
+        for module in (cli, characterize):
+            monkeypatch.setattr(module, "is_chordal", counted("is_chordal", forbidden.is_chordal))
+        monkeypatch.setattr(structure, "special_classes",
+                            counted("special_classes", structure.special_classes))
+        source = ["--fixture", "fig1"]
+        if edges is not None:
+            (tmp_path / "g.edges").write_text(edges)
+            source = [str(tmp_path / "g.edges"), "--format", "edgelist"]
+        (obj,) = run_json(capsys, ["analyze", *source, "--json"])
+        assert calls == {"is_chordal": 1, "special_classes": 1}
+        assert (obj["classification"] is None) == (edges is not None)
+
+    @pytest.mark.parametrize("spec,expect", [("tree:4000", None), ("corona:c2000", 2000)])
+    def test_analyze_girth_of_large_sparse_graphs_within_seconds(self, capsys, spec, expect):
+        # a breadth-first search of the whole graph from every vertex took over 25 s
+        # and 85 s on these graphs on a 2-core Xeon
+        started = time.monotonic()
+        (obj,) = run_json(capsys, ["analyze", "--generate", spec, "--json"])
+        assert time.monotonic() - started < 10
+        assert obj["girth"] == expect
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec,expect", [("tree:32768", b"null"), ("corona:c10922", b"10922")])
+    def test_analyze_at_the_order_cap(self, tmp_path, spec, expect):
+        # one 89 MB record each, peaking near 480 MiB, so it goes to a file
+        out = tmp_path / "out.jsonl"
+        started = time.monotonic()
+        with open(out, "wb") as fh:
+            code = subprocess.run([*CLI, "analyze", "--generate", spec, "--json"], stdout=fh,
+                                  env=cli_env(), timeout=60).returncode
+        assert time.monotonic() - started < 60
+        assert code == 0
+        record = out.read_bytes()
+        assert record.count(b"\n") == 1
+        assert re.search(rb'"girth":(\w+),', record).group(1) == expect
+
 
 PER_GRAPH_COMMANDS = ["classify", "analyze", "gamma", "gamma-t", "special", "s-set",
                       "count-gamma-sets", "check-free"]

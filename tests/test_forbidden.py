@@ -2,15 +2,24 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from twindom.forbidden import C3, C6, H1, H2, PATTERNS, Pattern, find_induced, girth, is_chordal, is_free
-from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
-from twindom.graphs import Graph, basic_stats, bit_indices
+from twindom.forbidden import C3, C6, H1, H2, PATTERNS, Pattern, _core, find_induced, girth, is_chordal, is_free
+from twindom.generators import complete, corona_p2, cycle, enumerate_small_graphs, fixture, path, random_tree, star
+from twindom.graphs import MAX_ORDER, Graph, basic_stats, bit_indices
 
-from conftest import blow_up, brute_find_induced, brute_girth, brute_is_chordal, small_graphs, twin_rich_graphs
+from conftest import (
+    blow_up,
+    brute_find_induced,
+    brute_girth,
+    brute_is_chordal,
+    brute_reduced_host,
+    small_graphs,
+    twin_rich_graphs,
+)
 
 
 class TestPatternShapes:
@@ -178,6 +187,26 @@ def _sparse_blow_up(rng: random.Random, n: int) -> Graph:
     return blow_up(Graph(k, _sparse(rng, k)), sizes, [rng.random() < 0.5 for _ in range(k)], order)
 
 
+class TestReducedHost:
+    @staticmethod
+    def assert_matches_definition(g):
+        for profile in ((2, True), (2, False)):
+            alive, deg = _core(g, *profile)
+            expect = brute_reduced_host(g, *profile)
+            assert set(bit_indices(alive)) == expect, (profile, sorted(g.edges()))
+            for v in expect:
+                assert deg[v] == sum(g.has_edge(u, v) for u in expect), (profile, sorted(g.edges()), v)
+
+    def test_agrees_with_definition_exhaustive(self):
+        for n in range(1, 7):
+            for g in enumerate_small_graphs(n):
+                self.assert_matches_definition(g)
+
+    @given(twin_rich_graphs())
+    def test_agrees_with_definition_on_twin_blow_ups(self, g):
+        self.assert_matches_definition(g)
+
+
 class TestIsFree:
     def test_trees_are_free(self):
         assert is_free(path(8)) == (True, None)
@@ -258,10 +287,43 @@ def _near_chordal(rng: random.Random, n: int) -> Graph:
     return Graph.from_masks(n, adj)
 
 
+def _cycle_edges(vertices) -> list[tuple[int, int]]:
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+PETERSEN = Graph(10, _cycle_edges(list(range(5))) + [(i, i + 5) for i in range(5)]
+                 + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+HEAWOOD = Graph(14, _cycle_edges(list(range(14))) + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+
+
+def _sparse_gnp(rng: random.Random, n: int) -> Graph:
+    """G(n, p) with average degree between 1 and 3."""
+    p = rng.uniform(1, 3) / (n - 1)
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+
+
+def _subdivided_cubic(nx, rng: random.Random, k: int) -> Graph:
+    """A random cubic graph on ``k`` vertices with every edge subdivided
+    once, randomly relabeled."""
+    cubic = nx.random_regular_graph(3, k, seed=rng.randrange(1 << 30))
+    edges = []
+    for mid, (a, b) in enumerate(cubic.edges(), start=k):
+        edges += [(a, mid), (mid, b)]
+    order = list(range(k + cubic.number_of_edges()))
+    rng.shuffle(order)
+    return Graph(len(order), [(order[a], order[b]) for a, b in edges])
+
+
 class TestGirth:
-    @pytest.mark.parametrize(
-        "g,expect", [(cycle(6), 6), (complete(3), 3), (path(5), math.inf), (star(4), math.inf)]
-    )
+    @pytest.mark.parametrize("g,expect", [
+        (cycle(6), 6), (complete(3), 3), (path(5), math.inf), (star(4), math.inf),
+        (Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]), 4),  # K_{3,3}
+        (PETERSEN, 5),
+        (HEAWOOD, 6),
+        (Graph(10, _cycle_edges(list(range(10))) + [(0, 3)]), 4),  # the chord splits c10 into 4 and 8
+        # c7 and c5 joined by a path of two edges
+        (Graph(13, _cycle_edges(list(range(7))) + [(6, 7), (7, 8)] + _cycle_edges(list(range(8, 13)))), 5),
+    ])
     def test_examples(self, g, expect):
         assert girth(g) == expect
 
@@ -272,8 +334,40 @@ class TestGirth:
                 got = girth(g)
                 assert (got == math.inf and expect is None) or got == expect, g
 
+    @given(twin_rich_graphs())
+    def test_agrees_with_subset_oracle_on_twin_blow_ups(self, g):
+        expect = brute_girth(g)
+        assert girth(g) == (math.inf if expect is None else expect)
+
     @given(small_graphs(max_n=9))
     def test_forest_iff_edge_count_formula(self, g):
         stats = basic_stats(g)
         is_forest = stats.edge_count == g.n - stats.component_count
         assert (girth(g) == math.inf) == is_forest
+
+    def test_agrees_with_networkx_beyond_brute_force(self):
+        # large 2-cores of long girth: each start vertex is deleted and the rest peeled again
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1978)
+        graphs = [_sparse_gnp(rng, round(math.exp(rng.uniform(math.log(20), math.log(300)))))
+                  for _ in range(200)]
+        graphs += [_subdivided_cubic(nx, rng, rng.randrange(10, 60, 2)) for _ in range(20)]
+        seen = set()
+        for g in graphs:
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            got = girth(g)
+            seen.add(got)
+            assert got == nx.girth(ref), sorted(g.edges())
+        assert math.inf in seen and max(v for v in seen if v < math.inf) >= 8
+
+    @pytest.mark.parametrize("build,expect", [
+        (lambda: random_tree(MAX_ORDER, 1978), math.inf),
+        (lambda: corona_p2(cycle(10922)), 10922),
+        (lambda: cycle(MAX_ORDER), MAX_ORDER),
+    ], ids=["tree", "corona-c10922", "cycle"])
+    def test_order_cap_within_seconds(self, build, expect):
+        g = build()
+        started = time.monotonic()
+        assert girth(g) == expect
+        assert time.monotonic() - started < 10
