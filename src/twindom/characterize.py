@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import domination, structure
 from .domination import DEFAULT_ORACLE_CAP, IsolatedVertexError
@@ -39,8 +39,7 @@ METHOD_CHORDAL = "chordal_fast_path"
 METHOD_ORACLE = "exact_oracle"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     method: str
     eligible: bool
     verdict: str

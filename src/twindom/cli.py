@@ -21,7 +21,7 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
-from . import characterize, domination, generators, structure, sweep
+from . import characterize, domination, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
 from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
@@ -93,6 +93,7 @@ def build_parser() -> _Parser:
 
 def expand_genspec(spec: str, seed: int = 0) -> Iterable[Graph]:
     """Expand a generator spec into graphs; ``enum:`` specs yield them lazily."""
+    from . import generators  # imported only by the commands that build graphs
     parts = spec.strip().lower().split(":")
     head = parts[0]
     if head == "corona":
@@ -152,6 +153,7 @@ def _records(args) -> Iterable:
         )
     which = sources[0]
     if which == "fixture":
+        from . import generators
         return [generators.fixture(args.fixture)]
     if which == "generate":
         return expand_genspec(args.generate, args.seed)
@@ -344,6 +346,7 @@ def cmd_sweep(args) -> int:
         if c not in sweep.CLAIM_NAMES:
             raise CliUsageError(f"unknown claim {c!r}; expected from {sweep.CLAIM_NAMES}")
     if args.max_n is not None:
+        from . import generators
         if args.max_n > generators.ENUMERATION_MAX_N:
             raise CliUsageError(
                 f"--max-n is capped at {generators.ENUMERATION_MAX_N}; stream larger corpora via --input"

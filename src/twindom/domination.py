@@ -15,7 +15,7 @@ callers are expected to use the polynomial classifier instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -40,15 +40,13 @@ class IsolatedVertexError(ValueError):
     """Total domination is undefined on graphs with isolated vertices."""
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(NamedTuple):
     kind: str  # "gamma" | "gamma_total"
     value: int
     witness: frozenset[int]
 
 
-@dataclass(frozen=True)
-class GammaSetEnumeration:
+class GammaSetEnumeration(NamedTuple):
     gamma: int
     count: int
     sets: tuple[frozenset[int], ...]
@@ -87,25 +85,33 @@ def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     raise AssertionError("unreachable")
 
 
-def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool) -> tuple[int, list[tuple[int, ...]]]:
+def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool,
+            keep: int | None = None) -> tuple[int, int, list[tuple[int, ...]]]:
     """Smallest selections, from size ``lower`` up, whose masks cover all
-    ``n`` vertices: (size, [first cover found]), or with ``every`` (size,
-    every cover of that size once, as sorted tuples); (0, []) when some
-    vertex has an empty mask. ``masks`` plays both roles: masks[u] is what
+    ``n`` vertices, as sorted tuples: (size, 1, [first cover found]), or
+    with ``every`` (size, number of covers of that size, the ``keep`` least
+    of them in ascending order, all when None); (0, 0, []) when some vertex
+    has an empty mask. ``masks`` plays both roles: masks[u] is what
     selecting u covers, and, the graph being undirected, who can cover u.
     """
     if n > cap:
         raise OracleCapExceeded(n, cap)
     if not all(masks):
-        return 0, []
+        return 0, 0, []
     full = (1 << n) - 1
     max_cover = max([m.bit_count() for m in masks], default=1)
     found: list[tuple[int, ...]] = []
+    count = 0
 
     def attempt(covered: int, banned: int, budget: int, chosen: list[int]) -> bool:
+        nonlocal count
         missing = full & ~covered
         if missing == 0:
+            count += 1
             found.append(tuple(sorted(chosen)))
+            if keep is not None and len(found) >= 2 * keep:
+                found.sort()
+                del found[keep:]
             return not every
         if budget == 0 or missing.bit_count() > budget * max_cover:
             return False
@@ -125,21 +131,22 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool) -
 
     for k in range(max(lower, -(-n // max_cover)), n + 1):
         attempt(0, 0, k, [])
-        if found:
-            return k, found
+        if count:
+            found.sort()
+            return k, count, found[:keep]
     raise AssertionError("cover search exhausted without a solution")
 
 
 def exact_gamma(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum dominating set, exactly."""
-    value, found = _covers(g.closed, g.n, cap, 0, False)
+    value, _, found = _covers(g.closed, g.n, cap, 0, False)
     return DominationCertificate("gamma", value, frozenset(found[0]))
 
 
 def exact_gamma_total(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum total dominating set, exactly. Needs an isolate-free graph."""
     # no vertex covers itself through an open neighborhood
-    value, found = _covers(g.adj, g.n, cap, min(g.n, 2), False)
+    value, _, found = _covers(g.adj, g.n, cap, min(g.n, 2), False)
     if not found:
         raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     return DominationCertificate("gamma_total", value, frozenset(found[0]))
@@ -151,9 +158,9 @@ def enumerate_gamma_sets(
     """All minimum dominating sets, from one search at the optimum size.
 
     The count is always exact; the listed sets come in lexicographic
-    order of their sorted members and are truncated at ``list_cap``.
+    order of their sorted members and are truncated at ``list_cap``; with
+    a cap, the search holds only about twice that many sets at a time.
     """
-    gamma, found = _covers(g.closed, g.n, cap, 0, True)
-    found.sort()
-    listed = found if list_cap is None else found[:max(list_cap, 0)]
-    return GammaSetEnumeration(gamma=gamma, count=len(found), sets=tuple(frozenset(s) for s in listed))
+    keep = None if list_cap is None else max(list_cap, 0)
+    gamma, count, listed = _covers(g.closed, g.n, cap, 0, True, keep)
+    return GammaSetEnumeration(gamma=gamma, count=count, sets=tuple(frozenset(s) for s in listed))

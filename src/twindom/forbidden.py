@@ -10,45 +10,46 @@ subgraph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Graph, bit_indices
 
 _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
 
-@dataclass(frozen=True)
 class Pattern:
     """A named pattern graph and its search plan, compiled at construction.
 
     ``before_adj[i]`` and ``before_non[i]`` list the pattern vertices before
     ``i`` that ``i`` is and is not adjacent to. ``profile`` is the pattern's
     minimum degree and whether it has no true or false twins: it decides
-    which host reductions :func:`find_induced` may apply.
+    which host reductions :func:`find_induced` may apply. Equality, hashing
+    and ``repr`` read the name and the graph alone; the plan follows from them.
     """
 
-    name: str
-    graph: Graph
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    before_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    before_non: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    profile: tuple[int, bool] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "graph", "degrees", "before_adj", "before_non", "profile")
 
-    def __post_init__(self) -> None:
-        p, k = self.graph, self.graph.n
-        degrees = tuple(p.degree(i) for i in range(k))
-        plan = {
-            "degrees": degrees,
-            "before_adj": tuple(tuple(j for j in range(i) if p.has_edge(i, j)) for i in range(k)),
-            "before_non": tuple(tuple(j for j in range(i) if not p.has_edge(i, j)) for i in range(k)),
-            "profile": (min(degrees, default=0), len(set(p.adj)) == len(set(p.closed)) == k),
-        }
-        for name, value in plan.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, name: str, graph: Graph):
+        k = graph.n
+        self.name, self.graph = name, graph
+        self.degrees = tuple(graph.degree(i) for i in range(k))
+        self.before_adj = tuple(tuple(j for j in range(i) if graph.has_edge(i, j)) for i in range(k))
+        self.before_non = tuple(tuple(j for j in range(i) if not graph.has_edge(i, j)) for i in range(k))
+        self.profile = (min(self.degrees, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return (self.name, self.graph) == (other.name, other.graph)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.graph))
+
+    def __repr__(self) -> str:
+        return f"Pattern(name={self.name!r}, graph={self.graph!r})"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective map pattern-vertex -> host-vertex preserving adjacency and
     non-adjacency. ``mapping[i]`` is the image of pattern vertex ``i``."""
 

@@ -17,13 +17,12 @@ Specialness belongs to the twin class, which shares the whole split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, component_masks, mask_of
 
 
-@dataclass(frozen=True)
-class SpecialClasses:
+class SpecialClasses(NamedTuple):
     """All special vertices grouped into true-twin classes.
 
     ``classes`` is ordered by least member and ``representatives`` holds

@@ -45,7 +45,6 @@ import signal
 import sys
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import get_context
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
@@ -216,8 +215,9 @@ def ordered_map(fn, items, jobs: int):
     if jobs <= 1 or len(head) <= POOL_MIN_RECORDS:
         yield from map(fn, items)
         return
+    import multiprocessing  # only a pool needs it, and it is slow to import
     # forked workers are children of this process, as _die_with_parent expects
-    context = get_context("fork" if sys.platform == "linux" else None)
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     with context.Pool(jobs, _die_with_parent, (os.getpid(),)) as pool:
         for value, error in pool.imap(partial(_guarded, fn), items, chunksize=64):
             if error is not None:

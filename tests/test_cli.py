@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -428,6 +428,27 @@ class TestPerGraphDriver:
         assert_session_ends(group)
 
 
+class TestStartUp:
+    # a per-graph run needs none of these, and each takes milliseconds to import
+    SLOW = {"multiprocessing", "dataclasses", "inspect", "twindom.generators"}
+    # prints, at exit, the modules imported after the interpreter's own start
+    ENTRY = ("import atexit, sys\n"
+             "before = set(sys.modules)\n"
+             "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
+             "from twindom.cli import main; main()")
+
+    @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "--input", "-"]],
+                             ids=["classify", "sweep"])
+    def test_a_one_record_run_imports_no_slow_module(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv, "--jobs", "1"],
+                              input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
+                              env=cli_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stdout
+        loaded = set(proc.stderr.decode().split())
+        assert "twindom.cli" in loaded
+        assert loaded & self.SLOW == set()
+
+
 class TestFanOut:
     """classify and sweep share one ordered fan-out to worker processes."""
 
@@ -517,7 +538,7 @@ class TestFanOut:
             def imap(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(sweep, "get_context", lambda method=None: SimpleNamespace(Pool=FakePool))
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: SimpleNamespace(Pool=FakePool))
         lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
         assert len(lines) > sweep.POOL_MIN_RECORDS
         f = str(write_g6(tmp_path, lines))
@@ -580,7 +601,7 @@ class TestSweepCommand:
         def corrupted(g, fallback="none", oracle_cap=32):
             rep = genuine(g, fallback, oracle_cap)
             if rep.eligible and rep.verdict == "not_gamma2":
-                return dataclasses.replace(rep, verdict="is_gamma2")
+                return rep._replace(verdict="is_gamma2")
             return rep
 
         monkeypatch.setattr(characterize, "classify", corrupted)
@@ -699,7 +720,7 @@ class TestSweepCommand:
 
         def with_whole_vertex_set(g, *args, **kwargs):
             e = genuine(g, *args, **kwargs)
-            return dataclasses.replace(e, sets=e.sets + (frozenset(range(g.n)),))
+            return e._replace(sets=e.sets + (frozenset(range(g.n)),))
 
         monkeypatch.setattr(domination, "enumerate_gamma_sets", with_whole_vertex_set)
         assert set(self._sweep_violations(capsys)) == {"lemma5"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -196,10 +197,11 @@ class TestEnumerateGammaSets:
         assert e.sets == tuple(sorted(brute_gamma_sets(g), key=sorted))
         assert e.count == len(e.sets)
 
-    @pytest.mark.parametrize("list_cap, listed", [(None, 6), (5, 5), (0, 0), (-1, 0)])
+    @pytest.mark.parametrize("list_cap, listed", [(None, 6), (5, 5), (2, 2), (1, 1), (0, 0), (-1, 0)])
     def test_list_cap_keeps_the_sorted_prefix(self, list_cap, listed):
         # C4 as 0-2-1-3: the search meets {2,3} before {1,3}, so truncating
-        # in search order would keep {2,3} and drop {1,3}
+        # in search order would keep {2,3} and drop {1,3}; caps 1 and 2 also
+        # cut the kept sets down while the search runs
         g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         e = enumerate_gamma_sets(g, list_cap=list_cap)
         every = tuple(frozenset(s) for s in combinations(range(4), 2))  # every pair dominates
@@ -220,6 +222,22 @@ class TestEnumerateGammaSets:
         g = Graph(26, [*edges, (24, 25)])
         e = enumerate_gamma_sets(g, list_cap=0)
         assert (e.gamma, e.count, e.sets) == (9, 3**8 * 2, ())
+
+    @pytest.mark.parametrize("list_cap", [0, 3])
+    def test_memory_is_bounded_by_the_list_cap(self, list_cap):
+        # 3**9 * 2 = 39,366 gamma-sets of 10 vertices: holding them all until
+        # the search ends takes about 5 MiB
+        edges = [(3 * t + a, 3 * t + b) for t in range(9) for a, b in ((0, 1), (0, 2), (1, 2))]
+        g = Graph(29, [*edges, (27, 28)])
+        tracemalloc.start()
+        try:
+            e = enumerate_gamma_sets(g, list_cap=list_cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (e.gamma, e.count) == (10, 3**9 * 2)
+        assert e.sets == enumerate_gamma_sets(g).sets[:list_cap]
+        assert peak < 1 << 20
 
     def test_cap_is_checked_before_isolated_vertices(self):
         g = Graph(12, [(v, v + 1) for v in range(10)])  # vertex 11 is isolated

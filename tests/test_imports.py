@@ -1,6 +1,8 @@
 """Checks on the package source that need no linter: every module-level
 import is used, and every module-level private name is used somewhere in
-the package, so deleting code cannot leave a dead import or helper behind."""
+the package, so deleting code cannot leave a dead import or helper behind;
+and no module imports, when it is itself imported, what only a process
+pool needs or what no command needs."""
 
 from __future__ import annotations
 
@@ -43,6 +45,53 @@ def test_an_unused_import_is_reported():
         "def f(x: d) -> None:\n    import json\n    return xml.dom\n"
     )
     assert unused_imports(source) == ["b", "os", "osp"]
+
+
+# Slow to import and needed by no per-graph command: never imported at all,
+# or imported only inside the functions that start a pool or a worker.
+BANNED = {"dataclasses"}
+DEFERRED = {"multiprocessing", "ctypes"}
+
+
+def slow_imports(source: str) -> list[str]:
+    """The imports in ``source`` of a module in ``BANNED`` anywhere, and of
+    a module in ``DEFERRED`` outside a function body, as "line: module"."""
+    tree = ast.parse(source)
+    deferred = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            root = module.split(".")[0]
+            if root in BANNED or (root in DEFERRED and id(node) not in deferred):
+                found.append((node.lineno, module))
+    return [f"{line}: {module}" for line, module in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_slow_import_runs_at_import_time(path):
+    assert slow_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_slow_import_is_reported():
+    source = (
+        "import ctypes\nfrom multiprocessing.pool import Pool\nfrom . import sweep\n"
+        "def f():\n    import multiprocessing\n    from dataclasses import field\n"
+        "class C:\n    import ctypes.util as u\n"
+        "if True:\n    import os, dataclasses\n"
+    )
+    assert slow_imports(source) == [
+        "1: ctypes", "2: multiprocessing.pool", "6: dataclasses", "8: ctypes.util", "10: dataclasses",
+    ]
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
