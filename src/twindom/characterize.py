@@ -44,7 +44,7 @@ class ClassificationReport(NamedTuple):
     eligible: bool
     verdict: str
     ineligibility_witness: Embedding | None
-    s_set: SpecialClasses | None
+    s_set: SpecialClasses
     packing_violation: tuple[int, int] | None
     uncovered_vertex: int | None
     implied_values: tuple[int, int] | None
@@ -52,31 +52,19 @@ class ClassificationReport(NamedTuple):
     elapsed_micros: int
 
     def to_json_dict(self) -> dict:
-        s_set = None
-        if self.s_set is not None:
-            s_set = {
-                "special": sorted(self.s_set.special),
-                "classes": [sorted(c) for c in self.s_set.classes],
-                "representatives": sorted(self.s_set.representatives),
-            }
-        witness = None
-        if self.ineligibility_witness is not None:
-            witness = {
-                "pattern": self.ineligibility_witness.pattern,
-                "mapping": list(self.ineligibility_witness.mapping),
-            }
+        witness = self.ineligibility_witness
         return {
             "schemaVersion": 1,
             "method": self.method,
             "eligible": self.eligible,
             "verdict": self.verdict,
-            "sSet": s_set,
+            "sSet": self.s_set.to_json_dict(),
             "packingViolation": list(self.packing_violation) if self.packing_violation else None,
             "uncoveredVertex": self.uncovered_vertex,
             "impliedGamma": self.implied_values[0] if self.implied_values else None,
             "impliedGammaT": self.implied_values[1] if self.implied_values else None,
             "gammaSetCount": self.gamma_set_count,
-            "witnessEmbedding": witness,
+            "witnessEmbedding": witness.to_json_dict() if witness else None,
             "elapsedMicros": self.elapsed_micros,
         }
 

@@ -27,10 +27,6 @@ from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
 from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
 
 
-class CliUsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # claim violations, so remap to 1
@@ -91,37 +87,6 @@ def build_parser() -> _Parser:
 # -- input handling --------------------------------------------------------
 
 
-def expand_genspec(spec: str, seed: int = 0) -> Iterable[Graph]:
-    """Expand a generator spec into graphs; ``enum:`` specs yield them lazily."""
-    from . import generators  # imported only by the commands that build graphs
-    parts = spec.strip().lower().split(":")
-    head = parts[0]
-    if head == "corona":
-        if len(parts) != 2:
-            raise CliUsageError("corona spec is corona:<fixture>")
-        return [generators.corona_p2(generators.fixture(parts[1]))]
-    if head == "tree":
-        if len(parts) not in (2, 3):
-            raise CliUsageError("tree spec is tree:<n>[:<seed>]")
-        n = int(parts[1])
-        s = int(parts[2]) if len(parts) == 3 else seed
-        return [generators.random_tree(n, s)]
-    if head == "blockgraph":
-        if len(parts) not in (3, 4):
-            raise CliUsageError("blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]")
-        b, k = int(parts[1]), int(parts[2])
-        s = int(parts[3]) if len(parts) == 4 else seed
-        return [generators.random_block_graph(b, k, s)]
-    if head == "enum":
-        if len(parts) not in (2, 3):
-            raise CliUsageError("enum spec is enum:<n>[:<filter>]")
-        flt = parts[2] if len(parts) == 3 else "all"
-        return generators.enumerate_small_graphs(int(parts[1]), flt)
-    if len(parts) == 1:
-        return [generators.fixture(head)]
-    raise CliUsageError(f"unknown generator spec {spec!r}")
-
-
 def _open_source(path: str):
     # stdin is left open: it is not ours to close
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
@@ -133,14 +98,17 @@ def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
     ``str.splitlines``, so ``\\r``, ``\\x0c`` and the other breaks it knows
     number the lines as a split of the whole input would; ``\\r\\n`` never
     straddles two chunks. A non-ASCII byte survives decoding, so parsing
-    its line reports it."""
-    lineno = 0
+    its line reports it. A stream with no nonblank line is an error."""
+    lineno, found = 0, False
     with _open_source(path) as fh:
         for chunk in fh:
             for raw in chunk.decode("ascii", "surrogateescape").splitlines():
                 lineno += 1
                 if line := raw.strip():
+                    found = True
                     yield lineno, line
+    if not found:
+        raise ValueError("input contains no graphs")
 
 
 def _records(args) -> Iterable:
@@ -148,24 +116,18 @@ def _records(args) -> Iterable:
     parse as a (line number, stripped line) pair."""
     sources = [s for s in ("path", "input", "fixture", "generate") if getattr(args, s, None)]
     if len(sources) != 1:
-        raise CliUsageError(
-            "exactly one input source required: FILE, --input, --fixture, or --generate"
-        )
+        raise ValueError("exactly one input source required: FILE, --input, --fixture, or --generate")
     which = sources[0]
-    if which == "fixture":
-        from . import generators
-        return [generators.fixture(args.fixture)]
-    if which == "generate":
-        return expand_genspec(args.generate, args.seed)
+    if which in ("fixture", "generate"):
+        from . import generators  # imported only by the commands that build graphs
+        if which == "fixture":
+            return [generators.fixture(args.fixture)]
+        return generators.expand(args.generate, args.seed)
     path = args.path if which == "path" else args.input
     if args.format == "edgelist":
         with _open_source(path) as fh:
             return [parse_edgelist(fh.read())]
-    records = _graph6_lines(path)
-    first = next(records, None)
-    if first is None:
-        raise CliUsageError("input contains no graphs")
-    return chain([first], records)
+    return _graph6_lines(path)
 
 
 # -- per-graph commands: (graph, args) -> (JSON fields, human-readable tail) --
@@ -231,19 +193,20 @@ def _gamma(g: Graph, args, total: bool) -> tuple[dict, str]:
 
 def _special(g: Graph, args, with_representatives: bool) -> tuple[dict, str]:
     classes = structure.special_classes(g)
-    obj = {"special": sorted(classes.special), "classes": [sorted(c) for c in classes.classes]}
+    obj = classes.to_json_dict()
     tail = f"special={_vset(g, classes.special)} classes=" + "[" + " ".join(
         _vset(g, c) for c in classes.classes) + "]"
     if with_representatives:
-        obj["representatives"] = sorted(classes.representatives)
         tail += f" representatives={_vset(g, classes.representatives)}"
+    else:
+        del obj["representatives"]
     return obj, tail
 
 
 def _count_gamma_sets(g: Graph, args) -> tuple[dict, str]:
     # classify refuses graphs with an isolated vertex
     report = characterize.classify(g) if all(g.adj) else None
-    if report is not None and report.eligible and report.verdict == characterize.VERDICT_YES:
+    if report is not None and report.verdict == characterize.VERDICT_YES:
         gamma, count, method = report.implied_values[0], report.gamma_set_count, "twin_classes"
     else:
         enum = domination.enumerate_gamma_sets(g, list_cap=0, cap=args.oracle_cap)
@@ -256,20 +219,20 @@ def _parse_patterns(args) -> list[Pattern]:
     names = [name.strip() for name in args.patterns.split(",") if name.strip()]
     for name in names:
         if name not in PATTERNS:
-            raise CliUsageError(f"unknown pattern {name!r}; expected c3, c6, h1, h2")
+            raise ValueError(f"unknown pattern {name!r}; expected c3, c6, h1, h2")
     out = [PATTERNS[name] for name in names]
     if args.pattern_file:
         with open(args.pattern_file, "rb") as fh:
             out.append(Pattern("custom", parse_edgelist(fh.read())))
     if not out:
-        raise CliUsageError("no patterns given")
+        raise ValueError("no patterns given")
     return out
 
 
 def _check_free(g: Graph, args) -> tuple[dict, str]:
     # run() has replaced args.patterns by the parsed list
     emb = is_free(g, args.patterns)[1]
-    witness = {"pattern": emb.pattern, "mapping": list(emb.mapping)} if emb else None
+    witness = emb.to_json_dict() if emb else None
     obj = {"patterns": [p.name for p in args.patterns], "free": witness is None,
            "witness": witness}
     return obj, f"free={witness is None}" + (
@@ -333,22 +296,27 @@ def _drive(fn, args) -> int:
 
 
 def cmd_generate(args) -> int:
-    for g in expand_genspec(args.spec, args.seed):
+    from . import generators
+    for g in generators.expand(args.spec, args.seed):
         sys.stdout.write(serialize_graph6(g).decode("ascii") + "\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
     if (args.max_n is None) == (args.input is None):
-        raise CliUsageError("sweep needs exactly one of --max-n or --input")
+        raise ValueError("sweep needs exactly one of --max-n or --input")
     claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
     for c in claims:
         if c not in sweep.CLAIM_NAMES:
-            raise CliUsageError(f"unknown claim {c!r}; expected from {sweep.CLAIM_NAMES}")
+            raise ValueError(f"unknown claim {c!r}; expected from {sweep.CLAIM_NAMES}")
+    if not claims:
+        raise ValueError("no claims given")
     if args.max_n is not None:
         from . import generators
+        if args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
         if args.max_n > generators.ENUMERATION_MAX_N:
-            raise CliUsageError(
+            raise ValueError(
                 f"--max-n is capped at {generators.ENUMERATION_MAX_N}; stream larger corpora via --input"
             )
         graphs = chain.from_iterable(

@@ -85,14 +85,15 @@ def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     raise AssertionError("unreachable")
 
 
-def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool,
+def _covers(masks: tuple[int, ...], n: int, cap: int, every: bool,
             keep: int | None = None) -> tuple[int, int, list[tuple[int, ...]]]:
-    """Smallest selections, from size ``lower`` up, whose masks cover all
-    ``n`` vertices, as sorted tuples: (size, 1, [first cover found]), or
-    with ``every`` (size, number of covers of that size, the ``keep`` least
-    of them in ascending order, all when None); (0, 0, []) when some vertex
-    has an empty mask. ``masks`` plays both roles: masks[u] is what
-    selecting u covers, and, the graph being undirected, who can cover u.
+    """Smallest selections whose masks cover all ``n`` vertices, as sorted
+    tuples: (size, 1, [first cover found]), or with ``every`` (size, number
+    of covers of that size, the ``keep`` least of them in ascending order,
+    all when None); (0, 0, []) when some vertex has an empty mask. ``masks``
+    plays both roles: masks[u] is what selecting u covers, and, the graph
+    being undirected, who can cover u. Sizes are tried from ceil(n / the
+    largest mask) up.
     """
     if n > cap:
         raise OracleCapExceeded(n, cap)
@@ -129,7 +130,7 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool,
             cand ^= low
         return False
 
-    for k in range(max(lower, -(-n // max_cover)), n + 1):
+    for k in range(-(-n // max_cover), n + 1):
         attempt(0, 0, k, [])
         if count:
             found.sort()
@@ -139,14 +140,14 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, lower: int, every: bool,
 
 def exact_gamma(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum dominating set, exactly."""
-    value, _, found = _covers(g.closed, g.n, cap, 0, False)
+    value, _, found = _covers(g.closed, g.n, cap, False)
     return DominationCertificate("gamma", value, frozenset(found[0]))
 
 
 def exact_gamma_total(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCertificate:
     """Minimum total dominating set, exactly. Needs an isolate-free graph."""
     # no vertex covers itself through an open neighborhood
-    value, _, found = _covers(g.adj, g.n, cap, min(g.n, 2), False)
+    value, _, found = _covers(g.adj, g.n, cap, False)
     if not found:
         raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     return DominationCertificate("gamma_total", value, frozenset(found[0]))
@@ -162,5 +163,5 @@ def enumerate_gamma_sets(
     a cap, the search holds only about twice that many sets at a time.
     """
     keep = None if list_cap is None else max(list_cap, 0)
-    gamma, count, listed = _covers(g.closed, g.n, cap, 0, True, keep)
+    gamma, count, listed = _covers(g.closed, g.n, cap, True, keep)
     return GammaSetEnumeration(gamma=gamma, count=count, sets=tuple(frozenset(s) for s in listed))

@@ -56,6 +56,9 @@ class Embedding(NamedTuple):
     pattern: str
     mapping: tuple[int, ...]
 
+    def to_json_dict(self) -> dict:
+        return {"pattern": self.pattern, "mapping": list(self.mapping)}
+
 
 C3 = Pattern("c3", Graph(3, [(0, 1), (1, 2), (2, 0)]))
 C6 = Pattern("c6", Graph(6, _HEX))

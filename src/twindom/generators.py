@@ -2,8 +2,8 @@
 
 Named fixtures, standard families, the pendant-path corona, the general
 attachment construction that manufactures graphs with gamma_t = 2*gamma,
-exhaustive labeled enumeration for small orders, and seeded random trees
-and block graphs.
+exhaustive labeled enumeration for small orders, seeded random trees
+and block graphs, and the generator-spec grammar that names them all.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import MAX_ORDER, Graph, component_masks
 
@@ -184,6 +184,34 @@ def enumerate_small_graphs(n: int, flt: str = "all") -> Iterator[Graph]:
         yield g
 
 
+def expand(spec: str, seed: int = 0) -> Iterable[Graph]:
+    """Expand a generator spec into graphs: ``corona:<fixture>``,
+    ``tree:<n>[:<seed>]``, ``blockgraph:<blocks>:<max-clique>[:<seed>]``,
+    ``enum:<n>[:<filter>]`` (yielded lazily) or a fixture name. ``seed``
+    serves the random specs that name none."""
+    parts = spec.strip().lower().split(":")
+    head = parts[0]
+    if head == "corona":
+        if len(parts) != 2:
+            raise ValueError("corona spec is corona:<fixture>")
+        return [corona_p2(fixture(parts[1]))]
+    if head == "tree":
+        if len(parts) not in (2, 3):
+            raise ValueError("tree spec is tree:<n>[:<seed>]")
+        return [random_tree(int(parts[1]), int(parts[2]) if len(parts) == 3 else seed)]
+    if head == "blockgraph":
+        if len(parts) not in (3, 4):
+            raise ValueError("blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]")
+        return [random_block_graph(int(parts[1]), int(parts[2]), int(parts[3]) if len(parts) == 4 else seed)]
+    if head == "enum":
+        if len(parts) not in (2, 3):
+            raise ValueError("enum spec is enum:<n>[:<filter>]")
+        return enumerate_small_graphs(int(parts[1]), parts[2] if len(parts) == 3 else "all")
+    if len(parts) == 1:
+        return [fixture(head)]
+    raise ValueError(f"unknown generator spec {spec!r}")
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree, decoded from a random parent sequence."""
     if n < 1:
@@ -191,8 +219,6 @@ def random_tree(n: int, seed: int) -> Graph:
     _check_order(n)
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     # standard decoding: repeatedly join the smallest leaf to the next code entry

@@ -33,6 +33,13 @@ class SpecialClasses(NamedTuple):
     classes: tuple[frozenset[int], ...]
     representatives: frozenset[int]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "special": sorted(self.special),
+            "classes": [sorted(c) for c in self.classes],
+            "representatives": sorted(self.representatives),
+        }
+
 
 def special_classes(g: Graph) -> SpecialClasses:
     """Group the special vertices into true-twin classes.

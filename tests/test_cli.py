@@ -575,6 +575,32 @@ class TestGenerate:
         assert run(["generate", "tree:9:5"]) == 0
         assert a == capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", [["blockgraph:5:3:7"], ["blockgraph:5:3", "--seed", "7"]],
+                             ids=["spec-seed", "seed-option"])
+    def test_blockgraph_spec_of_a_per_graph_command(self, capsys, spec):
+        (obj,) = run_json(capsys, ["special", "--generate", *spec, "--json"])
+        assert obj["graph6"] == g6(generators.random_block_graph(5, 3, 7)) == "GxaH?O"
+        assert obj["special"] == [0, 2, 4]
+
+    @pytest.mark.parametrize("spec,message", [
+        ("corona", "corona spec is corona:<fixture>"),
+        ("corona:c3:x", "corona spec is corona:<fixture>"),
+        ("tree", "tree spec is tree:<n>[:<seed>]"),
+        ("tree:1:2:3", "tree spec is tree:<n>[:<seed>]"),
+        ("blockgraph:3", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]"),
+        ("blockgraph:1:2:3:4", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]"),
+        ("enum", "enum spec is enum:<n>[:<filter>]"),
+        ("enum:3:a:b", "enum spec is enum:<n>[:<filter>]"),
+        ("foo:1", "unknown generator spec 'foo:1'"),
+        ("bogus", "unknown fixture 'bogus'"),
+    ])
+    @pytest.mark.parametrize("command", [["generate"], ["special", "--generate"]],
+                             ids=["generate", "special"])
+    def test_spec_usage_error(self, capsys, command, spec, message):
+        assert run([*command, spec]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"twindom {command[0]}: {message}\n")
+
 
 class TestSweepCommand:
     def test_small_sweep_passes(self, capsys):
@@ -732,6 +758,26 @@ class TestSweepCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["graphs"] == 3 and obj["ok"] is True
 
+    def test_human_summary(self, capsys):
+        assert run(["sweep", "--max-n", "3", "--jobs", "1", "--claims", "lemma6,bounds"]) == 0
+        assert capsys.readouterr().out == (
+            "swept 11 graphs (6 skipped with isolated vertices)\n"
+            "  bounds   checked=       5 violations=0\n"
+            "  lemma6   checked=       5 violations=0\n"
+        )
+
+    def test_human_summary_lists_at_most_ten_violations_per_claim(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "check_graph",
+                            lambda g, claims, oracle_cap: {"bounds": [{"graph6": g6(g), "detail": "planted"}]})
+        assert run(["sweep", "--max-n", "3", "--jobs", "1", "--claims", "bounds"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["swept 11 graphs (0 skipped with isolated vertices)",
+                             "  bounds   checked=      11 violations=11"]
+        assert lines[2:] == [f"    VIOLATION {g6(g)}: planted"
+                             for g in islice((g for n in range(1, 4) for g in enumerate_small_graphs(n)), 10)]
+        assert captured.err == "claim violation found: this indicates an implementation bug\n"
+
 
 class TestErrors:
     def test_no_input_source(self, capsys):
@@ -808,9 +854,55 @@ class TestErrors:
         f.write_text("E\n")
         assert run(["classify", str(f)]) == 1
 
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+    def test_classify_refuses_a_stream_without_graphs(self, tmp_path, capsys, text):
+        f = tmp_path / "in.g6"
+        f.write_text(text)
+        assert run(["classify", str(f), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "twindom classify: input contains no graphs\n")
+
+    @pytest.mark.parametrize("text,message", [
+        (">>graph6<<\n", "line 1: empty graph6 string"),
+        ("A_\n~?\n", "line 2: truncated graph6 size header"),
+        ("A_\n\n~~???\n", "line 3: truncated graph6 size header"),
+    ], ids=["lone-prefix", "short-tilde", "short-double-tilde"])
+    def test_graph6_header_errors(self, tmp_path, capsys, text, message):
+        f = tmp_path / "in.g6"
+        f.write_text(text)
+        assert run(["special", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"twindom special: {message}\n"
+        assert captured.out == ("#0 A_ special={0,1} classes=[{0,1}]\n" if text.startswith("A_") else "")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n x\n0 1\n", "line 1: header count is not an integer"),
+        ("n -1\n", "line 1: header count is negative"),
+        ("0 1\n1 2 3\n", "line 2: expected two tokens, got 3"),
+    ], ids=["not-an-integer", "negative", "three-tokens"])
+    def test_edgelist_header_errors(self, tmp_path, capsys, text, message):
+        f = tmp_path / "g.edges"
+        f.write_text(text)
+        assert run(["classify", str(f), "--format", "edgelist"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"twindom classify: {message}\n")
+
     def test_sweep_needs_a_source(self, capsys):
         assert run(["sweep", "--jobs", "1"]) == 1
         assert run(["sweep", "--max-n", "3", "--input", "x.g6"]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-n", "0"], "--max-n must be at least 1"),
+        (["--max-n", "-3"], "--max-n must be at least 1"),
+        (["--input", "EMPTY"], "input contains no graphs"),
+        (["--max-n", "3", "--claims", ","], "no claims given"),
+    ], ids=["max-n-0", "max-n-negative", "empty-input", "no-claims"])
+    def test_a_sweep_that_checks_nothing_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        (tmp_path / "empty.g6").write_text("\n\n")
+        argv = [str(tmp_path / "empty.g6") if a == "EMPTY" else a for a in argv]
+        assert run(["sweep", *argv, "--jobs", "1", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"twindom sweep: {message}\n")
 
     def test_sweep_rejects_unknown_claim(self, capsys):
         assert run(["sweep", "--max-n", "3", "--claims", "lemma99"]) == 1

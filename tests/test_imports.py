@@ -1,8 +1,9 @@
 """Checks on the package source that need no linter: every module-level
-import is used, and every module-level private name is used somewhere in
-the package, so deleting code cannot leave a dead import or helper behind;
-and no module imports, when it is itself imported, what only a process
-pool needs or what no command needs."""
+import is used, every function parameter is read, and every module-level
+private name is used somewhere in the package, so deleting code cannot
+leave a dead import, parameter or helper behind; and no module imports,
+when it is itself imported, what only a process pool needs or what no
+command needs."""
 
 from __future__ import annotations
 
@@ -45,6 +46,44 @@ def test_an_unused_import_is_reported():
         "def f(x: d) -> None:\n    import json\n    return xml.dom\n"
     )
     assert unused_imports(source) == ["b", "os", "osp"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """The parameters of every function and lambda in ``source`` that its
+    body never reads, as "line: function(parameter)". ``self`` and ``cls``
+    are exempt, and so is the ``args`` of a per-graph command: ``cli._drive``
+    calls each one as ``fn(g, args)``, whether or not it reads its options."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn, ast.Lambda) else ast.Module(fn.body, [])
+        read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exempt = {"self", "cls"} | ({"args"} if params[:2] == ["g", "args"] else set())
+        name = getattr(fn, "name", "lambda")
+        found += [(fn.lineno, fn.col_offset, i, f"{fn.lineno}: {name}({p})")
+                  for i, p in enumerate(params) if p not in read | exempt]
+    return [report for *_, report in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_parameter_is_reported():
+    source = (
+        "def f(a, b=1, *rest, c, **kw):\n    return a + c\n"
+        "class C:\n    def m(self, x):\n        return lambda y, z: y\n"
+        "    @classmethod\n    def k(cls, x):\n        def inner():\n            return x\n        return inner\n"
+        "def _cmd(g, args):\n    return g.n\n"
+        "def _other(h, args):\n    return h\n"
+    )
+    assert unused_parameters(source) == [
+        "1: f(b)", "1: f(rest)", "1: f(kw)", "4: m(x)", "5: lambda(z)", "13: _other(args)",
+    ]
 
 
 # Slow to import and needed by no per-graph command: never imported at all,
