@@ -268,27 +268,30 @@ COMMANDS = {
 # -- the per-graph driver -----------------------------------------------------
 
 
-def _record(fn, args, item) -> tuple[str, dict, str]:
-    """(graph6, fields, human tail) of one input graph."""
+def _record(fn, args, numbered) -> str:
+    """The output line of one input graph, from its (index, item) pair."""
+    index, item = numbered
     if isinstance(item, Graph):
         fields, tail = fn(item, args)
-        return serialize_graph6(item).decode("ascii"), fields, tail
-    lineno, g6 = item
-    return (g6, *fn(parse_graph6(g6, line=lineno), args))
-
-
-def _emit(obj: dict, tail: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(obj, separators=(",", ":")))
+        g6 = serialize_graph6(item).decode("ascii")
     else:
-        print(f"#{obj['index']} {obj['graph6']} {tail}")
+        lineno, g6 = item
+        fields, tail = fn(parse_graph6(g6, line=lineno), args)
+    return _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
+
+
+def _emit(obj: dict, tail: str, as_json: bool) -> str:
+    if as_json:
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+    return f"#{obj['index']} {obj['graph6']} {tail}\n"
 
 
 def _drive(fn, args) -> int:
-    """Run ``fn`` on every input graph and write its records in input order."""
-    results = sweep.ordered_map(partial(_record, fn, args), _records(args), getattr(args, "jobs", 1))
-    for index, (g6, fields, tail) in enumerate(results):
-        _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
+    """Run ``fn`` on every input graph and write its records in input order.
+    The records are rendered where they are computed, in a worker under
+    ``--jobs`` N, so this process only reads, reorders and writes lines."""
+    numbered = enumerate(_records(args))
+    sys.stdout.writelines(sweep.ordered_map(partial(_record, fn, args), numbered, getattr(args, "jobs", 1)))
     return 0
 
 

@@ -31,7 +31,7 @@ class OracleCapExceeded(RuntimeError):
         self.cap = cap
 
     def __reduce__(self):
-        # a pool worker's error reaches the parent pickled; the default
+        # a worker's error reaches the parent pickled; the default
         # would call the class with the message alone
         return type(self), (self.n, self.cap)
 

@@ -195,21 +195,38 @@ def expand(spec: str, seed: int = 0) -> Iterable[Graph]:
         if len(parts) != 2:
             raise ValueError("corona spec is corona:<fixture>")
         return [corona_p2(fixture(parts[1]))]
+    # a seed the spec names comes before ``seed``, which _ints then drops
     if head == "tree":
+        usage = "tree spec is tree:<n>[:<seed>]"
         if len(parts) not in (2, 3):
-            raise ValueError("tree spec is tree:<n>[:<seed>]")
-        return [random_tree(int(parts[1]), int(parts[2]) if len(parts) == 3 else seed)]
+            raise ValueError(usage)
+        return [random_tree(*_ints(usage, ("<n>", "<seed>"), [*parts[1:], seed]))]
     if head == "blockgraph":
+        usage = "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]"
         if len(parts) not in (3, 4):
-            raise ValueError("blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]")
-        return [random_block_graph(int(parts[1]), int(parts[2]), int(parts[3]) if len(parts) == 4 else seed)]
+            raise ValueError(usage)
+        return [random_block_graph(*_ints(usage, ("<blocks>", "<max-clique>", "<seed>"), [*parts[1:], seed]))]
     if head == "enum":
+        usage = "enum spec is enum:<n>[:<filter>]"
         if len(parts) not in (2, 3):
-            raise ValueError("enum spec is enum:<n>[:<filter>]")
-        return enumerate_small_graphs(int(parts[1]), parts[2] if len(parts) == 3 else "all")
+            raise ValueError(usage)
+        (n,) = _ints(usage, ("<n>",), parts[1:2])
+        return enumerate_small_graphs(n, parts[2] if len(parts) == 3 else "all")
     if len(parts) == 1:
         return [fixture(head)]
     raise ValueError(f"unknown generator spec {spec!r}")
+
+
+def _ints(usage: str, names: tuple[str, ...], fields) -> list[int]:
+    """The first ``len(names)`` spec ``fields`` as integers; a field that is
+    none fails with the spec's grammar ``usage`` and the field's name."""
+    out = []
+    for name, text in zip(names, fields):
+        try:
+            out.append(int(text))
+        except ValueError:
+            raise ValueError(f"{usage}; {name} must be an integer, not {text!r}") from None
+    return out
 
 
 def random_tree(n: int, seed: int) -> Graph:

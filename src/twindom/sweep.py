@@ -53,6 +53,8 @@ from .graphs import Graph, basic_stats, bit_indices, mask_of, serialize_graph6
 
 # ordered_map hands a batch to worker processes only when it has more items
 POOL_MIN_RECORDS = 32
+# items per message to a worker
+CHUNK = 64
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 
@@ -178,11 +180,10 @@ def _distinguished_cuts(blocks: list[int]) -> int:
 
 
 def _die_with_parent(parent_pid: int) -> None:
-    # a parent killed before it closes the pool (by SIGPIPE, SIGKILL, ...)
-    # would leave its workers running, or waiting forever on a queue lock
-    # that a sibling held when the same signal killed it
+    # a parent killed before it reaps its workers (by SIGPIPE, SIGKILL, ...)
+    # would leave them running
     if sys.platform == "linux":
-        import ctypes  # only pool workers need it
+        import ctypes  # only workers need it
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
@@ -199,30 +200,134 @@ def _guarded(fn, item):
         return None, e
 
 
+def _frame(obj) -> bytes:
+    import pickle  # only a fan-out needs it
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(8, "little") + data
+
+
+def _unframe(fh):
+    """The next object ``_frame`` wrote to ``fh``; EOFError when the stream
+    ends before a whole frame."""
+    import pickle
+    size = int.from_bytes(fh.read(8), "little")
+    body = fh.read(size)
+    if not size or len(body) != size:
+        raise EOFError
+    return pickle.loads(body)
+
+
+def _fork(fn, inherited: list[int]):
+    """Fork a worker that maps ``fn`` over each chunk it reads, with
+    ``_guarded``; (pid, task pipe, its read end, result stream). The worker
+    closes the ``inherited`` descriptors, its siblings' ends in this process.
+    It never returns: it runs until it is killed or its parent is gone."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for fd in (task_w, result_r, *inherited):
+                os.close(fd)
+            _die_with_parent(parent)
+            tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
+            while True:
+                results.write(_frame([_guarded(fn, item) for item in _unframe(tasks)]))
+                results.flush()
+        finally:
+            os._exit(1)
+    os.close(result_w)
+    # task_r stays open here, so a write to a dead worker fills its pipe
+    # instead of raising SIGPIPE, and _send never blocks on a full one
+    os.set_blocking(task_w, False)
+    return pid, task_w, task_r, os.fdopen(result_r, "rb")
+
+
+def _send(worker, data: bytes) -> None:
+    import select
+    _, task_w, _, results = worker
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[os.write(task_w, view):]
+        except BlockingIOError:  # wait for room; an idle worker's results end only if it died
+            if select.select([results], [task_w], [])[0]:
+                raise ChildProcessError("a worker process died") from None
+
+
+def _fan_out(fn, items, jobs: int):
+    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk of
+    ``CHUNK`` items in flight at a time, and at most ``2 * jobs`` chunks are
+    sent and not yet yielded, which bounds the buffer that restores order."""
+    import select
+    workers = []
+    try:
+        for _ in range(jobs):
+            workers.append(_fork(fn, [fd for w in workers for fd in (w[1], w[2], w[3].fileno())]))
+        idle, busy, done = list(workers), {}, {}  # busy: result stream -> (worker, chunk number)
+        sent = yielded = 0
+        more, error = True, None  # error: the input iterator's
+        while True:
+            while yielded in done:
+                for value, item_error in done.pop(yielded):
+                    if item_error is not None:
+                        raise item_error
+                    yield value
+                yielded += 1
+            while more and idle and sent - yielded < 2 * jobs:
+                chunk = []
+                try:
+                    for item in islice(items, CHUNK):
+                        chunk.append(item)
+                except Exception as e:
+                    error = e
+                more = error is None and len(chunk) == CHUNK
+                if chunk:
+                    worker = idle.pop()
+                    _send(worker, _frame(chunk))
+                    busy[worker[3]] = worker, sent
+                    sent += 1
+            if not busy:  # every chunk sent is yielded, and the input is spent
+                break
+            for results in select.select(list(busy), [], [])[0]:
+                worker, number = busy.pop(results)
+                try:
+                    done[number] = _unframe(results)
+                except EOFError:
+                    raise ChildProcessError("a worker process died") from None
+                idle.append(worker)
+        if error is not None:
+            raise error
+    finally:
+        # no lock is shared with a worker, so killing one at any point is safe
+        for pid, task_w, task_r, results in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(task_w)
+            os.close(task_r)
+            results.close()
+
+
 def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
-    With ``jobs > 1`` and more than ``POOL_MIN_RECORDS`` items the calls fan
-    out to a process pool whose workers die with this process; it has at
-    most one worker per CPU, since the pool forks them all up front. Either
-    way an item's exception is raised when its position is reached, after
-    the results of the items before it have been yielded.
+    With ``jobs > 1``, more than ``POOL_MIN_RECORDS`` items and ``os.fork``
+    available, the calls fan out to forked workers that die with this
+    process, at most one per CPU. Each talks to this process over its own
+    pair of pipes, in pickled chunks. Either way an item's exception, or
+    the input iterator's, is raised when its position is reached, after the
+    results of the items before it have been yielded; a worker that dies
+    raises ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)
     head = list(islice(items, POOL_MIN_RECORDS + 1))
     items = chain(head, items)
-    if jobs <= 1 or len(head) <= POOL_MIN_RECORDS:
+    if jobs <= 1 or len(head) <= POOL_MIN_RECORDS or not hasattr(os, "fork"):
         yield from map(fn, items)
-        return
-    import multiprocessing  # only a pool needs it, and it is slow to import
-    # forked workers are children of this process, as _die_with_parent expects
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    with context.Pool(jobs, _die_with_parent, (os.getpid(),)) as pool:
-        for value, error in pool.imap(partial(_guarded, fn), items, chunksize=64):
-            if error is not None:
-                raise error
-            yield value
+    else:
+        yield from _fan_out(fn, items, jobs)
 
 
 def sweep_graphs(

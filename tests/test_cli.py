@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -11,7 +10,6 @@ import sys
 import time
 from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -257,18 +255,27 @@ def cli_env() -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def run_cli(argv, timeout=60) -> tuple[int, bytes, bytes]:
-    """Run the CLI in a new session; (exit status, stdout, stderr). The
-    session is killed if the run does not end within ``timeout`` s."""
-    proc = subprocess.Popen([*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+def spawn_cli(argv) -> subprocess.Popen:
+    """Start the CLI in a new session, with stdout and stderr piped."""
+    return subprocess.Popen([*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=cli_env(), start_new_session=True)
+
+
+def finish_cli(proc: subprocess.Popen, timeout=60) -> tuple[int, bytes, bytes]:
+    """(exit status, stdout, stderr) of a ``spawn_cli`` run. Its session is
+    killed if the run does not end within ``timeout`` s."""
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"twindom {' '.join(argv)} did not end within {timeout} s")
+        pytest.fail(f"twindom {' '.join(proc.args[len(CLI):])} did not end within {timeout} s")
     return proc.returncode, out, err
+
+
+def run_cli(argv, timeout=60) -> tuple[int, bytes, bytes]:
+    """Run the CLI in a new session; (exit status, stdout, stderr)."""
+    return finish_cli(spawn_cli(argv), timeout)
 
 
 def assert_session_ends(group: int, within: float = 30) -> None:
@@ -281,7 +288,7 @@ def assert_session_ends(group: int, within: float = 30) -> None:
             return
         time.sleep(0.05)
     os.killpg(group, signal.SIGKILL)
-    pytest.fail("a pool worker outlived the CLI")
+    pytest.fail("a worker outlived the CLI")
 
 
 def write_g6(tmp_path, lines):
@@ -355,7 +362,7 @@ class TestPerGraphDriver:
         assert len(lines) > sweep.POOL_MIN_RECORDS
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
         assert [o["graph6"] for o in objs] == lines
         assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
@@ -430,7 +437,7 @@ class TestPerGraphDriver:
 
 class TestStartUp:
     # a per-graph run needs none of these, and each takes milliseconds to import
-    SLOW = {"multiprocessing", "dataclasses", "inspect", "twindom.generators"}
+    SLOW = {"multiprocessing", "pickle", "dataclasses", "inspect", "twindom.generators"}
     # prints, at exit, the modules imported after the interpreter's own start
     ENTRY = ("import atexit, sys\n"
              "before = set(sys.modules)\n"
@@ -470,7 +477,7 @@ class TestFanOut:
         assert len(out.splitlines()) == (35 if argv[0] == "classify" else 0)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no pool")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no worker")
     def test_sweep_workers_die_with_the_cli(self):
         proc = subprocess.Popen([*CLI, "sweep", "--max-n", "6", "--jobs", "2"],
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -479,7 +486,7 @@ class TestFanOut:
         deadline = time.monotonic() + 30
         try:
             while len(children.read_text().split()) < 2:  # until both workers run
-                assert time.monotonic() < deadline, "the sweep started no pool"
+                assert time.monotonic() < deadline, "the sweep forked no worker"
                 time.sleep(0.05)
         except BaseException:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -488,6 +495,84 @@ class TestFanOut:
         proc.kill()
         proc.wait(timeout=30)
         assert_session_ends(proc.pid)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are found through /proc")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no worker")
+    def test_a_killed_worker_ends_the_sweep(self):
+        proc = spawn_cli(["sweep", "--max-n", "6", "--jobs", "2"])
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 30
+        try:
+            while len(workers := children.read_text().split()) < 2:
+                assert time.monotonic() < deadline, "the sweep forked no worker"
+                time.sleep(0.05)
+            os.kill(int(workers[0]), signal.SIGKILL)
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+            raise
+        code, out, err = finish_cli(proc)
+        assert (code, out) == (1, b"")
+        assert err == b"twindom sweep: a worker process died\n"
+        assert_session_ends(proc.pid)
+
+    def test_without_fork_the_map_is_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "_fan_out", None)  # calling it would fail
+        assert list(sweep.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
+
+    def test_a_chunk_for_a_dead_worker_fails_instead_of_blocking(self):
+        # the chunk is larger than a pipe holds, nothing reads it, and SIGPIPE
+        # kills as it does in the CLI
+        code = ("import os, signal\nfrom twindom import sweep\n"
+                "signal.signal(signal.SIGPIPE, signal.SIG_DFL)\n"
+                "worker = sweep._fork(abs, [])\n"
+                "os.kill(worker[0], signal.SIGKILL)\nos.waitpid(worker[0], 0)\n"
+                "try:\n    sweep._send(worker, bytes(1 << 20))\n"
+                "except ChildProcessError as e:\n    print(e)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a worker process died\n", b"")
+
+    def test_a_failing_first_record_ends_every_loaded_run(self, tmp_path):
+        # line 1 has an isolated vertex, which classify refuses. A pool once
+        # hung here on a host loaded by other runs, so four run at a time.
+        lines = [g6(Graph(3, [(0, 1)]))]
+        lines += [g6(g) for g in islice(enumerate_small_graphs(4, "isolate_free"), 40)]
+        f = write_g6(tmp_path, lines)
+        for _ in range(5):
+            procs = [spawn_cli(["classify", str(f), "--json", "--jobs", "2"]) for _ in range(4)]
+            try:
+                runs = [finish_cli(proc) for proc in procs]
+            except BaseException:
+                for proc in procs:
+                    if proc.poll() is None:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                raise
+            for proc, (code, out, err) in zip(procs, runs):
+                assert (code, out) == (1, b"")
+                assert err == b"twindom classify: gamma_t is undefined: graph has an isolated vertex\n"
+                assert_session_ends(proc.pid)
+
+    @pytest.mark.parametrize("index", [63, 64, 65, 128])
+    @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
+    def test_a_failing_record_at_a_chunk_boundary_ends_like_serial_run(
+            self, tmp_path, capsys, monkeypatch, command, index):
+        # classify fails the record in a worker, the sweep while reading its input
+        assert sweep.CHUNK == 64
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 140)]
+        lines[index] = "E"  # a size header without its body
+        f = write_g6(tmp_path, lines)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        runs = []
+        for jobs in ("1", "2"):
+            code = run([*command, str(f), "--jobs", jobs])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1 and err.startswith(f"twindom {command[0]}: line {index + 1}: ")
+        assert len(out.splitlines()) == (index if command == ["classify"] else 0)
 
     @pytest.mark.parametrize("given, survives", [("os.getppid()", True), ("os.getpid()", False)],
                              ids=["parent-alive", "parent-gone"])
@@ -521,24 +606,15 @@ class TestFanOut:
 
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     def test_pool_size_is_clamped_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, command):
-        # the fake pool records the size asked for and maps in this process,
-        # so a huge --jobs starts no process
+        # the fake fan-out records the number of workers asked for and maps
+        # in this process, so a huge --jobs forks nothing
         sizes = []
 
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                sizes.append(processes)
+        def fake_fan_out(fn, items, jobs):
+            sizes.append(jobs)
+            return map(fn, items)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: SimpleNamespace(Pool=FakePool))
+        monkeypatch.setattr(sweep, "_fan_out", fake_fan_out)
         lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
         assert len(lines) > sweep.POOL_MIN_RECORDS
         f = str(write_g6(tmp_path, lines))
@@ -548,7 +624,7 @@ class TestFanOut:
             monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
             assert run([*argv, "--json", "--jobs", jobs]) == 0
             outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
-        # an unknown CPU count counts as one CPU: no pool at all
+        # an unknown CPU count counts as one CPU: no fan-out at all
         assert sizes == [3]
         assert outs[0] == outs[1] == outs[2]
 
@@ -591,6 +667,15 @@ class TestGenerate:
         ("blockgraph:1:2:3:4", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]"),
         ("enum", "enum spec is enum:<n>[:<filter>]"),
         ("enum:3:a:b", "enum spec is enum:<n>[:<filter>]"),
+        ("tree:x", "tree spec is tree:<n>[:<seed>]; <n> must be an integer, not 'x'"),
+        ("tree:5:y", "tree spec is tree:<n>[:<seed>]; <seed> must be an integer, not 'y'"),
+        ("blockgraph:x:3", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]; "
+                           "<blocks> must be an integer, not 'x'"),
+        ("blockgraph:4:y", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]; "
+                           "<max-clique> must be an integer, not 'y'"),
+        ("blockgraph:4:3:1.5", "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]; "
+                               "<seed> must be an integer, not '1.5'"),
+        ("enum:z", "enum spec is enum:<n>[:<filter>]; <n> must be an integer, not 'z'"),
         ("foo:1", "unknown generator spec 'foo:1'"),
         ("bogus", "unknown fixture 'bogus'"),
     ])

@@ -2,8 +2,8 @@
 import is used, every function parameter is read, and every module-level
 private name is used somewhere in the package, so deleting code cannot
 leave a dead import, parameter or helper behind; and no module imports,
-when it is itself imported, what only a process pool needs or what no
-command needs."""
+when it is itself imported, what only a fan-out to worker processes
+needs or what no command needs."""
 
 from __future__ import annotations
 
@@ -87,9 +87,10 @@ def test_an_unused_parameter_is_reported():
 
 
 # Slow to import and needed by no per-graph command: never imported at all,
-# or imported only inside the functions that start a pool or a worker.
-BANNED = {"dataclasses"}
-DEFERRED = {"multiprocessing", "ctypes"}
+# or imported only inside the functions that fork or run a worker.
+# sweep.ordered_map forks its workers itself, so multiprocessing is banned.
+BANNED = {"dataclasses", "multiprocessing"}
+DEFERRED = {"ctypes", "pickle"}
 
 
 def slow_imports(source: str) -> list[str]:
@@ -124,12 +125,13 @@ def test_no_slow_import_runs_at_import_time(path):
 def test_a_slow_import_is_reported():
     source = (
         "import ctypes\nfrom multiprocessing.pool import Pool\nfrom . import sweep\n"
-        "def f():\n    import multiprocessing\n    from dataclasses import field\n"
+        "def f():\n    import multiprocessing\n    from dataclasses import field\n    import pickle\n"
         "class C:\n    import ctypes.util as u\n"
-        "if True:\n    import os, dataclasses\n"
+        "if True:\n    import os, dataclasses, pickle\n"
     )
     assert slow_imports(source) == [
-        "1: ctypes", "2: multiprocessing.pool", "6: dataclasses", "8: ctypes.util", "10: dataclasses",
+        "1: ctypes", "2: multiprocessing.pool", "5: multiprocessing", "6: dataclasses",
+        "9: ctypes.util", "11: dataclasses", "11: pickle",
     ]
 
 

@@ -1,7 +1,7 @@
 """The result records keep one contract: a ``repr`` naming every field in
-order, value equality and hashing, a pickle round trip (pool workers send
-them back pickled), and no assignment to a field. ``Pattern`` compares and
-hashes by name and graph alone."""
+order, value equality and hashing, a pickle round trip (so a record can
+cross a process boundary), and no assignment to a field. ``Pattern``
+compares and hashes by name and graph alone."""
 
 from __future__ import annotations
 
