@@ -326,7 +326,7 @@ def cmd_sweep(args) -> int:
             generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)
         )
     else:
-        graphs = (parse_graph6(line, line=lineno) for lineno, line in _graph6_lines(args.input))
+        graphs = _graph6_lines(args.input)
 
     started = time.perf_counter_ns()
     obj = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)

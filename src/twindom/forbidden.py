@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph, bit_indices, mask_of
 
 _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
@@ -20,22 +20,24 @@ _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 class Pattern:
     """A named pattern graph and its search plan, compiled at construction.
 
-    ``before_adj[i]`` and ``before_non[i]`` list the pattern vertices before
-    ``i`` that ``i`` is and is not adjacent to. ``profile`` is the pattern's
-    minimum degree and whether it has no true or false twins: it decides
-    which host reductions :func:`find_induced` may apply. Equality, hashing
-    and ``repr`` read the name and the graph alone; the plan follows from them.
+    The search lists candidates from pattern vertex ``k - 1`` down; in that
+    order, ``plan[i]`` says whether ``i`` is adjacent to each later vertex,
+    and ``raised`` pairs each degree above the least with the positions of
+    its vertices. ``profile``, the least degree and whether no two vertices
+    are true or false twins, picks the host reductions :func:`find_induced`
+    applies. Equality, hashing and ``repr`` read the name and the graph
+    alone; the plan follows from them.
     """
 
-    __slots__ = ("name", "graph", "degrees", "before_adj", "before_non", "profile")
+    __slots__ = ("name", "graph", "plan", "raised", "profile")
 
     def __init__(self, name: str, graph: Graph):
         k = graph.n
         self.name, self.graph = name, graph
-        self.degrees = tuple(graph.degree(i) for i in range(k))
-        self.before_adj = tuple(tuple(j for j in range(i) if graph.has_edge(i, j)) for i in range(k))
-        self.before_non = tuple(tuple(j for j in range(i) if not graph.has_edge(i, j)) for i in range(k))
-        self.profile = (min(self.degrees, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k)
+        deg = [graph.degree(i) for i in range(k)]
+        self.plan = tuple(tuple(graph.has_edge(i, j) for j in range(k - 1, i, -1)) for i in range(k))
+        self.profile = (low := min(deg, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k)
+        self.raised = tuple((d, [k - 1 - i for i in range(k) if deg[i] == d]) for d in set(deg) - {low})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pattern):
@@ -108,19 +110,20 @@ def _peel(adj: tuple[int, ...], alive: int, deg: list[int], queue: list[int], mi
     return alive
 
 
-def _core(g: Graph, min_degree: int, collapse: bool) -> tuple[int, list[int]]:
-    """The host vertices a search for a pattern of this profile needs, as a
-    mask, with each one's degree inside it.
+def _core(g: Graph, min_degree: int, collapse: bool, k: int = 0) -> tuple[int, list[int]]:
+    """The host vertices a search for a pattern of this profile and order
+    ``k`` needs, as a mask, with each one's degree inside it.
 
     Vertices with fewer than ``min_degree`` neighbors left are peeled off;
     with ``collapse``, every vertex with a smaller-id true or false twin
     among those left is dropped too, each followed by a peel. The two repeat
-    until neither removes anything, which no order of removal changes.
+    until neither removes anything, which no order of removal changes, or
+    the collapse stops once fewer than ``k`` vertices are left.
     """
     adj = g.adj
     deg = [m.bit_count() for m in adj]
     alive = _peel(adj, g.full, deg, [v for v in range(g.n) if deg[v] < min_degree], min_degree)
-    while collapse and (dupes := _twin_duplicates(adj, alive)):
+    while collapse and alive.bit_count() >= k and (dupes := _twin_duplicates(adj, alive)):
         for v in bit_indices(dupes):
             if alive >> v & 1:  # not peeled since the duplicates were found
                 alive = _peel(adj, alive, deg, [v], min_degree)
@@ -130,14 +133,17 @@ def _core(g: Graph, min_degree: int, collapse: bool) -> tuple[int, list[int]]:
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     """Search for an induced embedding of ``pattern`` in ``g``.
 
-    Backtracks over pattern vertices in id order, trying host candidates
-    in ascending id, so a hit is the lexicographically least image tuple.
-    Candidates are pruned by degree and by adjacency/non-adjacency against
-    all previously mapped vertices.
+    Maps pattern vertices in id order, trying host candidates in ascending
+    id, so a hit is the lexicographically least image tuple. The search
+    checks forward (Haralick and Elliott, *Artificial Intelligence* 14,
+    1980): each unmapped pattern vertex keeps a mask of candidates, at first
+    the host vertices with at least its degree. Mapping a vertex to ``u``
+    narrows each later mask with one AND, by the neighbors of ``u`` or its
+    non-neighbors, and a mask left empty rejects ``u`` at once. That cuts
+    only dead ends, so the first hit is unchanged.
 
     The search runs inside a reduced host (:func:`_core`) that keeps the
-    original vertex ids. Each reduction is enabled by the pattern's own
-    ``profile``, computed once when the pattern is built:
+    original vertex ids. The pattern's ``profile`` enables each reduction:
 
     * Peel: vertices with fewer neighbors left than the pattern's minimum
       degree (2 for c3, c6, h1 and h2) are removed, repeatedly. Every vertex
@@ -150,9 +156,11 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
       least one gives another copy, lexicographically smaller unless it
       already was the least.
 
-    So the least copy survives both reductions, and the witness is the one
-    the search of the whole host finds. The reduced host is kept with the
-    graph, one per profile, so c6, h1 and h2 share one.
+    So the least copy survives every step of both reductions, and the
+    witness is the one the search of the whole host finds. A host reduced
+    part way serves as well, so the collapse stops once fewer vertices are
+    left than the pattern has, and the patterns of one profile share one
+    reduced host, kept with the graph: c6, h1 and h2 share one.
     """
     k = pattern.graph.n
     if k > g.n:
@@ -162,51 +170,42 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
         cores = g._cores = {}
     core = cores.get(pattern.profile)
     if core is None:
-        core = cores[pattern.profile] = _core(g, *pattern.profile)
+        core = cores[pattern.profile] = _core(g, *pattern.profile, k)
     alive, deg = core
-    if alive.bit_count() < k:
+    size = alive.bit_count()
+    # a copy in a host of k vertices is the whole host, with the pattern's edges
+    if size < k or size == k and sum(deg[v] for v in bit_indices(alive)) != 2 * pattern.graph.edge_count:
         return None
-    before_adj, before_non, pdeg = pattern.before_adj, pattern.before_non, pattern.degrees
-    gadj = g.adj
-
-    mapping: list[int] = []
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == k:
-            return True
-        cand = alive & ~used
-        for j in before_adj[i]:
-            cand &= gadj[mapping[j]]
-        for j in before_non[i]:
-            cand &= ~gadj[mapping[j]]
-        need = pdeg[i]
-        for u in bit_indices(cand):
-            if deg[u] < need:
-                continue
-            mapping.append(u)
-            used |= 1 << u
-            if extend(i + 1):
-                return True
-            used ^= 1 << u
-            mapping.pop()
-        return False
-
-    if extend(0):
-        return Embedding(pattern.name, tuple(mapping))
-    return None
+    # level[-1]: candidates of vertices k - 1 down to i given mapping[:i]; all have the least degree
+    level = [[alive] * k]
+    for d, where in pattern.raised:
+        if not (at_least := mask_of(v for v in bit_indices(alive) if deg[v] >= d)):
+            return None
+        for j in where:
+            level[0][j] = at_least
+    gadj, plan = g.adj, pattern.plan
+    mapping, i = [0] * k, 0
+    while 0 <= i < k:
+        doms = level[-1]
+        cand = doms[-1]
+        if not cand:
+            level.pop()
+            i -= 1
+            continue
+        bit = cand & -cand
+        doms[-1] = cand ^ bit
+        u = mapping[i] = bit.bit_length() - 1
+        hood, non = gadj[u], alive ^ (gadj[u] | bit)  # masks stay inside alive
+        nxt = [m & hood if edge else m & non for m, edge in zip(doms, plan[i])]
+        if 0 not in nxt:
+            level.append(nxt)
+            i += 1
+    return Embedding(pattern.name, tuple(mapping)) if i == k else None
 
 
 def is_free(g: Graph, patterns: tuple[Pattern, ...] = ELIGIBILITY_PATTERNS) -> tuple[bool, Embedding | None]:
     """(True, None) when no pattern embeds induced, else (False, first witness).
-
-    Each pattern is searched by :func:`find_induced`, which peels vertices
-    of too small degree and, for twin-free patterns, collapses twin classes
-    to their least member, without changing the witness. Patterns with the
-    same profile search one reduced host, computed once per graph: c6, h1
-    and h2 (minimum degree 2, twin-free) share one.
-    """
+    Patterns of one profile share one reduced host (see :func:`find_induced`)."""
     for p in patterns:
         emb = find_induced(g, p)
         if emb is not None:

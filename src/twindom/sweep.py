@@ -49,7 +49,7 @@ from itertools import chain, islice
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import C3, find_induced, girth, is_free
-from .graphs import Graph, basic_stats, bit_indices, mask_of, serialize_graph6
+from .graphs import Graph, basic_stats, bit_indices, mask_of, parse_graph6, serialize_graph6
 
 # ordered_map hands a batch to worker processes only when it has more items
 POOL_MIN_RECORDS = 32
@@ -330,13 +330,19 @@ def ordered_map(fn, items, jobs: int):
         yield from _fan_out(fn, items, jobs)
 
 
+def _check_item(item, claims: tuple[str, ...], oracle_cap: int):
+    g = item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
+    return check_graph(g, claims, oracle_cap)
+
+
 def sweep_graphs(
     graphs,
     claims: tuple[str, ...] = CLAIM_NAMES,
     jobs: int = 1,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> dict:
-    """Run the claim checks over an iterable of graphs.
+    """Run the claim checks over an iterable of graphs, each a ``Graph`` or
+    a (line number, graph6 line) pair, parsed where it is checked.
 
     Returns the summary ``twindom sweep --json`` prints, less its
     ``elapsedMicros``: ``graphs``, ``skippedIsolated``, ``claims`` (each
@@ -346,7 +352,7 @@ def sweep_graphs(
     """
     totals = {name: {"checked": 0, "violations": []} for name in sorted(set(claims))}
     seen = skipped = 0
-    check = partial(check_graph, claims=claims, oracle_cap=oracle_cap)
+    check = partial(_check_item, claims=claims, oracle_cap=oracle_cap)
     for outcome in ordered_map(check, graphs, jobs):
         seen += 1
         if outcome is None:

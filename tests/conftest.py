@@ -89,12 +89,10 @@ def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     k = pattern.n
     if k > host.n:
         return None
+    pairs = [(i, j, pattern.has_edge(i, j)) for i in range(k) for j in range(i + 1, k)]
+    matrix = [[host.has_edge(u, v) for v in range(host.n)] for u in range(host.n)]
     for img in permutations(range(host.n), k):
-        if all(
-            pattern.has_edge(i, j) == host.has_edge(img[i], img[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        ):
+        if all(matrix[img[i]][img[j]] == edge for i, j, edge in pairs):
             return img
     return None
 

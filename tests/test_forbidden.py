@@ -75,11 +75,18 @@ class TestFindInduced:
     # hit is the least witness, the one find_induced promises
 
     def test_agrees_with_naive_oracle_exhaustive(self):
-        patterns = list(PATTERNS.values())
-        for n in range(1, 6):
+        # a copy of an n-vertex pattern in an n-vertex host is the whole
+        # host, so only a host with the pattern's degree sequence can hold one
+        hits = set()
+        for n in range(1, 7):
             for g in enumerate_small_graphs(n):
-                for p in patterns:
-                    assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), (g, p.name)
+                degrees = sorted(map(g.degree, range(n)))
+                for p in PATTERNS.values():
+                    whole = p.graph.n == n and degrees != sorted(map(p.graph.degree, range(n)))
+                    expect = None if whole else brute_find_induced(g, p.graph)
+                    assert _mapping(find_induced(g, p)) == expect, (g, p.name)
+                    hits.add((n, p.name, expect is not None))
+        assert {(6, p, True) for p in PATTERNS} <= hits
 
     def test_agrees_with_naive_oracle_on_fixtures(self):
         for name in ("fig1", "g1", "g2", "c6", "c7", "star4", "k6"):
@@ -136,13 +143,66 @@ class TestFindInduced:
                 found = GraphMatcher(host, nx.Graph(p.graph.edges())).subgraph_is_isomorphic()
                 assert (emb is not None) == found, (p.name, sorted(g.edges()))
                 if emb is not None:
-                    m = emb.mapping
-                    assert len(set(m)) == p.graph.n
-                    assert all(p.graph.has_edge(a, b) == g.has_edge(m[a], m[b])
-                               for a in range(p.graph.n) for b in range(a))
+                    assert _is_induced_copy(g, p, emb.mapping)
                 seen.add((i % 2, p.name, emb is not None))
         # both kinds of host both hold and lack each hexagon pattern
         assert {(k, p, hit) for k in (0, 1) for p in ("c6", "h1") for hit in (False, True)} <= seen
+
+    def test_agrees_with_networkx_on_dense_hosts(self):
+        # A co-bipartite host has no three pairwise non-adjacent vertices,
+        # so it holds no c6 or h1 and those searches run to exhaustion.
+        # networkx matches the complements, since a graph holds an induced
+        # copy of a pattern exactly when its complement holds one of the
+        # pattern's complement, and there it rules out a copy quickly.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(1980)
+        seen = set()
+        for i in range(60):
+            if i % 3:
+                g = _co_bipartite(rng, rng.randint(3, 50), rng.random())
+            else:
+                n = rng.randint(10, 100)
+                g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5])
+            host = nx.complement(nx.Graph(g.edges()))
+            host.add_nodes_from(range(g.n))
+            for p in (C3, C6, H1, H2):
+                emb = find_induced(g, p)
+                pattern = nx.complement(nx.Graph(p.graph.edges()))
+                pattern.add_nodes_from(range(p.graph.n))
+                assert (emb is not None) == GraphMatcher(host, pattern).subgraph_is_isomorphic(), (p.name, i)
+                if emb is not None:
+                    assert _is_induced_copy(g, p, emb.mapping), (p.name, i)
+                seen.add((i % 3 > 0, p.name, emb is not None))
+        # co-bipartite hosts both hold and lack h2; G(n, 1/2) holds all three
+        assert {(True, p, False) for p in ("c6", "h1", "h2")} | {(True, "h2", True)} <= seen
+        assert {(False, p, True) for p in ("c6", "h1", "h2")} <= seen
+
+    def test_dense_co_bipartite_host_within_seconds(self):
+        # cliques of 160 joined at random: no c6 or h1, found h2
+        g = _co_bipartite(random.Random(1), 160, 0.5)
+        started = time.monotonic()
+        assert find_induced(g, C6) is None
+        assert find_induced(g, H1) is None
+        emb = find_induced(g, H2)
+        assert time.monotonic() - started < 30
+        assert emb is not None and _is_induced_copy(g, H2, emb.mapping)
+
+
+def _is_induced_copy(g: Graph, p: Pattern, mapping) -> bool:
+    k = p.graph.n
+    return len(set(mapping)) == k and all(
+        p.graph.has_edge(a, b) == g.has_edge(mapping[a], mapping[b]) for a in range(k) for b in range(a))
+
+
+def _co_bipartite(rng: random.Random, a: int, p: float) -> Graph:
+    """Two cliques on ``a`` vertices each, every pair across them an edge
+    with probability ``p``, randomly relabeled."""
+    edges = [(u, v) for u in range(2 * a) for v in range(u + 1, 2 * a) if v < a or u >= a or rng.random() < p]
+    order = list(range(2 * a))
+    rng.shuffle(order)
+    return Graph(2 * a, [(order[u], order[v]) for u, v in edges])
 
 
 def _mapping(emb):
@@ -205,6 +265,40 @@ class TestReducedHost:
     @given(twin_rich_graphs())
     def test_agrees_with_definition_on_twin_blow_ups(self, g):
         self.assert_matches_definition(g)
+
+
+class TestPartialCore:
+    # Every step of the reduction keeps the least copy, so the collapse may
+    # stop once fewer than k vertices are left, for any k; the witness on
+    # that host is the one on the fully reduced host.
+    @staticmethod
+    def stopped_early(g) -> int:
+        """How many hosts reduced part way hold at least six vertices."""
+        full = _core(g, 2, True)
+        witnesses = [_search_on(g, p, full) for p in (C6, H1, H2)]
+        partial = {}
+        for k in range(g.n + 2):
+            core = _core(g, 2, True, k)
+            partial.setdefault(core[0], core)
+        del partial[full[0]]
+        for alive, core in partial.items():
+            assert alive & full[0] == full[0], sorted(g.edges())
+            assert [_search_on(g, p, core) for p in (C6, H1, H2)] == witnesses, (alive, sorted(g.edges()))
+        return sum(alive.bit_count() >= 6 for alive in partial)
+
+    def test_same_witness_exhaustive(self):
+        assert sum(self.stopped_early(g) for n in range(1, 7) for g in enumerate_small_graphs(n))
+
+    @given(twin_rich_graphs())
+    def test_same_witness_on_twin_blow_ups(self, g):
+        self.stopped_early(g)
+
+
+def _search_on(g: Graph, p: Pattern, core):
+    """find_induced on a copy of ``g`` whose reduced host is ``core``."""
+    h = Graph.from_masks(g.n, list(g.adj))
+    h._cores = {p.profile: core}
+    return find_induced(h, p)
 
 
 class TestIsFree:
