@@ -27,6 +27,10 @@ from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
 from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
 
 
+# one encoder for every record: json.dumps builds a new one per call
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # claim violations, so remap to 1
@@ -282,7 +286,7 @@ def _record(fn, args, numbered) -> str:
 
 def _emit(obj: dict, tail: str, as_json: bool) -> str:
     if as_json:
-        return json.dumps(obj, separators=(",", ":")) + "\n"
+        return _JSON.encode(obj) + "\n"
     return f"#{obj['index']} {obj['graph6']} {tail}\n"
 
 
@@ -332,7 +336,7 @@ def cmd_sweep(args) -> int:
     obj = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
     obj["elapsedMicros"] = (time.perf_counter_ns() - started) // 1000
     if args.json:
-        print(json.dumps(obj, separators=(",", ":")))
+        print(_JSON.encode(obj))
     else:
         print(f"swept {obj['graphs']} graphs ({obj['skippedIsolated']} skipped with isolated vertices)")
         for name, c in obj["claims"].items():

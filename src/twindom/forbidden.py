@@ -82,17 +82,21 @@ def _twin_duplicates(adj: tuple[int, ...], alive: int) -> int:
     closed_reps: dict[int, list[int]] = {}  # hash of N[v] -> least members seen
     for v in bit_indices(alive):
         hood = adj[v] & alive
-        reps = open_reps.setdefault(hash(hood), [])
-        if any(adj[u] & alive == hood for u in reps):
+        # a new hash, the common case, needs no comparison
+        if (reps := open_reps.get(key := hash(hood))) is None:
+            open_reps[key] = [v]
+        elif any(adj[u] & alive == hood for u in reps):
             dupes |= 1 << v
             continue
-        reps.append(v)
+        else:
+            reps.append(v)
         hood |= 1 << v
-        reps = closed_reps.setdefault(hash(hood), [])
-        if any(adj[u] & alive | 1 << u == hood for u in reps):
+        if (reps := closed_reps.get(key := hash(hood))) is None:
+            closed_reps[key] = [v]
+        elif any(adj[u] & alive | 1 << u == hood for u in reps):
             dupes |= 1 << v
-            continue
-        reps.append(v)
+        else:
+            reps.append(v)
     return dupes
 
 
@@ -216,32 +220,42 @@ def is_free(g: Graph, patterns: tuple[Pattern, ...] = ELIGIBILITY_PATTERNS) -> t
 def is_chordal(g: Graph) -> bool:
     """Maximum cardinality search (Tarjan and Yannakakis, SIAM J. Comput. 1984).
 
-    Each step visits an unvisited vertex with the most visited neighbors.
-    The graph is chordal exactly when the reverse visit order is a perfect
-    elimination order, that is, when every vertex's neighbors visited before
-    it are adjacent to the last visited of them.
+    Each step visits an unvisited vertex with the most visited neighbors,
+    the least one of them. The graph is chordal exactly when the reverse
+    visit order is a perfect elimination order, that is, when every
+    vertex's neighbors visited before it are adjacent to the last visited
+    of them. Any such visit order decides it.
     """
-    n, adj, closed = g.n, g.adj, g.closed
-    weight = [0] * n  # visited neighbors of each unvisited vertex
-    last = [0] * n  # the most recently visited of them
-    buckets = [set(range(n))]  # unvisited vertices by weight
-    visited = top = 0
-    for _ in range(n):
-        while not buckets[top]:
+    adj, closed = g.adj, g.closed
+    last = [0] * g.n  # the most recently visited neighbor of each vertex
+    levels = [g.full]  # levels[k]: the unvisited vertices with k visited neighbors
+    unvisited, top = g.full, 0
+    for _ in range(g.n):
+        while not levels[top]:
             top -= 1
-        v = buckets[top].pop()
+        low = levels[top] & -levels[top]
+        levels[top] ^= low
+        unvisited ^= low
+        v = low.bit_length() - 1
+        fresh = adj[v] & unvisited
         # with no visited neighbor, last[v] is a placeholder and the test passes
-        if adj[v] & visited & ~closed[last[v]]:
+        if (earlier := adj[v] ^ fresh) & closed[last[v]] != earlier:
             return False
-        visited |= 1 << v
-        for w in bit_indices(adj[v] & ~visited):
-            buckets[weight[w]].remove(w)
-            weight[w] += 1
-            last[w] = v
-            if weight[w] == len(buckets):
-                buckets.append(set())
-            buckets[weight[w]].add(w)
-        top = min(top + 1, len(buckets) - 1)
+        rest = fresh
+        while rest:
+            w = rest & -rest
+            last[w.bit_length() - 1] = v
+            rest ^= w
+        top += 1
+        if top == len(levels):
+            levels.append(0)
+        k = top
+        while fresh:  # each fresh neighbor moves up one level, the top ones first
+            k -= 1
+            if moved := levels[k] & fresh:
+                levels[k] ^= moved
+                levels[k + 1] |= moved
+                fresh ^= moved
     return True
 
 

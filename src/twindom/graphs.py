@@ -10,7 +10,6 @@ them safe to share across worker processes.
 from __future__ import annotations
 
 import binascii
-import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest order representable in the 8-byte size header
@@ -177,7 +176,6 @@ _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 _TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 _FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_INVALID_GRAPH6 = re.compile(rb"[^?-~]")
 
 
 def _graph6_decode_size(data: bytes) -> tuple[int, int]:
@@ -203,9 +201,9 @@ def parse_graph6(data: bytes | str, line: int | None = None) -> Graph:
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
-    bad = _INVALID_GRAPH6.search(data)
-    if bad:
-        raise GraphParseError(f"invalid graph6 byte {data[bad.start()]} at offset {bad.start()}", line)
+    # what is left once every digit is deleted starts with the first bad byte
+    if bad := data.translate(None, _GRAPH6_DIGITS):
+        raise GraphParseError(f"invalid graph6 byte {bad[0]} at offset {data.index(bad[0])}", line)
     try:
         n, start = _graph6_decode_size(data)
     except GraphParseError as e:
@@ -224,12 +222,18 @@ def parse_graph6(data: bytes | str, line: int | None = None) -> Graph:
     bits = data.translate(_REVERSED_BITS)
     del data
     masks = [0] * n
-    for j in range(1, n):
-        off = j * (j - 1) // 2
-        col = int.from_bytes(bits[off >> 3:(off + j + 7) >> 3], "little") >> (off & 7) & ((1 << j) - 1)
-        masks[j] = col
-        for i in bit_indices(col):
-            masks[i] |= 1 << j
+    for first in range(1, n, 64):  # up to 64 columns at a time, read from one int
+        stop = min(first + 64, n)
+        off, end = first * (first - 1) // 2, stop * (stop - 1) // 2
+        tri = int.from_bytes(bits[off >> 3:(end + 7) >> 3], "little") >> (off & 7)
+        for j in range(first, stop):
+            col = masks[j] = tri & ((1 << j) - 1)
+            tri >>= j
+            bit = 1 << j
+            while col:
+                low = col & -col
+                masks[low.bit_length() - 1] |= bit
+                col ^= low
     return Graph.from_masks(n, masks)
 
 

@@ -112,8 +112,20 @@ def clique_blocks(g: Graph) -> list[int] | None:
     also meets it, with five blocks on six vertices, hence the
     connectivity check. K1 has no blocks.
     """
-    closed = g.closed
-    blocks = {closed[u] & closed[v] for u, v in g.edges()}
-    if sum(b.bit_count() - 1 for b in blocks) != g.n - 1 or component_masks(g) != [g.full]:
+    closed, adj = g.closed, g.adj
+    blocks = set()
+    budget = g.n - 1  # n - 1 less the sum so far: below 0, no block graph
+    for u in range(g.n):
+        higher = adj[u] >> (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            block = closed[u] & closed[u + low.bit_length()]
+            if block not in blocks:
+                blocks.add(block)
+                budget -= block.bit_count() - 1
+                if budget < 0:
+                    return None
+    if budget or component_masks(g) != [g.full]:
         return None
     return sorted(blocks)

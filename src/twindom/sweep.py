@@ -48,7 +48,7 @@ from itertools import chain, islice
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
-from .forbidden import C3, find_induced, girth, is_free
+from .forbidden import girth, is_free
 from .graphs import Graph, basic_stats, bit_indices, mask_of, parse_graph6, serialize_graph6
 
 # ordered_map hands a batch to worker processes only when it has more items
@@ -68,13 +68,13 @@ def check_graph(
 
     Only what the selected claims read is computed: ``classify`` runs for
     any claim but ``bounds`` and ``lemma5``. The only pattern searches
-    beyond ``classify``'s are ``is_free`` on chordal graphs, for ``cor2``,
-    and a triangle search on graphs with no c6/h1/h2 witness, for ``cor4``
-    and ``supports``.
+    beyond ``classify``'s are ``is_free`` on chordal graphs, for ``cor2``.
+    ``cor4`` and ``supports`` read the c6/h1/h2 witness, and on graphs with
+    none look for a triangle by masks (:func:`_has_triangle`).
     """
-    stats = basic_stats(g)
-    if stats.isolated_count:
+    if not all(g.adj):
         return None
+    stats = basic_stats(g)
 
     gamma = domination.exact_gamma(g, oracle_cap).value
     gamma_t = domination.exact_gamma_total(g, oracle_cap).value
@@ -92,7 +92,7 @@ def check_graph(
         reps = sorted(classes.representatives)
     if "cor4" in claims or "supports" in claims:
         # h1 and h2 contain triangles, and without a witness there is no c6
-        has_c3_or_c6 = witness is not None or find_induced(g, C3) is not None
+        has_c3_or_c6 = witness is not None or _has_triangle(g)
     # lemma5 and cor9 share one enumeration of the minimum dominating sets
     enum = None
     if is_g2 and ("lemma5" in claims or ("cor9" in claims and free)):
@@ -159,6 +159,19 @@ def check_graph(
                                  f"{list(bit_indices(cuts))}, classes {[sorted(c) for c in classes.classes]}")
 
     return outcome
+
+
+def _has_triangle(g: Graph) -> bool:
+    """Whether some edge uv has a common neighbor, that is, whether ``g``
+    holds a triangle, which is always induced."""
+    adj = g.adj
+    for hood in adj:
+        while hood:
+            low = hood & -hood
+            hood ^= low
+            if adj[low.bit_length() - 1] & hood:
+                return True
+    return False
 
 
 def _distinguished_cuts(blocks: list[int]) -> int:

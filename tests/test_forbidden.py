@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from twindom.forbidden import C3, C6, H1, H2, PATTERNS, Pattern, _core, find_induced, girth, is_chordal, is_free
 from twindom.generators import complete, corona_p2, cycle, enumerate_small_graphs, fixture, path, random_tree, star
 from twindom.graphs import MAX_ORDER, Graph, basic_stats, bit_indices
+from twindom.sweep import _has_triangle
 
 from conftest import (
     blow_up,
@@ -247,6 +248,19 @@ def _sparse_blow_up(rng: random.Random, n: int) -> Graph:
     return blow_up(Graph(k, _sparse(rng, k)), sizes, [rng.random() < 0.5 for _ in range(k)], order)
 
 
+class TestTriangleByMasks:
+    # the sweep's cor4 and supports claims test for a triangle without the
+    # pattern search; a triangle is always induced
+    def test_agrees_with_pattern_search_exhaustive(self):
+        for n in range(1, 7):
+            for g in enumerate_small_graphs(n):
+                assert _has_triangle(g) == (find_induced(g, C3) is not None), g
+
+    @given(twin_rich_graphs())
+    def test_agrees_with_pattern_search_on_twin_blow_ups(self, g):
+        assert _has_triangle(g) == (find_induced(g, C3) is not None)
+
+
 class TestReducedHost:
     @staticmethod
     def assert_matches_definition(g):
@@ -358,6 +372,28 @@ class TestChordal:
             ref.add_nodes_from(range(g.n))
             answers.append(is_chordal(g))
             assert answers[-1] == nx.is_chordal(ref), sorted(g.edges())
+        assert True in answers and False in answers
+
+    def test_agrees_with_networkx_on_dense_hosts(self):
+        # many visit-count levels are live at once: G(n, 0.9), co-bipartite
+        # graphs and split graphs (chordal); networkx takes seconds on K_300,
+        # which is chordal by definition
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1984)
+        answers = []
+        for n in (10, 30, 60, 120, 300):
+            assert is_chordal(complete(n))
+            a = n // 2
+            hosts = [
+                Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.9]),
+                _co_bipartite(rng, a, rng.random()),
+                Graph(n, [(i, j) for j in range(n) for i in range(j) if j < a or i < a and rng.random() < 0.5]),
+            ]
+            for g in hosts:
+                ref = nx.Graph(g.edges())
+                ref.add_nodes_from(range(g.n))
+                answers.append(is_chordal(g))
+                assert answers[-1] == nx.is_chordal(ref), (n, g.edge_count)
         assert True in answers and False in answers
 
 

@@ -159,6 +159,47 @@ class TestGraph6:
             with pytest.raises(GraphParseError, match=r"^line 3: invalid graph6 byte 255 at offset 1$"):
                 parse_graph6(data, line=3)
 
+    @pytest.mark.parametrize(
+        "data, text",
+        [
+            (b"\x07A_", "invalid graph6 byte 7 at offset 0"),  # in the size header
+            (b"Ew\x01?", "invalid graph6 byte 1 at offset 2"),  # in the body
+            (b"Bw\xc3\xa9", "invalid graph6 byte 195 at offset 2"),  # non-ASCII
+            (b"E?\x02\x01", "invalid graph6 byte 2 at offset 2"),  # two bad bytes: the first
+            (b"E\x7f?\x01", "invalid graph6 byte 127 at offset 1"),
+            (b"E\x01?\x01", "invalid graph6 byte 1 at offset 1"),  # one bad byte twice
+            (b">>graph6<<A\x07", "invalid graph6 byte 7 at offset 1"),  # offset after the prefix
+        ],
+    )
+    def test_invalid_byte_texts(self, data, text):
+        with pytest.raises(GraphParseError) as e:
+            parse_graph6(data, line=3)
+        assert str(e.value) == f"line 3: {text}"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 300])
+    def test_round_trip_across_column_blocks(self, n):
+        # the decoder reads 64 columns at a time
+        rng = random.Random(n)
+        for p in (0, 0.5, 1):
+            g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            assert parse_graph6(serialize_graph6(g)) == g
+
+    def test_round_trip_every_padding_residue(self):
+        # the body pads the triangle to whole digits, the decoder pads the
+        # digits to whole base64 quads; set padding bits must not leak
+        rng = random.Random(6)
+        pad_bits, quad_rests = set(), set()
+        for n in range(2, 40):
+            for p in (0, 0.5, 1):
+                g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+                data = serialize_graph6(g)
+                pad = -(n * (n - 1) // 2) % 6
+                noisy = data[:-1] + bytes([63 + ((data[-1] - 63) | ((1 << pad) - 1))])
+                assert parse_graph6(data) == parse_graph6(noisy) == g
+                pad_bits.add(pad)
+                quad_rests.add(len(data[1:]) % 4)
+        assert pad_bits == {0, 2, 3, 5} and quad_rests == {0, 1, 2, 3}
+
     def test_padding_bits_are_ignored(self):
         # Bw: n=3 with edges 01, 02, 12 and zero padding; B~ sets the padding
         assert parse_graph6(b"B~") == parse_graph6(b"Bw") == complete(3)
