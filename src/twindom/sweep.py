@@ -40,6 +40,7 @@ Claims:
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import sys
@@ -49,7 +50,7 @@ from itertools import chain, islice
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import girth, is_free
-from .graphs import Graph, basic_stats, bit_indices, mask_of, parse_graph6, serialize_graph6
+from .graphs import Graph, bit_indices, component_masks, mask_of, parse_graph6, serialize_graph6
 
 # ordered_map hands a batch to worker processes only when it has more items
 POOL_MIN_RECORDS = 32
@@ -57,30 +58,32 @@ POOL_MIN_RECORDS = 32
 CHUNK = 64
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
+_NO_REPORT = frozenset({"bounds", "lemma5"})  # claims that read no classify report
 
 
 def check_graph(
-    g: Graph, claims: tuple[str, ...] = CLAIM_NAMES, oracle_cap: int = DEFAULT_ORACLE_CAP
+    g: Graph, claims: frozenset[str] | tuple[str, ...] = CLAIM_NAMES, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> dict[str, list[dict]] | None:
     """Check one graph: None when it has an isolated vertex, else each
     applicable claim mapped to its violations (``{"graph6", "detail"}``
     entries; an empty list when the claim held).
 
-    Only what the selected claims read is computed: ``classify`` runs for
-    any claim but ``bounds`` and ``lemma5``. The only pattern searches
-    beyond ``classify``'s are ``is_free`` on chordal graphs, for ``cor2``.
-    ``cor4`` and ``supports`` read the c6/h1/h2 witness, and on graphs with
-    none look for a triangle by masks (:func:`_has_triangle`).
+    Only what the selected claims read is computed, each value once:
+    ``classify`` for any claim but ``bounds`` and ``lemma5``; ``is_free``
+    on chordal graphs for ``cor2``; for ``cor4`` and ``supports`` a triangle
+    test by masks (:func:`_has_triangle`) when ``classify`` found no
+    c6/h1/h2; connectivity for ``bounds`` only when 3*gamma_t > 2n; the
+    block scan for ``blocks`` only on chordal graphs, as block graphs are.
+    A claim's detail text and graph6 echo are built only when it fails.
+    The oracles are never seeded with each other's values.
     """
     if not all(g.adj):
         return None
-    stats = basic_stats(g)
-
     gamma = domination.exact_gamma(g, oracle_cap).value
     gamma_t = domination.exact_gamma_total(g, oracle_cap).value
     is_g2 = gamma_t == 2 * gamma
     # the names below are bound only when a selected claim reads them
-    report = characterize.classify(g) if set(claims) - {"bounds", "lemma5"} else None
+    report = None if _NO_REPORT.issuperset(claims) else characterize.classify(g)
     if report is not None:
         verdict = report.verdict
         chordal = report.method == characterize.METHOD_CHORDAL
@@ -89,76 +92,72 @@ def check_graph(
         witness = is_free(g)[1] if chordal and "cor2" in claims else report.ineligibility_witness
         free = witness is None
         classes = report.s_set
-        reps = sorted(classes.representatives)
+        reps = classes.representatives
     if "cor4" in claims or "supports" in claims:
         # h1 and h2 contain triangles, and without a witness there is no c6
         has_c3_or_c6 = witness is not None or _has_triangle(g)
     # lemma5 and cor9 share one enumeration of the minimum dominating sets
-    enum = None
     if is_g2 and ("lemma5" in claims or ("cor9" in claims and free)):
         enum = domination.enumerate_gamma_sets(g, cap=oracle_cap)
 
-    outcome: dict[str, list[dict]] = {}
-
-    def record(claim: str, ok: bool, detail: str) -> None:
-        outcome[claim] = [] if ok else [{"graph6": serialize_graph6(g).decode("ascii"), "detail": detail}]
-
+    outcome: dict[str, list[dict]] = {}  # a claim's violations: [] or _violation's
     if "bounds" in claims:
         ok = gamma <= gamma_t <= 2 * gamma
-        if ok and stats.component_count == 1 and g.n >= 3:
-            ok = 3 * gamma_t <= 2 * g.n
-        record("bounds", ok, f"gamma={gamma} gamma_t={gamma_t} n={g.n}")
+        if ok and 3 * gamma_t > 2 * g.n and g.n >= 3:  # 2n/3 bounds connected graphs only
+            ok = len(component_masks(g)) > 1
+        outcome["bounds"] = [] if ok else _violation(g, f"gamma={gamma} gamma_t={gamma_t} n={g.n}")
 
     if "lemma6" in claims:
         if report.eligible:  # classify ran the test and kept its certificates
             pack_dom = report.packing_violation is None and report.uncovered_vertex is None
         else:  # ineligible: classify skipped the test, lemma6 needs it
             pack_dom = domination.is_packing(g, reps)[0] and domination.is_dominating(g, reps)
-        ok = is_g2 if pack_dom else True
-        record("lemma6", ok, f"representatives {reps} pack+dominate but gamma_t={gamma_t} != 2*{gamma}")
+        outcome["lemma6"] = [] if is_g2 or not pack_dom else _violation(
+            g, f"representatives {sorted(reps)} pack+dominate but gamma_t={gamma_t} != 2*{gamma}")
 
     if "prop7" in claims and free:
-        ok = (verdict == characterize.VERDICT_YES) == is_g2
-        record("prop7", ok, f"classifier={verdict} oracle gamma={gamma} gamma_t={gamma_t}")
+        outcome["prop7"] = [] if (verdict == characterize.VERDICT_YES) == is_g2 else _violation(
+            g, f"classifier={verdict} oracle gamma={gamma} gamma_t={gamma_t}")
 
     if "cor2" in claims and chordal:
-        ok = free and (verdict == characterize.VERDICT_YES) == is_g2
-        record("cor2", ok, f"chordal graph: free={free} classifier={verdict} gamma={gamma} gamma_t={gamma_t}")
+        outcome["cor2"] = [] if free and (verdict == characterize.VERDICT_YES) == is_g2 else _violation(
+            g, f"chordal graph: free={free} classifier={verdict} gamma={gamma} gamma_t={gamma_t}")
 
     if "lemma5" in claims and is_g2:
-        unpacked = sorted(sorted(s) for s in enum.sets if not domination.is_packing(g, s)[0])
-        record("lemma5", not unpacked, f"gamma-sets {unpacked} are not packings")
+        unpacked = [s for s in enum.sets if not domination.is_packing(g, s)[0]]
+        outcome["lemma5"] = [] if not unpacked else _violation(
+            g, f"gamma-sets {sorted(sorted(s) for s in unpacked)} are not packings")
 
     if "cor9" in claims and free and is_g2:
-        formula = 1
-        for c in classes.classes:
-            formula *= len(c)
-        ok = formula == enum.count and (enum.count == 1) == all(len(c) == 1 for c in classes.classes)
-        record("cor9", ok, f"twin-class product {formula}, enumerated {enum.count}")
+        expect = math.prod(map(len, classes.classes))
+        ok = expect == enum.count and (enum.count == 1) == all(len(c) == 1 for c in classes.classes)
+        outcome["cor9"] = [] if ok else _violation(g, f"twin-class product {expect}, enumerated {enum.count}")
 
-    if "cor4" in claims and is_g2 and stats.min_degree >= 2:
-        gv = girth(g)
-        record("cor4", gv <= 6 and has_c3_or_c6, f"girth={gv} induced c3/c6 present={has_c3_or_c6}")
+    if "cor4" in claims and is_g2 and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
+        outcome["cor4"] = [] if (gv := girth(g)) <= 6 and has_c3_or_c6 else _violation(
+            g, f"girth={gv} induced c3/c6 present={has_c3_or_c6}")
 
     if "supports" in claims and not has_c3_or_c6:
-        supports = sorted(structure.support_vertices(g))
+        supports = structure.support_vertices(g)
         # two true twins of degree 1 are the ends of a lone-edge component
         ok = reps == supports and all(
-            len(c) == 1 or (len(c) == 2 and all(g.degree(v) == 1 for v in c))
-            for c in classes.classes
-        )
-        record("supports", ok, f"representatives {reps}, supports {supports}, "
-                               f"classes {[sorted(c) for c in classes.classes]}")
+            len(c) == 1 or (len(c) == 2 and all(g.degree(v) == 1 for v in c)) for c in classes.classes)
+        outcome["supports"] = [] if ok else _violation(
+            g, f"representatives {sorted(reps)}, supports {sorted(supports)}, "
+               f"classes {[sorted(c) for c in classes.classes]}")
 
-    if "blocks" in claims:
-        blocks = structure.clique_blocks(g)
-        if blocks is not None and len(blocks) >= 2:
-            cuts = _distinguished_cuts(blocks)
-            ok = mask_of(classes.special) == cuts and all(len(c) == 1 for c in classes.classes)
-            record("blocks", ok, f"special {sorted(classes.special)}, distinguished cut vertices "
-                                 f"{list(bit_indices(cuts))}, classes {[sorted(c) for c in classes.classes]}")
-
+    blocks = structure.clique_blocks(g) if "blocks" in claims and chordal else None
+    if blocks is not None and len(blocks) >= 2:
+        cuts = _distinguished_cuts(blocks)
+        ok = mask_of(classes.special) == cuts and all(len(c) == 1 for c in classes.classes)
+        outcome["blocks"] = [] if ok else _violation(
+            g, f"special {sorted(classes.special)}, distinguished cut vertices "
+               f"{list(bit_indices(cuts))}, classes {[sorted(c) for c in classes.classes]}")
     return outcome
+
+
+def _violation(g: Graph, detail: str) -> list[dict]:
+    return [{"graph6": serialize_graph6(g).decode("ascii"), "detail": detail}]
 
 
 def _has_triangle(g: Graph) -> bool:
@@ -343,7 +342,7 @@ def ordered_map(fn, items, jobs: int):
         yield from _fan_out(fn, items, jobs)
 
 
-def _check_item(item, claims: tuple[str, ...], oracle_cap: int):
+def _check_item(item, claims: frozenset[str], oracle_cap: int):
     g = item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
     return check_graph(g, claims, oracle_cap)
 
@@ -365,7 +364,8 @@ def sweep_graphs(
     """
     totals = {name: {"checked": 0, "violations": []} for name in sorted(set(claims))}
     seen = skipped = 0
-    check = partial(_check_item, claims=claims, oracle_cap=oracle_cap)
+    # one set for the whole sweep, so check_graph's membership tests are cheap
+    check = partial(_check_item, claims=frozenset(claims), oracle_cap=oracle_cap)
     for outcome in ordered_map(check, graphs, jobs):
         seen += 1
         if outcome is None:

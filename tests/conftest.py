@@ -259,6 +259,12 @@ def twin_rich_graphs(draw, max_base: int = 5, max_n: int = 9):
 # ineligible, gamma 9 with 10 minimum dominating sets
 SPARSE_GAMMA9_G6 = "_??@?OP?O???CA?????gKC?A?G??A???G?OoB?O?_??@?????B??CoAB?@?o@A?????c@D??`OA????C????"
 
+# per-claim "checked" counts of the sweep over all labeled graphs of order <= 6
+SWEEP_N6_CHECKED = {
+    "bounds": 28263, "lemma6": 28263, "prop7": 27663, "cor2": 14626, "cor9": 6526,
+    "lemma5": 6586, "cor4": 4002, "supports": 4164, "blocks": 4787,
+}
+
 
 @pytest.fixture
 def two_triangles() -> Graph:

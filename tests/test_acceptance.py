@@ -26,7 +26,7 @@ from twindom.generators import (
 )
 from twindom.graphs import Graph
 
-from conftest import brute_gamma, brute_gamma_total
+from conftest import SWEEP_N6_CHECKED, brute_gamma, brute_gamma_total
 
 SWEEP_MAX_N = 6
 
@@ -50,10 +50,7 @@ def full_sweep() -> dict:
     # every isolate-free graph passed through the unconditional claims
     assert result["claims"]["lemma6"]["checked"] == result["graphs"] - result["skippedIsolated"]
     assert result["claims"]["bounds"]["checked"] == result["claims"]["lemma6"]["checked"]
-    assert {name: c["checked"] for name, c in result["claims"].items()} == {
-        "bounds": 28263, "lemma6": 28263, "prop7": 27663, "cor2": 14626, "cor9": 6526,
-        "lemma5": 6586, "cor4": 4002, "supports": 4164, "blocks": 4787,
-    }
+    assert {name: c["checked"] for name, c in result["claims"].items()} == SWEEP_N6_CHECKED
     return result
 
 

@@ -19,7 +19,7 @@ from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import Graph, parse_edgelist, parse_graph6, serialize_graph6
 
-from conftest import SPARSE_GAMMA9_G6, blow_up, brute_find_induced, is_gamma2_exact
+from conftest import SPARSE_GAMMA9_G6, SWEEP_N6_CHECKED, blow_up, brute_find_induced, is_gamma2_exact
 
 
 def g6(g) -> str:
@@ -778,6 +778,27 @@ class TestSweepCommand:
         assert obj["graphs"] - obj["skippedIsolated"] == len(corpus)
         assert sorted(calls["c6"]) == sorted(corpus)
         assert calls["c3"] == []
+
+    def test_only_chordal_graphs_are_scanned_for_blocks(self, capsys, monkeypatch):
+        # a block graph is chordal, and only bounds reads connectivity, when
+        # 3 * gamma_t > 2n; no claim needs the rest of basic_stats
+        chordal = [g6(g) for n in range(1, 7) for g in enumerate_small_graphs(n, "isolate_free")
+                   if forbidden.is_chordal(g)]
+        calls = {"basic_stats": [], "clique_blocks": []}
+        for name, genuine in (("basic_stats", graphs.basic_stats), ("clique_blocks", structure.clique_blocks)):
+            def counted(g, _name=name, _genuine=genuine):
+                calls[_name].append(g6(g))
+                return _genuine(g)
+
+            # replace every alias, so a call by any import path is counted
+            for module in (twindom, graphs, structure, sweep, cli):
+                if getattr(module, name, None) is genuine:
+                    monkeypatch.setattr(module, name, counted)
+        assert run(["sweep", "--max-n", "6", "--jobs", "1", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert {name: c["checked"] for name, c in obj["claims"].items()} == SWEEP_N6_CHECKED
+        assert calls["basic_stats"] == []
+        assert len(chordal) == 14626 and sorted(calls["clique_blocks"]) == sorted(chordal)
 
     @pytest.mark.parametrize("claims", ["bounds", "bounds,lemma5"])
     def test_claims_that_read_no_report_skip_the_classifier(self, capsys, monkeypatch, claims):
