@@ -322,13 +322,8 @@ def cmd_sweep(args) -> int:
         from . import generators
         if args.max_n < 1:
             raise ValueError("--max-n must be at least 1")
-        if args.max_n > generators.ENUMERATION_MAX_N:
-            raise ValueError(
-                f"--max-n is capped at {generators.ENUMERATION_MAX_N}; stream larger corpora via --input"
-            )
-        graphs = chain.from_iterable(
-            generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)
-        )
+        # built eagerly, so an order over the enumeration cap fails here
+        graphs = chain.from_iterable([generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)])
     else:
         graphs = _graph6_lines(args.input)
 

@@ -13,7 +13,7 @@ import random
 import re
 from typing import Iterable, Iterator
 
-from .graphs import MAX_ORDER, Graph, component_masks
+from .graphs import MAX_ORDER, Graph, bit_indices, component_masks
 
 
 def _check_order(n: int) -> None:
@@ -150,8 +150,8 @@ def enumerate_small_graphs(n: int, flt: str = "all") -> Iterator[Graph]:
     """All labeled graphs of order ``n`` in ascending edge-mask order.
 
     Edge bit k corresponds to the k-th pair in the order (0,1), (0,2),
-    ..., (1,2), (1,3), ... Refuses n > 7; bigger corpora should arrive as
-    graph6 streams.
+    ..., (1,2), (1,3), ... Refuses n > 7 and an unknown filter when called,
+    not when first iterated; bigger corpora should arrive as graph6 streams.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -162,20 +162,17 @@ def enumerate_small_graphs(n: int, flt: str = "all") -> Iterator[Graph]:
         )
     if flt not in _FILTERS:
         raise ValueError(f"unknown filter {flt!r}; expected one of {_FILTERS}")
+    return _enumerate(n, flt)
+
+
+def _enumerate(n: int, flt: str) -> Iterator[Graph]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    bits_of = [(1 << i, 1 << j) for i, j in pairs]
     for mask in range(1 << len(pairs)):
         adj = [0] * n
-        rest = mask
-        idx = 0
-        while rest:
-            if rest & 1:
-                i, j = pairs[idx]
-                bi, bj = bits_of[idx]
-                adj[i] |= bj
-                adj[j] |= bi
-            rest >>= 1
-            idx += 1
+        for k in bit_indices(mask):
+            i, j = pairs[k]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         g = Graph.from_masks(n, adj)
         if flt == "isolate_free" and any(m == 0 for m in adj):
             continue

@@ -13,7 +13,8 @@ Claims:
 * ``lemma6``: if the special-vertex representatives form a packing and a
   dominating set, then gamma_t = 2*gamma (no freeness assumption).
 * ``prop7``: on graphs with no induced c6/h1/h2 the classifier verdict
-  matches the oracle test gamma_t = 2*gamma (both directions).
+  matches the oracle test gamma_t = 2*gamma (both directions), and a yes
+  verdict implies the oracle's gamma and gamma_t.
 * ``cor2``: chordal graphs are pattern-free and the classifier matches
   the oracle on them.
 * ``lemma5``: on graphs with gamma_t = 2*gamma, every minimum dominating
@@ -22,8 +23,8 @@ Claims:
   set of size gamma is minimum by definition, so only this inclusion has
   content.
 * ``cor9``: on pattern-free graphs with gamma_t = 2*gamma, the number of
-  minimum dominating sets equals the product of twin-class sizes, and is
-  1 iff every class is a singleton.
+  minimum dominating sets is the count ``classify`` reports (the product
+  of twin-class sizes), and is 1 iff every reported class is a singleton.
 * ``cor4``: a graph with gamma_t = 2*gamma and minimum degree >= 2
   contains an induced triangle or hexagon and has girth at most 6.
 * ``supports``: on graphs with no induced triangle or hexagon the special
@@ -40,7 +41,6 @@ Claims:
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import sys
@@ -52,13 +52,13 @@ from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import girth, is_free
 from .graphs import Graph, bit_indices, component_masks, mask_of, parse_graph6, serialize_graph6
 
-# ordered_map hands a batch to worker processes only when it has more items
-POOL_MIN_RECORDS = 32
-# items per message to a worker
+# items per message to a worker; ordered_map maps a batch of at most one
+# chunk in this process, as only one worker would get work
 CHUNK = 64
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 _NO_REPORT = frozenset({"bounds", "lemma5"})  # claims that read no classify report
+_NO_ORACLE = frozenset({"supports", "blocks"})  # claims that read neither gamma nor gamma_t
 
 
 def check_graph(
@@ -68,7 +68,8 @@ def check_graph(
     applicable claim mapped to its violations (``{"graph6", "detail"}``
     entries; an empty list when the claim held).
 
-    Only what the selected claims read is computed, each value once:
+    Only what the selected claims read is computed, each value once: the
+    exact oracles for any claim but ``supports`` and ``blocks``;
     ``classify`` for any claim but ``bounds`` and ``lemma5``; ``is_free``
     on chordal graphs for ``cor2``; for ``cor4`` and ``supports`` a triangle
     test by masks (:func:`_has_triangle`) when ``classify`` found no
@@ -79,10 +80,11 @@ def check_graph(
     """
     if not all(g.adj):
         return None
-    gamma = domination.exact_gamma(g, oracle_cap).value
-    gamma_t = domination.exact_gamma_total(g, oracle_cap).value
-    is_g2 = gamma_t == 2 * gamma
     # the names below are bound only when a selected claim reads them
+    if not _NO_ORACLE.issuperset(claims):
+        gamma = domination.exact_gamma(g, oracle_cap).value
+        gamma_t = domination.exact_gamma_total(g, oracle_cap).value
+        is_g2 = gamma_t == 2 * gamma
     report = None if _NO_REPORT.issuperset(claims) else characterize.classify(g)
     if report is not None:
         verdict = report.verdict
@@ -97,7 +99,7 @@ def check_graph(
         # h1 and h2 contain triangles, and without a witness there is no c6
         has_c3_or_c6 = witness is not None or _has_triangle(g)
     # lemma5 and cor9 share one enumeration of the minimum dominating sets
-    if is_g2 and ("lemma5" in claims or ("cor9" in claims and free)):
+    if ("lemma5" in claims or ("cor9" in claims and free)) and is_g2:
         enum = domination.enumerate_gamma_sets(g, cap=oracle_cap)
 
     outcome: dict[str, list[dict]] = {}  # a claim's violations: [] or _violation's
@@ -116,8 +118,12 @@ def check_graph(
             g, f"representatives {sorted(reps)} pack+dominate but gamma_t={gamma_t} != 2*{gamma}")
 
     if "prop7" in claims and free:
-        outcome["prop7"] = [] if (verdict == characterize.VERDICT_YES) == is_g2 else _violation(
-            g, f"classifier={verdict} oracle gamma={gamma} gamma_t={gamma_t}")
+        yes = verdict == characterize.VERDICT_YES
+        # a right yes verdict can still imply wrong values
+        implied = yes and is_g2 and report.implied_values != (gamma, gamma_t)
+        outcome["prop7"] = [] if yes == is_g2 and not implied else _violation(
+            g, f"classifier={verdict} oracle gamma={gamma} gamma_t={gamma_t}"
+               + (f" implied={report.implied_values}" if implied else ""))
 
     if "cor2" in claims and chordal:
         outcome["cor2"] = [] if free and (verdict == characterize.VERDICT_YES) == is_g2 else _violation(
@@ -129,9 +135,9 @@ def check_graph(
             g, f"gamma-sets {sorted(sorted(s) for s in unpacked)} are not packings")
 
     if "cor9" in claims and free and is_g2:
-        expect = math.prod(map(len, classes.classes))
-        ok = expect == enum.count and (enum.count == 1) == all(len(c) == 1 for c in classes.classes)
-        outcome["cor9"] = [] if ok else _violation(g, f"twin-class product {expect}, enumerated {enum.count}")
+        count = report.gamma_set_count
+        ok = count == enum.count and (count == 1) == all(len(c) == 1 for c in classes.classes)
+        outcome["cor9"] = [] if ok else _violation(g, f"twin-class product {count}, enumerated {enum.count}")
 
     if "cor4" in claims and is_g2 and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
         outcome["cor4"] = [] if (gv := girth(g)) <= 6 and has_c3_or_c6 else _violation(
@@ -324,7 +330,7 @@ def _fan_out(fn, items, jobs: int):
 def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
-    With ``jobs > 1``, more than ``POOL_MIN_RECORDS`` items and ``os.fork``
+    With ``jobs > 1``, more than one ``CHUNK`` of items and ``os.fork``
     available, the calls fan out to forked workers that die with this
     process, at most one per CPU. Each talks to this process over its own
     pair of pipes, in pickled chunks. Either way an item's exception, or
@@ -334,9 +340,9 @@ def ordered_map(fn, items, jobs: int):
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)
-    head = list(islice(items, POOL_MIN_RECORDS + 1))
+    head = list(islice(items, CHUNK + 1))
     items = chain(head, items)
-    if jobs <= 1 or len(head) <= POOL_MIN_RECORDS or not hasattr(os, "fork"):
+    if jobs <= 1 or len(head) <= CHUNK or not hasattr(os, "fork"):
         yield from map(fn, items)
     else:
         yield from _fan_out(fn, items, jobs)

@@ -358,8 +358,8 @@ class TestPerGraphDriver:
         assert calls == {"parse_graph6": len(lines), "serialize_graph6": 0}
 
     def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
-        lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
-        assert len(lines) > sweep.POOL_MIN_RECORDS
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
+        assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
@@ -367,10 +367,12 @@ class TestPerGraphDriver:
         assert [o["graph6"] for o in objs] == lines
         assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
 
-    def test_records_before_a_failing_line_are_written(self, tmp_path, capsys):
-        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 45)]
+    def test_records_before_a_failing_line_are_written(self, tmp_path, capsys, monkeypatch):
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
         lines.insert(40, "E")  # line 41: size header without its body
+        assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         outs = []
         for jobs in ("1", "2"):
             assert run(["classify", str(f), "--jobs", jobs]) == 1
@@ -465,8 +467,9 @@ class TestFanOut:
         # line 36: a hexagon and a disjoint 36-vertex path, ineligible and
         # above the oracle cap, so its worker raises OracleCapExceeded
         big = Graph(42, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 41)])
-        lines = [g6(g) for g in islice(enumerate_small_graphs(4, "isolate_free"), 39)]
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 99)]
         lines.insert(35, g6(big))
+        assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
         runs = [run_cli([*argv, str(f), "--jobs", jobs]) for jobs in ("1", "2")]
         assert runs[0] == runs[1]
@@ -538,7 +541,8 @@ class TestFanOut:
         # line 1 has an isolated vertex, which classify refuses. A pool once
         # hung here on a host loaded by other runs, so four run at a time.
         lines = [g6(Graph(3, [(0, 1)]))]
-        lines += [g6(g) for g in islice(enumerate_small_graphs(4, "isolate_free"), 40)]
+        lines += [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
+        assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
         for _ in range(5):
             procs = [spawn_cli(["classify", str(f), "--json", "--jobs", "2"]) for _ in range(4)]
@@ -587,8 +591,8 @@ class TestFanOut:
 
     def test_sweep_pool_parent_never_reencodes(self, tmp_path, capsys, monkeypatch):
         # the workers parse the lines, so the parent neither parses nor encodes
-        lines = [g6(g) for g in enumerate_small_graphs(4)]
-        assert len(lines) > sweep.POOL_MIN_RECORDS
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 100)]
+        assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
         calls = TestPerGraphDriver._count_codec_calls(monkeypatch)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
@@ -597,14 +601,30 @@ class TestFanOut:
         assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
 
     def test_small_input_sweep_is_identical_at_any_jobs(self, tmp_path, capsys):
-        lines = [g6(g) for g in islice(enumerate_small_graphs(4), 20, 20 + sweep.POOL_MIN_RECORDS)]
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + sweep.CHUNK)]
         f = write_g6(tmp_path, lines)
         outs = []
         for jobs in ("1", "2"):
             assert run(["sweep", "--input", str(f), "--jobs", jobs, "--json"]) == 0
             outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
         assert outs[0] == outs[1]
-        assert json.loads(outs[0])["graphs"] == sweep.POOL_MIN_RECORDS
+        assert json.loads(outs[0])["graphs"] == sweep.CHUNK
+
+    @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
+    def test_a_one_chunk_batch_stays_in_this_process(self, tmp_path, capsys, monkeypatch, command):
+        # a chunk goes to one worker, so forking for a single chunk gains nothing
+        class FannedOut(Exception):
+            pass
+
+        def fan_out(fn, items, jobs):
+            raise FannedOut
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "_fan_out", fan_out)
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), sweep.CHUNK + 1)]
+        assert run([*command, str(write_g6(tmp_path, lines[:-1])), "--jobs", "2"]) == 0
+        with pytest.raises(FannedOut):
+            run([*command, str(write_g6(tmp_path, lines)), "--jobs", "2"])
 
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     def test_pool_size_is_clamped_to_the_cpu_count(self, tmp_path, capsys, monkeypatch, command):
@@ -617,8 +637,8 @@ class TestFanOut:
             return map(fn, items)
 
         monkeypatch.setattr(sweep, "_fan_out", fake_fan_out)
-        lines = [g6(g) for g in enumerate_small_graphs(4, "isolate_free")]
-        assert len(lines) > sweep.POOL_MIN_RECORDS
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
+        assert len(lines) > sweep.CHUNK
         f = str(write_g6(tmp_path, lines))
         argv = ["classify", f] if command == "classify" else ["sweep", "--input", f]
         outs = []
@@ -819,6 +839,29 @@ class TestSweepCommand:
         assert obj["ok"] is True and obj["claims"]["bounds"]["checked"] == obj["graphs"] - obj["skippedIsolated"]
         assert calls == {"find_induced": 0, "classify": 0}
 
+    def test_claims_that_read_no_oracle_skip_the_oracles(self, capsys, monkeypatch):
+        # supports and blocks read neither gamma nor gamma_t
+        calls = []
+        for name in ("exact_gamma", "exact_gamma_total"):
+            genuine = getattr(domination, name)
+
+            def counted(*args, _name=name, _genuine=genuine, **kwargs):
+                calls.append(_name)
+                return _genuine(*args, **kwargs)
+
+            # replace every alias, so a call by any import path is counted
+            for module in (twindom, domination, characterize, sweep, cli):
+                if getattr(module, name, None) is genuine:
+                    monkeypatch.setattr(module, name, counted)
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--json"]) == 0
+        every = json.loads(capsys.readouterr().out)["claims"]
+        assert calls
+        calls.clear()
+        assert run(["sweep", "--max-n", "5", "--jobs", "1", "--claims", "supports,blocks", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert calls == []
+        assert obj["claims"] == {name: every[name] for name in ("blocks", "supports")}
+
     def test_sweep_graphs_returns_the_printed_summary(self, capsys):
         assert run(["sweep", "--max-n", "4", "--jobs", "1", "--json"]) == 0
         printed = json.loads(capsys.readouterr().out)
@@ -924,11 +967,11 @@ class TestErrors:
                                       ["sweep", "--jobs", "1", "--input"]],
                              ids=["classify-jobs1", "classify-jobs2", "sweep"])
     def test_non_ascii_byte_fails_its_line(self, tmp_path, capsys, argv):
-        lines = [g6(g).encode() for g in islice(enumerate_small_graphs(4, "isolate_free"), 40)]
+        lines = [g6(g).encode() for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
         lines.insert(36, b"B\xffw")  # line 37
         f = tmp_path / "in.g6"
         f.write_bytes(b"\n".join(lines) + b"\n")
-        assert len(lines) > sweep.POOL_MIN_RECORDS
+        assert len(lines) > sweep.CHUNK
         assert run([*argv, str(f)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"twindom {argv[0]}: line 37: invalid graph6 byte 255 at offset 1\n"
@@ -1017,6 +1060,20 @@ class TestErrors:
 
     def test_enumeration_cap(self, capsys):
         assert run(["classify", "--generate", "enum:8"]) == 1
+
+    def test_sweep_enumeration_cap_builds_no_graph(self, capsys, monkeypatch):
+        built = []
+        genuine = Graph.__dict__["from_masks"].__func__
+        monkeypatch.setattr(Graph, "from_masks", classmethod(
+            lambda cls, *args, **kwargs: built.append(args[0]) or genuine(cls, *args, **kwargs)))
+        message = ("exhaustive enumeration is limited to n <= 7; "
+                   "supply larger corpora as a graph6 stream (--input)\n")
+        assert run(["generate", "enum:8"]) == 1
+        assert capsys.readouterr().err == f"twindom generate: {message}"
+        assert run(["sweep", "--max-n", "8", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"twindom sweep: {message}")
+        assert built == []
 
     def test_usage_error_exit_code_is_one(self):
         with pytest.raises(SystemExit) as err:

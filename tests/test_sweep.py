@@ -101,6 +101,37 @@ class TestViolationText:
         }
 
 
+class TestReportedValues:
+    # prop7 and cor9 check the values classify reports, not values rederived
+    # from its classes
+    def test_wrong_implied_values_are_flagged(self, monkeypatch):
+        genuine = characterize.classify
+        monkeypatch.setattr(characterize, "classify", lambda g, *args: (r := genuine(g, *args))._replace(
+            implied_values=(r.implied_values[0], r.implied_values[1] + 1)))
+        assert sweep.check_graph(TWO_STARS, ("prop7",)) == {"prop7": [
+            {"graph6": "Ig????^?G", "detail": "classifier=is_gamma2 oracle gamma=2 gamma_t=4 implied=(2, 5)"}]}
+
+    def test_wrong_gamma_set_count_is_flagged(self, monkeypatch):
+        genuine = characterize.classify
+        monkeypatch.setattr(characterize, "classify", lambda g, *args: (r := genuine(g, *args))._replace(
+            gamma_set_count=r.gamma_set_count + 1))
+        assert sweep.check_graph(STARS_AND_EDGE, ("cor9",)) == {"cor9": [
+            {"graph6": "Ii?GOO??G", "detail": "twin-class product 3, enumerated 2"}]}
+
+    def test_merged_singleton_classes_are_flagged(self, monkeypatch):
+        # two singleton classes become one, and the reported count stays 1
+        genuine = characterize.classify
+
+        def merged(g, *args):
+            report = genuine(g, *args)
+            s_set = report.s_set
+            assert s_set.classes == (frozenset({1}), frozenset({8})) and report.gamma_set_count == 1
+            return report._replace(s_set=s_set._replace(classes=(frozenset({1, 8}),)))
+        monkeypatch.setattr(characterize, "classify", merged)
+        assert sweep.check_graph(TWO_STARS, ("cor9",)) == {"cor9": [
+            {"graph6": "Ig????^?G", "detail": "twin-class product 1, enumerated 1"}]}
+
+
 class TestBoundsConnectivity:
     # gamma_t <= 2n/3 is claimed for connected graphs of order >= 3 only
     def test_connected_path_over_two_thirds_is_flagged(self, monkeypatch):
