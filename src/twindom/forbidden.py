@@ -23,20 +23,22 @@ class Pattern:
     The search lists candidates from pattern vertex ``k - 1`` down; in that
     order, ``plan[i]`` says whether ``i`` is adjacent to each later vertex,
     and ``raised`` pairs each degree above the least with the positions of
-    its vertices. ``profile``, the least degree and whether no two vertices
-    are true or false twins, picks the host reductions :func:`find_induced`
-    applies. Equality, hashing and ``repr`` read the name and the graph
-    alone; the plan follows from them.
+    its vertices. ``profile``, the least degree, whether no two vertices are
+    true or false twins and the order, picks the host reductions
+    :func:`find_induced` applies; ``degrees`` is the sorted degree sequence.
+    Equality, hashing and ``repr`` read the name and the graph alone; the
+    plan follows from them.
     """
 
-    __slots__ = ("name", "graph", "plan", "raised", "profile")
+    __slots__ = ("name", "graph", "plan", "raised", "profile", "degrees")
 
     def __init__(self, name: str, graph: Graph):
         k = graph.n
         self.name, self.graph = name, graph
         deg = [graph.degree(i) for i in range(k)]
         self.plan = tuple(tuple(graph.has_edge(i, j) for j in range(k - 1, i, -1)) for i in range(k))
-        self.profile = (low := min(deg, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k)
+        self.profile = (low := min(deg, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k, k)
+        self.degrees = sorted(deg)
         self.raised = tuple((d, [k - 1 - i for i in range(k) if deg[i] == d]) for d in set(deg) - {low})
 
     def __eq__(self, other: object) -> bool:
@@ -114,24 +116,73 @@ def _peel(adj: tuple[int, ...], alive: int, deg: list[int], queue: list[int], mi
     return alive
 
 
-def _core(g: Graph, min_degree: int, collapse: bool, k: int = 0) -> tuple[int, list[int]]:
+def _thread(adj: tuple[int, ...], alive: int, deg: list[int], v: int, k: int) -> int:
+    """The maximal path of degree-2 vertices through ``v``, which has
+    degree 2, with its ends, as a mask; 0 once that holds more than ``k``
+    vertices. A cycle of degree-2 vertices has no ends."""
+    span = bit = 1 << v
+    size = 1
+    hood = adj[v] & alive
+    for step in (hood & -hood, hood & (hood - 1)):
+        prev = bit
+        while not span & step:  # stops where the other direction, or a cycle, already reached
+            span |= step
+            if (size := size + 1) > k:
+                return 0
+            u = step.bit_length() - 1
+            if deg[u] != 2:  # an end
+                break
+            prev, step = step, adj[u] & alive ^ prev
+    return span
+
+
+def _drop_threads(adj: tuple[int, ...], alive: int, deg: list[int], k: int) -> int:
+    """``alive``, already peeled to degree 2, less every thread of degree-2
+    vertices that with its ends holds more than ``k`` vertices, and less
+    what the peel then removes, repeatedly."""
+    # a thread that with its ends exceeds k has at least k - 1 vertices (deg
+    # counts some removed vertices too, so may count high), and for k > 3 a
+    # vertex with both neighbors on the thread, where its walk may start
+    while alive.bit_count() > k and deg.count(2) >= k - 1:
+        before, kept = alive, 0
+        for v in [v for v, d in enumerate(deg) if d == 2 and alive >> v & 1]:
+            if not alive >> v & 1 or kept >> v & 1:  # dropped, or walked
+                continue
+            hood = adj[v] & alive
+            if k > 3 and (deg[(hood & -hood).bit_length() - 1] != 2 or deg[hood.bit_length() - 1] != 2):
+                continue
+            if span := _thread(adj, alive, deg, v, k):
+                kept |= span
+            else:  # peeling one vertex of the thread peels all of it
+                alive = _peel(adj, alive, deg, [v], 2)
+        if alive == before:
+            break
+    return alive
+
+
+def _core(g: Graph, min_degree: int, collapse: bool, k: int) -> tuple[int, list[int]]:
     """The host vertices a search for a pattern of this profile and order
     ``k`` needs, as a mask, with each one's degree inside it.
 
-    Vertices with fewer than ``min_degree`` neighbors left are peeled off;
-    with ``collapse``, every vertex with a smaller-id true or false twin
-    among those left is dropped too, each followed by a peel. The two repeat
-    until neither removes anything, which no order of removal changes, or
-    the collapse stops once fewer than ``k`` vertices are left.
+    Vertices with fewer than ``min_degree`` neighbors left are peeled off.
+    For ``min_degree`` 2, so are the threads of degree-2 vertices that with
+    their ends hold more than ``k`` vertices. With ``collapse``, every vertex
+    with a smaller-id true or false twin among those left is dropped too,
+    each followed by a peel. The steps repeat, in that order of precedence,
+    until none removes anything, or the collapse stops once fewer than ``k``
+    vertices are left.
     """
     adj = g.adj
     deg = [m.bit_count() for m in adj]
     alive = _peel(adj, g.full, deg, [v for v in range(g.n) if deg[v] < min_degree], min_degree)
-    while collapse and alive.bit_count() >= k and (dupes := _twin_duplicates(adj, alive)):
+    while True:
+        if min_degree == 2:
+            alive = _drop_threads(adj, alive, deg, k)
+        if not (collapse and alive.bit_count() >= k and (dupes := _twin_duplicates(adj, alive))):
+            return alive, deg
         for v in bit_indices(dupes):
             if alive >> v & 1:  # not peeled since the duplicates were found
                 alive = _peel(adj, alive, deg, [v], min_degree)
-    return alive, deg
 
 
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
@@ -152,6 +203,15 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     * Peel: vertices with fewer neighbors left than the pattern's minimum
       degree (2 for c3, c6, h1 and h2) are removed, repeatedly. Every vertex
       of a copy has that many neighbors inside the copy, so none is removed.
+    * Threads, only for a pattern of minimum degree 2 (c3, c6, h1, h2 and
+      custom patterns such as c4): a thread is a maximal path, or cycle, of
+      vertices with exactly two neighbors left, and its ends are the
+      vertices of higher degree next to it. A copy that holds a thread
+      vertex holds both its neighbors, so it holds the whole thread and its
+      ends. A thread that with its ends has more vertices than the pattern
+      lies in no copy, and is removed, followed by a peel. A component that
+      is one long cycle empties. The walk is skipped when no more vertices
+      are left than the pattern has.
     * Collapse, only for a pattern with no true or false twins (c6, h1 and
       h2; not c3, nor custom patterns such as c4): each true-twin and each
       false-twin class of what is left keeps only its least-id member. Two
@@ -160,11 +220,17 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
       least one gives another copy, lexicographically smaller unless it
       already was the least.
 
-    So the least copy survives every step of both reductions, and the
+    So the least copy survives every step of the reductions, and the
     witness is the one the search of the whole host finds. A host reduced
     part way serves as well, so the collapse stops once fewer vertices are
-    left than the pattern has, and the patterns of one profile share one
-    reduced host, kept with the graph: c6, h1 and h2 share one.
+    left than the pattern has. A host reduced for order k holds every copy
+    of a pattern of order at most k, and maybe not one of a larger pattern,
+    so the reduced hosts kept with the graph are keyed by the whole
+    profile, order included: c6, h1 and h2 share one. When the host has as
+    many vertices as the pattern, a copy is the whole host, so a host whose
+    sorted degree sequence differs from the pattern's is rejected: before
+    any reduction for the graph itself, whose sequence is kept with it too,
+    and after it for a reduced host of that size.
     """
     k = pattern.graph.n
     if k > g.n:
@@ -172,13 +238,17 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     cores = g._cores
     if cores is None:
         cores = g._cores = {}
+    if k == g.n:  # a copy is the whole host, so the degree sequences agree
+        if (degrees := cores.get("degrees")) is None:
+            degrees = cores["degrees"] = sorted(m.bit_count() for m in g.adj)
+        if degrees != pattern.degrees:
+            return None
     core = cores.get(pattern.profile)
     if core is None:
-        core = cores[pattern.profile] = _core(g, *pattern.profile, k)
+        core = cores[pattern.profile] = _core(g, *pattern.profile)
     alive, deg = core
     size = alive.bit_count()
-    # a copy in a host of k vertices is the whole host, with the pattern's edges
-    if size < k or size == k and sum(deg[v] for v in bit_indices(alive)) != 2 * pattern.graph.edge_count:
+    if size < k or size == k and sorted(deg[v] for v in bit_indices(alive)) != pattern.degrees:
         return None
     # level[-1]: candidates of vertices k - 1 down to i given mapping[:i]; all have the least degree
     level = [[alive] * k]
@@ -270,7 +340,8 @@ def girth(g: Graph) -> int | float:
     circuit in a graph*, SIAM J. Comput. 1978), which empties a forest.
     """
     adj = g.adj
-    alive, deg = _core(g, 2, False)  # not find_induced's memo: the peels below change deg
+    # the 2-core: no thread exceeds order n; not find_induced's memo, as the peels below change deg
+    alive, deg = _core(g, 2, False, g.n)
     best = math.inf
     while alive and best > 3:
         s = (alive & -alive).bit_length() - 1

@@ -51,7 +51,8 @@ class Graph:
     additionally contains ``v`` itself. ``labels``, when present, holds one
     external display name per vertex and never takes part in equality.
     ``_cores`` is where :func:`twindom.forbidden.find_induced` keeps the
-    reduced hosts it derives from the graph, and takes no part either.
+    reduced hosts and the sorted degree sequence it derives from the graph,
+    and takes no part either.
     """
 
     __slots__ = ("n", "adj", "closed", "full", "labels", "_cores")

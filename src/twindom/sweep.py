@@ -136,8 +136,10 @@ def check_graph(
 
     if "cor9" in claims and free and is_g2:
         count = report.gamma_set_count
-        ok = count == enum.count and (count == 1) == all(len(c) == 1 for c in classes.classes)
-        outcome["cor9"] = [] if ok else _violation(g, f"twin-class product {count}, enumerated {enum.count}")
+        singletons = (count == 1) == all(len(c) == 1 for c in classes.classes)
+        outcome["cor9"] = [] if count == enum.count and singletons else _violation(
+            g, f"twin-class product {count}, enumerated {enum.count}"
+               + ("" if singletons else f", classes {[sorted(c) for c in classes.classes]}"))
 
     if "cor4" in claims and is_g2 and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
         outcome["cor4"] = [] if (gv := girth(g)) <= 6 and has_c3_or_c6 else _violation(

@@ -189,18 +189,35 @@ def brute_girth(g: Graph) -> int | None:
     return None
 
 
-def brute_reduced_host(g: Graph, min_degree: int, collapse: bool) -> set[int]:
-    """The vertices left by dropping, until a round drops nothing, every
-    vertex with fewer than ``min_degree`` neighbors left and, with
-    ``collapse``, every vertex with a smaller true or false twin among
-    those left."""
+def brute_reduced_host(g: Graph, min_degree: int, collapse: bool, order: int) -> set[int]:
+    """The vertices left by dropping, until a round drops nothing, the first
+    of these sets that is not empty, computed among the vertices left:
+
+    * every vertex with fewer than ``min_degree`` neighbors;
+    * for ``min_degree`` 2, every thread, a connected set of vertices with
+      exactly two neighbors each, that with its ends, the thread's other
+      neighbors, holds more than ``order`` vertices;
+    * with ``collapse``, while at least ``order`` vertices are left, every
+      vertex with a smaller true or false twin.
+    """
     alive = set(range(g.n))
     while True:
         nbrs = {v: {u for u in alive if g.has_edge(u, v)} for v in alive}
         drop = {v for v in alive if len(nbrs[v]) < min_degree}
-        if collapse:
-            drop |= {v for v in alive for u in alive
-                     if u < v and (nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v})}
+        if not drop and min_degree == 2:
+            twos = {v for v in alive if len(nbrs[v]) == 2}
+            for v in twos:
+                thread, todo = {v}, [v]
+                while todo:
+                    for u in nbrs[todo.pop()] & twos - thread:
+                        thread.add(u)
+                        todo.append(u)
+                ends = set().union(*(nbrs[u] for u in thread)) - thread
+                if len(thread) + len(ends) > order:
+                    drop |= thread
+        if not drop and collapse and len(alive) >= order:
+            drop = {v for v in alive for u in alive
+                    if u < v and (nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v})}
         if not drop:
             return alive
         alive -= drop

@@ -166,6 +166,16 @@ class TestAnalysisCommands:
         (obj,) = run_json(capsys, ["check-free", str(f), "--patterns", "c3", "--json"])
         assert obj["witness"] == {"pattern": "c3", "mapping": [0, 1, 2]}
 
+    @pytest.mark.parametrize("host", [cycle(8), generators.corona_p2(cycle(8))], ids=["c8", "corona-c8"])
+    def test_check_free_custom_pattern_larger_than_c6(self, tmp_path, capsys, host):
+        # c6's reduced host drops the 8-cycle as too long a thread; the
+        # 8-cycle pattern must get a host reduced for its own order
+        p = tmp_path / "pat.edges"
+        p.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
+        f = write_g6(tmp_path, [g6(host)])
+        (obj,) = run_json(capsys, ["check-free", str(f), "--patterns", "c6", "--pattern-file", str(p), "--json"])
+        assert obj["witness"] == {"pattern": "custom", "mapping": list(range(8))}
+
     @pytest.mark.parametrize("edges,host", [
         # the paw has a leaf, so peeling below degree 2 would lose its copies
         ("0 1\n1 2\n2 0\n2 3\n", Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])),

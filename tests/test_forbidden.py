@@ -7,7 +7,9 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from twindom.forbidden import C3, C6, H1, H2, PATTERNS, Pattern, _core, find_induced, girth, is_chordal, is_free
+from twindom.forbidden import (
+    C3, C6, H1, H2, PATTERNS, Embedding, Pattern, _core, find_induced, girth, is_chordal, is_free,
+)
 from twindom.generators import complete, corona_p2, cycle, enumerate_small_graphs, fixture, path, random_tree, star
 from twindom.graphs import MAX_ORDER, Graph, basic_stats, bit_indices
 from twindom.sweep import _has_triangle
@@ -123,10 +125,10 @@ class TestFindInduced:
             assert _mapping(find_induced(g, pattern)) == brute_find_induced(g, pattern.graph), g
 
     def test_pattern_profiles(self):
-        assert [p.profile for p in (C3, C6, H1, H2)] == [(2, False), (2, True), (2, True), (2, True)]
-        assert Pattern("c4", cycle(4)).profile == (2, False)
-        assert Pattern("paw", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])).profile == (1, False)
-        assert Pattern("p4", path(4)).profile == (1, True)
+        assert [p.profile for p in (C3, C6, H1, H2)] == [(2, False, 3), (2, True, 6), (2, True, 6), (2, True, 6)]
+        assert Pattern("c4", cycle(4)).profile == (2, False, 4)
+        assert Pattern("paw", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])).profile == (1, False, 4)
+        assert Pattern("p4", path(4)).profile == (1, True, 4)
 
     def test_agrees_with_networkx_beyond_brute_force(self):
         nx = pytest.importorskip("networkx")
@@ -261,44 +263,143 @@ class TestTriangleByMasks:
         assert _has_triangle(g) == (find_induced(g, C3) is not None)
 
 
+def _thread_rich_hosts() -> list[Graph]:
+    """Hosts whose reduced hosts lose threads: cycles C_4 ... C_12 with
+    pendant trees, theta graphs (two vertices joined by three paths of 1-6
+    edges), K_4 with each edge subdivided 0-3 times, and coronas of cycles;
+    all but the coronas randomly relabeled."""
+    rng = random.Random(1704)
+    hosts = []
+    for n in range(4, 13):
+        edges, size = list(cycle(n).edges()), n
+        for _ in range(rng.randint(1, 6)):  # each new vertex hangs from an earlier one
+            edges.append((rng.randrange(size), size))
+            size += 1
+        hosts.append(_relabeled(rng, size, edges))
+    for a in range(1, 7):
+        for b in range(max(a, 2), 7):
+            for c in range(b, 7):
+                edges, size = [], 2
+                for length in (a, b, c):
+                    inner = list(range(size, size + length - 1))
+                    edges += list(zip([0] + inner, inner + [1]))
+                    size += length - 1
+                hosts.append(_relabeled(rng, size, edges))
+    for _ in range(20):
+        edges, size = [], 4
+        for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            inner = list(range(size, size + rng.randint(0, 3)))
+            edges += list(zip([u] + inner, inner + [v]))
+            size += len(inner)
+        hosts.append(_relabeled(rng, size, edges))
+    return hosts + [corona_p2(cycle(n)) for n in range(3, 13)]
+
+
+def _relabeled(rng: random.Random, n: int, edges) -> Graph:
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph(n, [(order[a], order[b]) for a, b in edges])
+
+
+THREAD_RICH = _thread_rich_hosts()
+
+
+def _unreduced(g: Graph):
+    """The whole of ``g`` as a reduced host, with its degrees."""
+    return g.full, [m.bit_count() for m in g.adj]
+
+
 class TestReducedHost:
     @staticmethod
-    def assert_matches_definition(g):
+    def assert_matches_definition(g) -> int:
+        """How many vertices the thread rule removed, summed over k = 3 and 6."""
         for profile in ((2, True), (2, False)):
-            alive, deg = _core(g, *profile)
-            expect = brute_reduced_host(g, *profile)
-            assert set(bit_indices(alive)) == expect, (profile, sorted(g.edges()))
-            for v in expect:
-                assert deg[v] == sum(g.has_edge(u, v) for u in expect), (profile, sorted(g.edges()), v)
+            for k in (3, 6):
+                alive, deg = _core(g, *profile, k)
+                expect = brute_reduced_host(g, *profile, k)
+                assert set(bit_indices(alive)) == expect, (profile, k, sorted(g.edges()))
+                for v in expect:
+                    assert deg[v] == sum(g.has_edge(u, v) for u in expect), (profile, k, sorted(g.edges()), v)
+        # no collapse, and at order n no thread is too long
+        two_core = len(brute_reduced_host(g, 2, False, g.n))
+        return sum(two_core - len(brute_reduced_host(g, 2, False, k)) for k in (3, 6))
 
     def test_agrees_with_definition_exhaustive(self):
-        for n in range(1, 7):
-            for g in enumerate_small_graphs(n):
-                self.assert_matches_definition(g)
+        # at k = 3 a thread of two vertices, or a cycle of four, already drops
+        assert sum(self.assert_matches_definition(g) for n in range(1, 7) for g in enumerate_small_graphs(n))
 
     @given(twin_rich_graphs())
     def test_agrees_with_definition_on_twin_blow_ups(self, g):
         self.assert_matches_definition(g)
 
+    def test_agrees_with_definition_on_thread_rich_hosts(self):
+        assert all(self.assert_matches_definition(g) for g in THREAD_RICH[:9])  # every pendant cycle sheds a thread
+        assert sum(map(self.assert_matches_definition, THREAD_RICH[9:]))
+
+    @pytest.mark.parametrize("n", [7, 50, 2000])
+    def test_long_cycles_empty(self, n):
+        assert _core(cycle(n), 2, True, 6)[0] == 0
+
+    def test_corona_of_a_long_cycle_empties(self):
+        assert _core(corona_p2(cycle(700)), 2, True, 6)[0] == 0
+
+    def test_hexagon_keeps_all_six(self):
+        assert _core(cycle(6), 2, True, 6)[0] == cycle(6).full
+
+
+class TestThreads:
+    # a copy that holds a thread vertex holds its whole thread and ends, so
+    # dropping the long threads keeps the least copy
+    SEARCHED = (C3, C6, H1, H2, Pattern("c4", cycle(4)), Pattern("c8", cycle(8)))
+
+    def test_witnesses_agree_with_naive_oracle(self):
+        small = [g for g in THREAD_RICH if g.n <= 9]
+        assert len(small) >= 20
+        for g in small:
+            for p in PATTERNS.values():
+                assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), (p.name, sorted(g.edges()))
+
+    def test_witnesses_agree_with_networkx_and_the_unreduced_host(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        seen = set()
+        for g in THREAD_RICH:
+            host = nx.Graph(g.edges())
+            host.add_nodes_from(range(g.n))
+            for p in self.SEARCHED:
+                emb = find_induced(g, p)
+                assert (emb is not None) == GraphMatcher(host, nx.Graph(p.graph.edges())).subgraph_is_isomorphic()
+                assert emb == _search_on(g, p, _unreduced(g)), (p.name, sorted(g.edges()))
+                seen.add((p.name, emb is not None))
+        assert {(name, hit) for name in ("c6", "h1", "c4", "c8") for hit in (False, True)} <= seen
+
+    @pytest.mark.parametrize("host", [cycle(8), corona_p2(cycle(8))], ids=["c8", "corona-c8"])
+    def test_a_larger_pattern_gets_its_own_host(self, host):
+        # c6's reduced host has lost the 8-cycle, so c8 must not search it
+        c8 = self.SEARCHED[-1]
+        assert is_free(host, (C6, c8)) == (False, Embedding("c8", tuple(range(8))))
+        assert brute_find_induced(host, c8.graph) == tuple(range(8))
+
 
 class TestPartialCore:
-    # Every step of the reduction keeps the least copy, so the collapse may
-    # stop once fewer than k vertices are left, for any k; the witness on
-    # that host is the one on the fully reduced host.
+    # A host reduced for order k holds every copy of every pattern of order
+    # at most k, and the collapse may stop once fewer than k vertices are
+    # left: for each k >= 6 the witness on that host is the one on the
+    # unreduced host.
     @staticmethod
     def stopped_early(g) -> int:
-        """How many hosts reduced part way hold at least six vertices."""
-        full = _core(g, 2, True)
-        witnesses = [_search_on(g, p, full) for p in (C6, H1, H2)]
+        """How many hosts reduced for k > 6 differ from the one for k = 6 and hold at least six vertices."""
+        witnesses = [_search_on(g, p, _unreduced(g)) for p in (C6, H1, H2)]
+        least = _core(g, 2, True, 6)
         partial = {}
-        for k in range(g.n + 2):
+        for k in range(6, g.n + 2):
             core = _core(g, 2, True, k)
             partial.setdefault(core[0], core)
-        del partial[full[0]]
         for alive, core in partial.items():
-            assert alive & full[0] == full[0], sorted(g.edges())
+            assert alive & least[0] == least[0], sorted(g.edges())
             assert [_search_on(g, p, core) for p in (C6, H1, H2)] == witnesses, (alive, sorted(g.edges()))
-        return sum(alive.bit_count() >= 6 for alive in partial)
+        return sum(alive.bit_count() >= 6 for alive in partial if alive != least[0])
 
     def test_same_witness_exhaustive(self):
         assert sum(self.stopped_early(g) for n in range(1, 7) for g in enumerate_small_graphs(n))

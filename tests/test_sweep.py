@@ -129,7 +129,7 @@ class TestReportedValues:
             return report._replace(s_set=s_set._replace(classes=(frozenset({1, 8}),)))
         monkeypatch.setattr(characterize, "classify", merged)
         assert sweep.check_graph(TWO_STARS, ("cor9",)) == {"cor9": [
-            {"graph6": "Ig????^?G", "detail": "twin-class product 1, enumerated 1"}]}
+            {"graph6": "Ig????^?G", "detail": "twin-class product 1, enumerated 1, classes [[1, 8]]"}]}
 
 
 class TestBoundsConnectivity:
