@@ -37,10 +37,8 @@ from .forbidden import (
     is_free,
 )
 from .graphs import (
-    BasicStats,
     Graph,
     GraphParseError,
-    basic_stats,
 )
 from .structure import (
     SpecialClasses,

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from . import characterize, domination, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
-from .graphs import Graph, basic_stats, parse_edgelist, parse_graph6, serialize_graph6
+from .graphs import Graph, component_masks, parse_edgelist, parse_graph6, serialize_graph6
 
 
 # one encoder for every record: json.dumps builds a new one per call
@@ -150,20 +150,21 @@ def _classify(g: Graph, args) -> tuple[dict, str]:
 
 
 def _analyze(g: Graph, args) -> tuple[dict, str]:
-    stats = basic_stats(g)
+    degrees = [a.bit_count() for a in g.adj]
+    isolated = degrees.count(0)
     gv = girth(g)
     # classify refuses graphs with an isolated vertex, and takes its chordal
     # path on every chordal graph, which is eligible, at either fallback
-    report = None if stats.isolated_count else characterize.classify(g, args.fallback, args.oracle_cap)
+    report = None if isolated else characterize.classify(g, args.fallback, args.oracle_cap)
     chordal = report.method == characterize.METHOD_CHORDAL if report else is_chordal(g)
     classes = report.s_set if report else structure.special_classes(g)
     obj = {
         "n": g.n,
-        "minDegree": stats.min_degree,
-        "maxDegree": stats.max_degree,
-        "edgeCount": stats.edge_count,
-        "componentCount": stats.component_count,
-        "isolatedCount": stats.isolated_count,
+        "minDegree": min(degrees, default=0),
+        "maxDegree": max(degrees, default=0),
+        "edgeCount": sum(degrees) // 2,
+        "componentCount": len(component_masks(g)),
+        "isolatedCount": isolated,
         "girth": None if math.isinf(gv) else gv,
         "chordal": chordal,
         "special": sorted(classes.special),
@@ -175,13 +176,13 @@ def _analyze(g: Graph, args) -> tuple[dict, str]:
         cert_g = domination.exact_gamma(g, args.oracle_cap)
         obj["gamma"] = cert_g.value
         obj["gammaWitness"] = sorted(cert_g.witness)
-        if stats.isolated_count == 0:
+        if not isolated:
             cert_t = domination.exact_gamma_total(g, args.oracle_cap)
             obj["gammaT"] = cert_t.value
             obj["gammaTWitness"] = sorted(cert_t.witness)
     obj["classification"] = report.to_json_dict() if report else None
     return obj, (
-        f"n={g.n} m={stats.edge_count} girth={obj['girth']} "
+        f"n={g.n} m={obj['edgeCount']} girth={obj['girth']} "
         f"chordal={obj['chordal']} special={_vset(g, classes.special)} "
         f"gamma={obj['gamma']} gammaT={obj['gammaT']} "
         f"verdict={obj['classification']['verdict'] if report else 'n/a'}"

@@ -10,7 +10,7 @@ them safe to share across worker processes.
 from __future__ import annotations
 
 import binascii
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest order representable in the 8-byte size header
 # largest order parse_edgelist accepts: its header and vertex ids are not tied
@@ -125,14 +125,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-class BasicStats(NamedTuple):
-    min_degree: int
-    max_degree: int
-    edge_count: int
-    component_count: int
-    isolated_count: int
-
-
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitmasks, ordered by least member."""
     out = []
@@ -150,17 +142,6 @@ def component_masks(g: Graph) -> list[int]:
         out.append(comp)
         remaining &= ~comp
     return out
-
-
-def basic_stats(g: Graph) -> BasicStats:
-    degs = [m.bit_count() for m in g.adj]
-    return BasicStats(
-        min_degree=min(degs, default=0),
-        max_degree=max(degs, default=0),
-        edge_count=sum(degs) // 2,
-        component_count=len(component_masks(g)),
-        isolated_count=degs.count(0),
-    )
 
 
 # -- graph6 ---------------------------------------------------------------

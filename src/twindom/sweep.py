@@ -52,8 +52,8 @@ from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import girth, is_free
 from .graphs import Graph, bit_indices, component_masks, mask_of, parse_graph6, serialize_graph6
 
-# items per message to a worker; ordered_map maps a batch of at most one
-# chunk in this process, as only one worker would get work
+# the most items per message to a worker; ordered_map maps a batch of at
+# most CHUNK items in this process, as starting workers costs more
 CHUNK = 64
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
@@ -277,9 +277,11 @@ def _send(worker, data: bytes) -> None:
 
 
 def _fan_out(fn, items, jobs: int):
-    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk of
-    ``CHUNK`` items in flight at a time, and at most ``2 * jobs`` chunks are
-    sent and not yet yielded, which bounds the buffer that restores order."""
+    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk in
+    flight at a time, and at most ``2 * jobs`` chunks are sent and not yet
+    yielded, which bounds the buffer that restores order. The chunks hold
+    1, 2, 4, ... items, then ``CHUNK`` from the seventh on, so the first
+    result does not wait for a worker to map a whole ``CHUNK``."""
     import select
     workers = []
     try:
@@ -287,6 +289,7 @@ def _fan_out(fn, items, jobs: int):
             workers.append(_fork(fn, [fd for w in workers for fd in (w[1], w[2], w[3].fileno())]))
         idle, busy, done = list(workers), {}, {}  # busy: result stream -> (worker, chunk number)
         sent = yielded = 0
+        size = 1  # the next chunk's, doubling up to CHUNK
         more, error = True, None  # error: the input iterator's
         while True:
             while yielded in done:
@@ -298,11 +301,12 @@ def _fan_out(fn, items, jobs: int):
             while more and idle and sent - yielded < 2 * jobs:
                 chunk = []
                 try:
-                    for item in islice(items, CHUNK):
+                    for item in islice(items, size):
                         chunk.append(item)
                 except Exception as e:
                     error = e
-                more = error is None and len(chunk) == CHUNK
+                more = error is None and len(chunk) == size
+                size = min(2 * size, CHUNK)
                 if chunk:
                     worker = idle.pop()
                     _send(worker, _frame(chunk))
@@ -332,13 +336,14 @@ def _fan_out(fn, items, jobs: int):
 def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
-    With ``jobs > 1``, more than one ``CHUNK`` of items and ``os.fork``
-    available, the calls fan out to forked workers that die with this
-    process, at most one per CPU. Each talks to this process over its own
-    pair of pipes, in pickled chunks. Either way an item's exception, or
-    the input iterator's, is raised when its position is reached, after the
-    results of the items before it have been yielded; a worker that dies
-    raises ``ChildProcessError``.
+    With ``jobs > 1``, more than ``CHUNK`` items and ``os.fork`` available,
+    the calls fan out to forked workers that die with this process, at most
+    one per CPU. Each talks to this process over its own pair of pipes, in
+    pickled chunks that grow from one item to ``CHUNK``. A batch of at most
+    ``CHUNK`` items is mapped here: starting a worker costs more. Either way
+    an item's exception, or the input iterator's, is raised when its
+    position is reached, after the results of the items before it have been
+    yielded; a worker that dies raises ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)

@@ -205,6 +205,19 @@ class TestAnalysisCommands:
         assert obj["gamma"] == 2 and obj["gammaT"] == 3
         assert obj["classification"]["verdict"] == "unknown"
 
+    @pytest.mark.parametrize("g, expect", [
+        (cycle(6), (2, 2, 6, 1, 0)),
+        (Graph(4, [(0, 1), (2, 3)]), (1, 1, 2, 2, 0)),
+        (Graph(3), (0, 0, 0, 3, 3)),
+        (fixture("fig1"), (2, 5, 15, 1, 0)),
+    ], ids=["c6", "two-edges", "edgeless", "fig1"])
+    def test_analyze_degree_and_component_counts(self, tmp_path, capsys, g, expect):
+        f = tmp_path / "g.edges"
+        f.write_text("".join([f"n {g.n}\n", *(f"{u} {v}\n" for u, v in g.edges())]))
+        (obj,) = run_json(capsys, ["analyze", str(f), "--format", "edgelist", "--json"])
+        keys = ("minDegree", "maxDegree", "edgeCount", "componentCount", "isolatedCount")
+        assert tuple(obj[k] for k in keys) == expect
+
     @pytest.mark.parametrize("edges", [None, "n 4\n0 1\n1 2\n"], ids=["fig1", "isolated-vertex"])
     def test_analyze_decides_chordality_and_specialness_once(self, tmp_path, capsys, monkeypatch, edges):
         calls = {"is_chordal": 0, "special_classes": 0}
@@ -568,11 +581,40 @@ class TestFanOut:
                 assert err == b"twindom classify: gamma_t is undefined: graph has an isolated vertex\n"
                 assert_session_ends(proc.pid)
 
-    @pytest.mark.parametrize("index", [63, 64, 65, 128])
+    def test_the_first_result_is_not_held_back_by_later_items(self, tmp_path, monkeypatch):
+        # every item but the first waits for the release file, or for the
+        # deadline, so the first result arrives early only if its chunk
+        # holds no later item
+        release = tmp_path / "release"
+        deadline = time.monotonic() + 3
+
+        def fn(item):
+            while item and not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return -item
+
+        sizes = []
+        frame = sweep._frame
+
+        def recorded(chunk):  # the workers' copies record into their own memory
+            sizes.append(len(chunk))
+            return frame(chunk)
+
+        monkeypatch.setattr(sweep, "_frame", recorded)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        results = sweep.ordered_map(fn, range(200), 2)
+        assert next(results) == 0
+        assert time.monotonic() < deadline - 2
+        release.touch()
+        assert list(results) == [-i for i in range(1, 200)]
+        assert sweep.CHUNK == 64 and sizes == [1, 2, 4, 8, 16, 32, 64, 64, 9]
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 6, 7, 62, 63, 64, 65, 126, 127, 128])
     @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
     def test_a_failing_record_at_a_chunk_boundary_ends_like_serial_run(
             self, tmp_path, capsys, monkeypatch, command, index):
-        # the record fails in a worker, and nothing after it is written
+        # the record fails in a worker, and nothing after it is written; the
+        # chunks start at items 0, 1, 3, 7, ..., 63, 127 and 191
         assert sweep.CHUNK == 64
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 140)]
         lines[index] = "E"  # a size header without its body
@@ -587,6 +629,20 @@ class TestFanOut:
         code, out, err = runs[0]
         assert code == 1 and err.startswith(f"twindom {command[0]}: line {index + 1}: ")
         assert len(out.splitlines()) == (index if command == ["classify"] else 0)
+
+    @pytest.mark.parametrize("count", [65, 66, 127, 128, 129, 200])
+    def test_classify_is_identical_at_any_jobs(self, tmp_path, capsys, monkeypatch, count):
+        # yes and no verdicts, and every 20th graph an ineligible one with its witness
+        lines = [g6(g) for g in islice(enumerate_small_graphs(6, "isolate_free"), 0, 7 * count, 7)]
+        lines[3::20] = [g6((cycle(6), fixture("g1"), fixture("g2"))[i % 3]) for i in range(len(lines[3::20]))]
+        f = write_g6(tmp_path, lines)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        outs = []
+        for jobs in ("1", "2"):
+            assert run(["classify", str(f), "--json", "--jobs", jobs]) == 0
+            outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == count
 
     @pytest.mark.parametrize("given, survives", [("os.getppid()", True), ("os.getpid()", False)],
                              ids=["parent-alive", "parent-gone"])
@@ -811,24 +867,25 @@ class TestSweepCommand:
 
     def test_only_chordal_graphs_are_scanned_for_blocks(self, capsys, monkeypatch):
         # a block graph is chordal, and only bounds reads connectivity, when
-        # 3 * gamma_t > 2n; no claim needs the rest of basic_stats
+        # 3 * gamma_t > 2n on n >= 3; the sweep computes no fact it does not read
         chordal = [g6(g) for n in range(1, 7) for g in enumerate_small_graphs(n, "isolate_free")
                    if forbidden.is_chordal(g)]
-        calls = {"basic_stats": [], "clique_blocks": []}
-        for name, genuine in (("basic_stats", graphs.basic_stats), ("clique_blocks", structure.clique_blocks)):
+        calls = {"component_masks": [], "clique_blocks": []}
+        # sweep's component_masks alias only: clique_blocks calls its own
+        for module, name, genuine in ((sweep, "component_masks", graphs.component_masks),
+                                      (structure, "clique_blocks", structure.clique_blocks)):
             def counted(g, _name=name, _genuine=genuine):
-                calls[_name].append(g6(g))
+                calls[_name].append(g)
                 return _genuine(g)
 
-            # replace every alias, so a call by any import path is counted
-            for module in (twindom, graphs, structure, sweep, cli):
-                if getattr(module, name, None) is genuine:
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert run(["sweep", "--max-n", "6", "--jobs", "1", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert {name: c["checked"] for name, c in obj["claims"].items()} == SWEEP_N6_CHECKED
-        assert calls["basic_stats"] == []
-        assert len(chordal) == 14626 and sorted(calls["clique_blocks"]) == sorted(chordal)
+        assert calls["component_masks"]
+        for g in calls["component_masks"]:
+            assert g.n >= 3 and 3 * domination.exact_gamma_total(g).value > 2 * g.n, g6(g)
+        assert len(chordal) == 14626 and sorted(map(g6, calls["clique_blocks"])) == sorted(chordal)
 
     @pytest.mark.parametrize("claims", ["bounds", "bounds,lemma5"])
     def test_claims_that_read_no_report_skip_the_classifier(self, capsys, monkeypatch, claims):

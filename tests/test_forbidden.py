@@ -11,7 +11,7 @@ from twindom.forbidden import (
     C3, C6, H1, H2, PATTERNS, Embedding, Pattern, _core, find_induced, girth, is_chordal, is_free,
 )
 from twindom.generators import complete, corona_p2, cycle, enumerate_small_graphs, fixture, path, random_tree, star
-from twindom.graphs import MAX_ORDER, Graph, basic_stats, bit_indices
+from twindom.graphs import MAX_ORDER, Graph, bit_indices, component_masks
 from twindom.sweep import _has_triangle
 
 from conftest import (
@@ -572,8 +572,7 @@ class TestGirth:
 
     @given(small_graphs(max_n=9))
     def test_forest_iff_edge_count_formula(self, g):
-        stats = basic_stats(g)
-        is_forest = stats.edge_count == g.n - stats.component_count
+        is_forest = g.edge_count == g.n - len(component_masks(g))
         assert (girth(g) == math.inf) == is_forest
 
     def test_agrees_with_networkx_beyond_brute_force(self):

@@ -22,7 +22,7 @@ from twindom.generators import (
     random_tree,
     star,
 )
-from twindom.graphs import Graph, basic_stats
+from twindom.graphs import Graph, component_masks
 from twindom.structure import clique_blocks, special_classes
 
 from conftest import brute_cut_vertices, in_two_blocks, is_block_graph
@@ -168,9 +168,8 @@ class TestRandomTree:
     def test_is_a_tree(self):
         for seed in range(30):
             t = random_tree(3 + seed % 15, seed)
-            stats = basic_stats(t)
-            assert stats.component_count == 1
-            assert stats.edge_count == t.n - 1
+            assert len(component_masks(t)) == 1
+            assert t.edge_count == t.n - 1
 
     def test_pinned_seed(self):
         # frozen from the first run; guards the determinism contract
@@ -195,7 +194,7 @@ class TestRandomBlockGraph:
             assert is_block_graph(g)
             blocks = clique_blocks(g)
             assert len(blocks) == b
-            assert basic_stats(g).component_count == 1
+            assert len(component_masks(g)) == 1
             assert in_two_blocks(blocks) == brute_cut_vertices(g)
 
     def test_deterministic(self):

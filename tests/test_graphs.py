@@ -11,7 +11,6 @@ from twindom.graphs import (
     Graph,
     MAX_ORDER,
     GraphParseError,
-    basic_stats,
     bit_indices,
     parse_edgelist,
     parse_graph6,
@@ -278,19 +277,3 @@ class TestEdgelist:
     @given(small_graphs(max_n=12))
     def test_round_trip_property(self, g):
         assert parse_edgelist(edgelist_text(g)) == g
-
-
-class TestBasicStats:
-    @pytest.mark.parametrize(
-        "g,expect",
-        [
-            (cycle(6), (2, 2, 6, 1, 0)),
-            (Graph(4, [(0, 1), (2, 3)]), (1, 1, 2, 2, 0)),
-            (Graph(3), (0, 0, 0, 3, 3)),
-        ],
-    )
-    def test_examples(self, g, expect):
-        assert tuple(basic_stats(g)) == expect
-
-    def test_fig1(self):
-        assert tuple(basic_stats(fixture("fig1"))) == (2, 5, 15, 1, 0)
