@@ -38,6 +38,8 @@ METHOD_MAIN = "main_theorem"
 METHOD_CHORDAL = "chordal_fast_path"
 METHOD_ORACLE = "exact_oracle"
 
+FALLBACKS = ("none", "oracle")  # what classify does with an ineligible graph
+
 
 class ClassificationReport(NamedTuple):
     method: str
@@ -89,8 +91,11 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
     search showing no induced c6, h1, or h2. On eligible graphs the
     verdict is decided by the special-vertex representatives; ineligible
     graphs use the exact oracle when ``fallback="oracle"`` and the order
-    permits, and are reported ``unknown`` otherwise.
+    permits, and are reported ``unknown`` otherwise. Any other
+    ``fallback`` is a ``ValueError``.
     """
+    if fallback not in FALLBACKS:
+        raise ValueError(f"unknown fallback {fallback!r}; expected from {FALLBACKS}")
     _require_isolate_free(g)
     started = time.perf_counter_ns()
     chordal = is_chordal(g)

@@ -245,7 +245,7 @@ def _check_free(g: Graph, args) -> tuple[dict, str]:
 
 
 _FALLBACK = ("--fallback", dict(
-    default="none", choices=("none", "oracle"),
+    default="none", choices=characterize.FALLBACKS,
     help="on ineligible graphs: report unknown (default) or use the exact oracle"))
 
 # name -> (per-graph function, help, options beyond the shared graph args)
@@ -314,11 +314,6 @@ def cmd_sweep(args) -> int:
     if (args.max_n is None) == (args.input is None):
         raise ValueError("sweep needs exactly one of --max-n or --input")
     claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
-    for c in claims:
-        if c not in sweep.CLAIM_NAMES:
-            raise ValueError(f"unknown claim {c!r}; expected from {sweep.CLAIM_NAMES}")
-    if not claims:
-        raise ValueError("no claims given")
     if args.max_n is not None:
         from . import generators
         if args.max_n < 1:

@@ -116,47 +116,27 @@ def _peel(adj: tuple[int, ...], alive: int, deg: list[int], queue: list[int], mi
     return alive
 
 
-def _thread(adj: tuple[int, ...], alive: int, deg: list[int], v: int, k: int) -> int:
-    """The maximal path of degree-2 vertices through ``v``, which has
-    degree 2, with its ends, as a mask; 0 once that holds more than ``k``
-    vertices. A cycle of degree-2 vertices has no ends."""
-    span = bit = 1 << v
-    size = 1
-    hood = adj[v] & alive
-    for step in (hood & -hood, hood & (hood - 1)):
-        prev = bit
-        while not span & step:  # stops where the other direction, or a cycle, already reached
-            span |= step
-            if (size := size + 1) > k:
-                return 0
-            u = step.bit_length() - 1
-            if deg[u] != 2:  # an end
-                break
-            prev, step = step, adj[u] & alive ^ prev
-    return span
-
-
 def _drop_threads(adj: tuple[int, ...], alive: int, deg: list[int], k: int) -> int:
-    """``alive``, already peeled to degree 2, less every thread of degree-2
-    vertices that with its ends holds more than ``k`` vertices, and less
-    what the peel then removes, repeatedly."""
-    # a thread that with its ends exceeds k has at least k - 1 vertices (deg
-    # counts some removed vertices too, so may count high), and for k > 3 a
-    # vertex with both neighbors on the thread, where its walk may start
-    while alive.bit_count() > k and deg.count(2) >= k - 1:
-        before, kept = alive, 0
-        for v in [v for v, d in enumerate(deg) if d == 2 and alive >> v & 1]:
-            if not alive >> v & 1 or kept >> v & 1:  # dropped, or walked
-                continue
-            hood = adj[v] & alive
-            if k > 3 and (deg[(hood & -hood).bit_length() - 1] != 2 or deg[hood.bit_length() - 1] != 2):
-                continue
-            if span := _thread(adj, alive, deg, v, k):
-                kept |= span
-            else:  # peeling one vertex of the thread peels all of it
-                alive = _peel(adj, alive, deg, [v], 2)
-        if alive == before:
-            break
+    """``alive``, already peeled to degree 2, less every thread, a connected
+    set of degree-2 vertices, that with its ends holds more than ``k``
+    vertices, each followed by a peel."""
+    twos = mask_of([v for v, d in enumerate(deg) if d == 2]) & alive
+    while twos:
+        seed = span = layer = twos & -twos
+        while layer and span.bit_count() <= k:  # the thread and its ends, layer by layer
+            hood = 0
+            while layer:
+                bit = layer & -layer
+                hood |= adj[bit.bit_length() - 1]
+                layer ^= bit
+            layer = hood & alive & ~span
+            span |= layer
+            layer &= twos
+        if span.bit_count() > k:  # peeling one vertex of the thread peels all of it
+            alive = _peel(adj, alive, deg, [seed.bit_length() - 1], 2)
+            twos &= alive
+        else:
+            twos &= ~span
     return alive
 
 
@@ -165,24 +145,28 @@ def _core(g: Graph, min_degree: int, collapse: bool, k: int) -> tuple[int, list[
     ``k`` needs, as a mask, with each one's degree inside it.
 
     Vertices with fewer than ``min_degree`` neighbors left are peeled off.
-    For ``min_degree`` 2, so are the threads of degree-2 vertices that with
-    their ends hold more than ``k`` vertices. With ``collapse``, every vertex
-    with a smaller-id true or false twin among those left is dropped too,
-    each followed by a peel. The steps repeat, in that order of precedence,
-    until none removes anything, or the collapse stops once fewer than ``k``
-    vertices are left.
+    Then, until neither step removes anything: for ``min_degree`` 2, the
+    threads, components of the degree-2 vertices, that with their ends hold
+    more than ``k`` vertices are dropped, each followed by a peel; failing
+    that, with ``collapse`` and at least ``k`` vertices left, every vertex
+    with a smaller-id true or false twin among those left is dropped, each
+    followed by a peel.
     """
     adj = g.adj
     deg = [m.bit_count() for m in adj]
     alive = _peel(adj, g.full, deg, [v for v in range(g.n) if deg[v] < min_degree], min_degree)
     while True:
-        if min_degree == 2:
-            alive = _drop_threads(adj, alive, deg, k)
-        if not (collapse and alive.bit_count() >= k and (dupes := _twin_duplicates(adj, alive))):
+        # a long thread with its ends exceeds k, so has at least k - 1 vertices
+        # (deg also counts removed vertices, so may count high)
+        if (min_degree == 2 and alive.bit_count() > k and deg.count(2) >= k - 1
+                and (rest := _drop_threads(adj, alive, deg, k)) != alive):
+            alive = rest
+        elif collapse and alive.bit_count() >= k and (dupes := _twin_duplicates(adj, alive)):
+            for v in bit_indices(dupes):
+                if alive >> v & 1:  # not peeled since the duplicates were found
+                    alive = _peel(adj, alive, deg, [v], min_degree)
+        else:
             return alive, deg
-        for v in bit_indices(dupes):
-            if alive >> v & 1:  # not peeled since the duplicates were found
-                alive = _peel(adj, alive, deg, [v], min_degree)
 
 
 def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
@@ -204,14 +188,14 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
       degree (2 for c3, c6, h1 and h2) are removed, repeatedly. Every vertex
       of a copy has that many neighbors inside the copy, so none is removed.
     * Threads, only for a pattern of minimum degree 2 (c3, c6, h1, h2 and
-      custom patterns such as c4): a thread is a maximal path, or cycle, of
-      vertices with exactly two neighbors left, and its ends are the
-      vertices of higher degree next to it. A copy that holds a thread
-      vertex holds both its neighbors, so it holds the whole thread and its
-      ends. A thread that with its ends has more vertices than the pattern
-      lies in no copy, and is removed, followed by a peel. A component that
-      is one long cycle empties. The walk is skipped when no more vertices
-      are left than the pattern has.
+      custom patterns such as c4): a thread is a component of the vertices
+      with exactly two neighbors left, a path or a cycle, and its ends are
+      its other neighbors. A copy that holds a thread vertex holds both its
+      neighbors, so it holds the whole thread and its ends. A thread that
+      with its ends has more vertices than the pattern lies in no copy, and
+      is removed, followed by a peel. A component that is one long cycle
+      empties. The step is skipped when no more vertices are left than the
+      pattern has.
     * Collapse, only for a pattern with no true or false twins (c6, h1 and
       h2; not c3, nor custom patterns such as c4): each true-twin and each
       false-twin class of what is left keeps only its least-id member. Two

@@ -373,8 +373,14 @@ def sweep_graphs(
     ``elapsedMicros``: ``graphs``, ``skippedIsolated``, ``claims`` (each
     named claim once, sorted, as ``{"checked", "violations"}``) and ``ok``.
     With ``jobs > 1`` the graphs fan out through :func:`ordered_map`;
-    violations are listed in input order either way.
+    violations are listed in input order either way. An unknown claim
+    name, or no name at all, is a ``ValueError`` before any graph is read.
     """
+    for c in claims:
+        if c not in CLAIM_NAMES:
+            raise ValueError(f"unknown claim {c!r}; expected from {CLAIM_NAMES}")
+    if not claims:
+        raise ValueError("no claims given")
     totals = {name: {"checked": 0, "violations": []} for name in sorted(set(claims))}
     seen = skipped = 0
     # one set for the whole sweep, so check_graph's membership tests are cheap

@@ -131,6 +131,13 @@ class TestClassify:
         assert rep.verdict == "is_gamma2"
         assert rep.implied_values == (2, 4)
 
+    @pytest.mark.parametrize("fallback", ["oracel", "Oracle", "", None])
+    @pytest.mark.parametrize("g", [star(3), cycle(6)], ids=["eligible", "ineligible"])
+    def test_unknown_fallback_is_refused(self, g, fallback):
+        # not read as "none", whether or not the graph would need it
+        with pytest.raises(ValueError, match="unknown fallback"):
+            classify(g, fallback)
+
     def test_fig1_ineligible_then_oracle_says_no(self):
         rep = classify(fixture("fig1"))
         assert not rep.eligible and rep.ineligibility_witness.pattern == "c6"

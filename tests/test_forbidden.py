@@ -266,8 +266,10 @@ class TestTriangleByMasks:
 def _thread_rich_hosts() -> list[Graph]:
     """Hosts whose reduced hosts lose threads: cycles C_4 ... C_12 with
     pendant trees, theta graphs (two vertices joined by three paths of 1-6
-    edges), K_4 with each edge subdivided 0-3 times, and coronas of cycles;
-    all but the coronas randomly relabeled."""
+    edges), K_4 with each edge subdivided 0-3 times, figure eights (C_a and
+    C_b, 3 <= a <= b <= 8, sharing one vertex, which is both ends of each
+    loop's thread), and coronas of cycles; all but the coronas randomly
+    relabeled."""
     rng = random.Random(1704)
     hosts = []
     for n in range(4, 13):
@@ -292,6 +294,10 @@ def _thread_rich_hosts() -> list[Graph]:
             edges += list(zip([u] + inner, inner + [v]))
             size += len(inner)
         hosts.append(_relabeled(rng, size, edges))
+    for a in range(3, 9):
+        for b in range(a, 9):
+            inner = list(range(a, a + b - 1))
+            hosts.append(_relabeled(rng, a + b - 1, list(cycle(a).edges()) + list(zip([0] + inner, inner + [0]))))
     return hosts + [corona_p2(cycle(n)) for n in range(3, 13)]
 
 
@@ -311,10 +317,10 @@ def _unreduced(g: Graph):
 
 class TestReducedHost:
     @staticmethod
-    def assert_matches_definition(g) -> int:
-        """How many vertices the thread rule removed, summed over k = 3 and 6."""
+    def assert_matches_definition(g, orders=(3, 6)) -> int:
+        """How many vertices the thread rule removed, summed over ``orders``."""
         for profile in ((2, True), (2, False)):
-            for k in (3, 6):
+            for k in orders:
                 alive, deg = _core(g, *profile, k)
                 expect = brute_reduced_host(g, *profile, k)
                 assert set(bit_indices(alive)) == expect, (profile, k, sorted(g.edges()))
@@ -322,7 +328,7 @@ class TestReducedHost:
                     assert deg[v] == sum(g.has_edge(u, v) for u in expect), (profile, k, sorted(g.edges()), v)
         # no collapse, and at order n no thread is too long
         two_core = len(brute_reduced_host(g, 2, False, g.n))
-        return sum(two_core - len(brute_reduced_host(g, 2, False, k)) for k in (3, 6))
+        return sum(two_core - len(brute_reduced_host(g, 2, False, k)) for k in orders)
 
     def test_agrees_with_definition_exhaustive(self):
         # at k = 3 a thread of two vertices, or a cycle of four, already drops
@@ -335,6 +341,11 @@ class TestReducedHost:
     def test_agrees_with_definition_on_thread_rich_hosts(self):
         assert all(self.assert_matches_definition(g) for g in THREAD_RICH[:9])  # every pendant cycle sheds a thread
         assert sum(map(self.assert_matches_definition, THREAD_RICH[9:]))
+
+    @pytest.mark.parametrize("k", [4, 5, 8])
+    def test_agrees_with_definition_at_custom_orders(self, k):
+        # the orders of custom patterns such as c4, c5 and c8
+        assert sum(self.assert_matches_definition(g, (k,)) for g in THREAD_RICH)
 
     @pytest.mark.parametrize("n", [7, 50, 2000])
     def test_long_cycles_empty(self, n):

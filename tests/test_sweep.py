@@ -147,3 +147,18 @@ class TestBoundsConnectivity:
         assert (domination.exact_gamma(g).value, gamma_t) == (2, 4)
         assert len(component_masks(g)) == 2 and 3 * gamma_t > 2 * g.n
         assert sweep.check_graph(g, ("bounds",)) == {"bounds": []}
+
+
+class TestClaimNames:
+    # a sweep that checks nothing must not report ok after running the oracles
+    @pytest.mark.parametrize("claims,message", [
+        (("lemma9",), "unknown claim 'lemma9'; expected from"),
+        (("bounds", "lemma9"), "unknown claim 'lemma9'; expected from"),
+        ((), "no claims given"),
+    ], ids=["unknown", "one-unknown", "none"])
+    def test_is_refused_before_any_graph_is_read(self, claims, message):
+        read = []
+        graphs = (read.append(g) or g for g in (path(4), cycle(6)))
+        with pytest.raises(ValueError, match=message):
+            sweep.sweep_graphs(graphs, claims)
+        assert read == []
