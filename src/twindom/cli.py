@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from . import characterize, domination, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
 from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
-from .graphs import Graph, component_masks, parse_edgelist, parse_graph6, serialize_graph6
+from .graphs import Graph, component_masks, parse_edgelist, serialize_graph6
 
 
 # one encoder for every record: json.dumps builds a new one per call
@@ -77,14 +77,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="verify the library's claims over a corpus")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="enumerate all labeled graphs up to this order")
-    p.add_argument("--input", default=None, metavar="FILE", help="graph6 stream to sweep instead")
+    _add_graph_args(p)
+    p.add_argument("--max-n", type=int, metavar="N", help="all labeled graphs of order 1 to N")
     p.add_argument("--claims", default=",".join(sweep.CLAIM_NAMES),
                    help=f"comma list from {{{','.join(sweep.CLAIM_NAMES)}}}")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument(_JOBS[0], **_JOBS[1])
     return parser
 
 
@@ -116,17 +113,23 @@ def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _records(args) -> Iterable:
-    """The input graphs, in order: each a Graph, or a graph6 line still to
-    parse as a (line number, stripped line) pair."""
-    sources = [s for s in ("path", "input", "fixture", "generate") if getattr(args, s, None)]
+    """The input graphs, in order, as items for :func:`sweep.as_graph`."""
+    sources = [s for s in ("path", "input", "fixture", "generate", "max_n")
+               if getattr(args, s, None) not in (None, "")]
     if len(sources) != 1:
-        raise ValueError("exactly one input source required: FILE, --input, --fixture, or --generate")
+        also = ", --generate, or --max-n" if hasattr(args, "max_n") else ", or --generate"
+        raise ValueError(f"exactly one input source required: FILE, --input, --fixture{also}")
     which = sources[0]
-    if which in ("fixture", "generate"):
+    if which in ("fixture", "generate", "max_n"):
         from . import generators  # imported only by the commands that build graphs
         if which == "fixture":
             return [generators.fixture(args.fixture)]
-        return generators.expand(args.generate, args.seed)
+        if which == "generate":
+            return generators.expand(args.generate, args.seed)
+        if args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
+        # built eagerly, so an order over the enumeration cap fails here
+        return chain.from_iterable([generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)])
     path = args.path if which == "path" else args.input
     if args.format == "edgelist":
         with _open_source(path) as fh:
@@ -247,13 +250,11 @@ def _check_free(g: Graph, args) -> tuple[dict, str]:
 _FALLBACK = ("--fallback", dict(
     default="none", choices=characterize.FALLBACKS,
     help="on ineligible graphs: report unknown (default) or use the exact oracle"))
+_JOBS = ("--jobs", dict(type=int, default=os.cpu_count() or 1, help="worker processes for batch input"))
 
 # name -> (per-graph function, help, options beyond the shared graph args)
 COMMANDS = {
-    "classify": (_classify, "run the polynomial classifier", (
-        _FALLBACK,
-        ("--jobs", dict(type=int, default=os.cpu_count() or 1,
-                        help="worker processes for batch input")))),
+    "classify": (_classify, "run the polynomial classifier", (_FALLBACK, _JOBS)),
     "analyze": (_analyze, "full single-graph analysis", (_FALLBACK,)),
     "gamma": (partial(_gamma, total=False), "exact gamma number with witness", ()),
     "gamma-t": (partial(_gamma, total=True), "exact gamma total number with witness", ()),
@@ -276,12 +277,8 @@ COMMANDS = {
 def _record(fn, args, numbered) -> str:
     """The output line of one input graph, from its (index, item) pair."""
     index, item = numbered
-    if isinstance(item, Graph):
-        fields, tail = fn(item, args)
-        g6 = serialize_graph6(item).decode("ascii")
-    else:
-        lineno, g6 = item
-        fields, tail = fn(parse_graph6(g6, line=lineno), args)
+    fields, tail = fn(g := sweep.as_graph(item), args)
+    g6 = serialize_graph6(g).decode("ascii") if g is item else item[1]
     return _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
 
 
@@ -311,20 +308,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if (args.max_n is None) == (args.input is None):
-        raise ValueError("sweep needs exactly one of --max-n or --input")
     claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
-    if args.max_n is not None:
-        from . import generators
-        if args.max_n < 1:
-            raise ValueError("--max-n must be at least 1")
-        # built eagerly, so an order over the enumeration cap fails here
-        graphs = chain.from_iterable([generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)])
-    else:
-        graphs = _graph6_lines(args.input)
-
     started = time.perf_counter_ns()
-    obj = sweep.sweep_graphs(graphs, claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
+    obj = sweep.sweep_graphs(_records(args), claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
     obj["elapsedMicros"] = (time.perf_counter_ns() - started) // 1000
     if args.json:
         print(_JSON.encode(obj))

@@ -355,9 +355,13 @@ def ordered_map(fn, items, jobs: int):
         yield from _fan_out(fn, items, jobs)
 
 
+def as_graph(item) -> Graph:
+    """A Graph as it is, or a (line number, graph6 line) pair parsed here."""
+    return item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
+
+
 def _check_item(item, claims: frozenset[str], oracle_cap: int):
-    g = item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
-    return check_graph(g, claims, oracle_cap)
+    return check_graph(as_graph(item), claims, oracle_cap)
 
 
 def sweep_graphs(

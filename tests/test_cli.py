@@ -460,8 +460,8 @@ class TestStartUp:
              "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
              "from twindom.cli import main; main()")
 
-    @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "--input", "-"]],
-                             ids=["classify", "sweep"])
+    @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "--input", "-"], ["sweep", "-"]],
+                             ids=["classify", "sweep", "sweep-stdin"])
     def test_a_one_record_run_imports_no_slow_module(self, argv):
         proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv, "--jobs", "1"],
                               input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
@@ -960,12 +960,36 @@ class TestSweepCommand:
         monkeypatch.setattr(domination, "enumerate_gamma_sets", with_whole_vertex_set)
         assert set(self._sweep_violations(capsys)) == {"lemma5"}
 
-    def test_input_stream_sweep(self, tmp_path, capsys):
-        f = tmp_path / "graphs.g6"
-        f.write_text("\n".join(g6(g) for g in [cycle(6), fixture("g1"), fixture("g2")]) + "\n")
-        assert run(["sweep", "--input", str(f), "--jobs", "1", "--json"]) == 0
+    def _summary(self, capsys, argv) -> dict:
+        """The --json summary of a one-job sweep, with elapsedMicros zeroed."""
+        assert run(["sweep", *argv, "--jobs", "1", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
+        obj["elapsedMicros"] = 0
+        return obj
+
+    @pytest.mark.parametrize("source", [["--input", "FILE"], ["FILE"], ["-"]], ids=["input", "path", "stdin"])
+    def test_input_stream_sweep(self, tmp_path, capsys, monkeypatch, source):
+        f = write_g6(tmp_path, [g6(g) for g in [cycle(6), fixture("g1"), fixture("g2")]])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f.read_bytes()), encoding="ascii"))
+        obj = self._summary(capsys, [str(f) if a == "FILE" else a for a in source])
         assert obj["graphs"] == 3 and obj["ok"] is True
+        assert obj == self._summary(capsys, ["--input", str(f)])
+
+    def test_generated_sweep_matches_its_stream(self, tmp_path, capsys):
+        f = write_g6(tmp_path, [g6(g) for g in enumerate_small_graphs(4, "connected")])
+        generated = self._summary(capsys, ["--generate", "enum:4:connected"])
+        assert generated["graphs"] == 38
+        assert generated == self._summary(capsys, ["--input", str(f)])
+        texts = []
+        for argv in (["--generate", "enum:4:connected"], ["--input", str(f)]):
+            assert run(["sweep", *argv, "--jobs", "1"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("swept 38 graphs") and texts[0] == texts[1]
+
+    def test_fixture_sweeps_one_graph(self, tmp_path, capsys):
+        obj = self._summary(capsys, ["--fixture", "g2"])
+        assert (obj["graphs"], obj["skippedIsolated"], obj["ok"]) == (1, 0, True)
+        assert obj == self._summary(capsys, ["--input", str(write_g6(tmp_path, [g6(fixture("g2"))]))])
 
     def test_human_summary(self, capsys):
         assert run(["sweep", "--max-n", "3", "--jobs", "1", "--claims", "lemma6,bounds"]) == 0
@@ -991,7 +1015,8 @@ class TestSweepCommand:
 class TestErrors:
     def test_no_input_source(self, capsys):
         assert run(["classify"]) == 1
-        assert "input source" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "twindom classify: exactly one input source required: FILE, --input, --fixture, or --generate\n")
 
     def test_two_input_sources(self, capsys):
         assert run(["classify", "--fixture", "c6", "--generate", "c5"]) == 1
@@ -1097,8 +1122,12 @@ class TestErrors:
         assert (captured.out, captured.err) == ("", f"twindom classify: {message}\n")
 
     def test_sweep_needs_a_source(self, capsys):
-        assert run(["sweep", "--jobs", "1"]) == 1
-        assert run(["sweep", "--max-n", "3", "--input", "x.g6"]) == 1
+        # --max-n is one more source, offered by sweep alone
+        message = ("twindom sweep: exactly one input source required: "
+                   "FILE, --input, --fixture, --generate, or --max-n\n")
+        for argv in ([], ["--max-n", "3", "--input", "x.g6"], ["--max-n", "3", "--fixture", "c6"]):
+            assert run(["sweep", *argv, "--jobs", "1"]) == 1
+            assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("argv,message", [
         (["--max-n", "0"], "--max-n must be at least 1"),
