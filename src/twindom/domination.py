@@ -90,15 +90,15 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, every: bool,
     """Smallest selections whose masks cover all ``n`` vertices, as sorted
     tuples: (size, 1, [first cover found]), or with ``every`` (size, number
     of covers of that size, the ``keep`` least of them in ascending order,
-    all when None); (0, 0, []) when some vertex has an empty mask. ``masks``
-    plays both roles: masks[u] is what selecting u covers, and, the graph
-    being undirected, who can cover u. Sizes are tried from ceil(n / the
-    largest mask) up.
+    all when None). ``masks`` plays both roles: masks[u] is what selecting
+    u covers, and, the graph being undirected, who can cover u. Sizes are
+    tried from ceil(n / the largest mask) up. An empty mask is an isolated
+    vertex's open neighborhood: IsolatedVertexError.
     """
     if n > cap:
         raise OracleCapExceeded(n, cap)
     if not all(masks):
-        return 0, 0, []
+        raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     full = (1 << n) - 1
     max_cover = max([m.bit_count() for m in masks], default=1)
     found: list[tuple[int, ...]] = []
@@ -148,8 +148,6 @@ def exact_gamma_total(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> DominationCert
     """Minimum total dominating set, exactly. Needs an isolate-free graph."""
     # no vertex covers itself through an open neighborhood
     value, _, found = _covers(g.adj, g.n, cap, False)
-    if not found:
-        raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     return DominationCertificate("gamma_total", value, frozenset(found[0]))
 
 

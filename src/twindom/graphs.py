@@ -160,16 +160,16 @@ _FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _graph6_decode_size(data: bytes) -> tuple[int, int]:
+def _graph6_decode_size(data: bytes, line: int | None) -> tuple[int, int]:
     """Return (n, bytes consumed by the size header)."""
     if not data:
-        raise GraphParseError("empty graph6 string")
+        raise GraphParseError("empty graph6 string", line)
     if data[0] != 126:  # '~'
         return data[0] - 63, 1
     # '~' and three digits, or '~~' and six
     width = 8 if data[:2] in (b"~", b"~~") else 4
     if len(data) < width:
-        raise GraphParseError("truncated graph6 size header")
+        raise GraphParseError("truncated graph6 size header", line)
     n = 0
     for b in data[width // 4:width]:
         n = (n << 6) | (b - 63)
@@ -186,10 +186,7 @@ def parse_graph6(data: bytes | str, line: int | None = None) -> Graph:
     # what is left once every digit is deleted starts with the first bad byte
     if bad := data.translate(None, _GRAPH6_DIGITS):
         raise GraphParseError(f"invalid graph6 byte {bad[0]} at offset {data.index(bad[0])}", line)
-    try:
-        n, start = _graph6_decode_size(data)
-    except GraphParseError as e:
-        raise GraphParseError(str(e), line) from None
+    n, start = _graph6_decode_size(data, line)
     expected = (n * (n - 1) // 2 + 5) // 6
     if len(data) - start != expected:
         raise GraphParseError(

@@ -141,7 +141,7 @@ def check_graph(
             g, f"twin-class product {count}, enumerated {enum.count}"
                + ("" if singletons else f", classes {[sorted(c) for c in classes.classes]}"))
 
-    if "cor4" in claims and is_g2 and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
+    if "cor4" in claims and is_g2 and g.n and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
         outcome["cor4"] = [] if (gv := girth(g)) <= 6 and has_c3_or_c6 else _violation(
             g, f"girth={gv} induced c3/c6 present={has_c3_or_c6}")
 
@@ -212,36 +212,24 @@ def _die_with_parent(parent_pid: int) -> None:
         os._exit(1)
 
 
-def _guarded(fn, item):
-    # a failure travels back as a value, so the worker keeps the rest of its chunk
+def _until_error(values) -> tuple[list, Exception | None]:
+    """The values an iterable yields before it raises, and what it raised
+    (None when it ran out)."""
+    out = []
     try:
-        return fn(item), None
+        for value in values:
+            out.append(value)
     except Exception as e:
-        return None, e
-
-
-def _frame(obj) -> bytes:
-    import pickle  # only a fan-out needs it
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return len(data).to_bytes(8, "little") + data
-
-
-def _unframe(fh):
-    """The next object ``_frame`` wrote to ``fh``; EOFError when the stream
-    ends before a whole frame."""
-    import pickle
-    size = int.from_bytes(fh.read(8), "little")
-    body = fh.read(size)
-    if not size or len(body) != size:
-        raise EOFError
-    return pickle.loads(body)
+        return out, e
+    return out, None
 
 
 def _fork(fn, inherited: list[int]):
-    """Fork a worker that maps ``fn`` over each chunk it reads, with
-    ``_guarded``; (pid, task pipe, its read end, result stream). The worker
-    closes the ``inherited`` descriptors, its siblings' ends in this process.
-    It never returns: it runs until it is killed or its parent is gone."""
+    """Fork a worker that answers each pickled chunk with one pickled
+    ``_until_error(map(fn, chunk))``; (pid, task pipe, its read end, result
+    stream). It closes the ``inherited`` descriptors, its siblings' ends in
+    this process, and runs until it is killed or its parent is gone."""
+    import pickle  # only a fan-out needs it
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
     parent = os.getpid()
@@ -253,7 +241,7 @@ def _fork(fn, inherited: list[int]):
             _die_with_parent(parent)
             tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
             while True:
-                results.write(_frame([_guarded(fn, item) for item in _unframe(tasks)]))
+                pickle.dump(_until_error(map(fn, pickle.load(tasks))), results)
                 results.flush()
         finally:
             os._exit(1)
@@ -282,6 +270,7 @@ def _fan_out(fn, items, jobs: int):
     yielded, which bounds the buffer that restores order. The chunks hold
     1, 2, 4, ... items, then ``CHUNK`` from the seventh on, so the first
     result does not wait for a worker to map a whole ``CHUNK``."""
+    import pickle
     import select
     workers = []
     try:
@@ -293,23 +282,18 @@ def _fan_out(fn, items, jobs: int):
         more, error = True, None  # error: the input iterator's
         while True:
             while yielded in done:
-                for value, item_error in done.pop(yielded):
-                    if item_error is not None:
-                        raise item_error
-                    yield value
+                values, item_error = done.pop(yielded)
+                yield from values
+                if item_error is not None:
+                    raise item_error
                 yielded += 1
             while more and idle and sent - yielded < 2 * jobs:
-                chunk = []
-                try:
-                    for item in islice(items, size):
-                        chunk.append(item)
-                except Exception as e:
-                    error = e
+                chunk, error = _until_error(islice(items, size))
                 more = error is None and len(chunk) == size
                 size = min(2 * size, CHUNK)
                 if chunk:
                     worker = idle.pop()
-                    _send(worker, _frame(chunk))
+                    _send(worker, pickle.dumps(chunk))
                     busy[worker[3]] = worker, sent
                     sent += 1
             if not busy:  # every chunk sent is yielded, and the input is spent
@@ -317,8 +301,8 @@ def _fan_out(fn, items, jobs: int):
             for results in select.select(list(busy), [], [])[0]:
                 worker, number = busy.pop(results)
                 try:
-                    done[number] = _unframe(results)
-                except EOFError:
+                    done[number] = pickle.load(results)
+                except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short: the worker died
                     raise ChildProcessError("a worker process died") from None
                 idle.append(worker)
         if error is not None:
@@ -338,12 +322,13 @@ def ordered_map(fn, items, jobs: int):
 
     With ``jobs > 1``, more than ``CHUNK`` items and ``os.fork`` available,
     the calls fan out to forked workers that die with this process, at most
-    one per CPU. Each talks to this process over its own pair of pipes, in
-    pickled chunks that grow from one item to ``CHUNK``. A batch of at most
-    ``CHUNK`` items is mapped here: starting a worker costs more. Either way
-    an item's exception, or the input iterator's, is raised when its
-    position is reached, after the results of the items before it have been
-    yielded; a worker that dies raises ``ChildProcessError``.
+    one per CPU. A worker reads pickled chunks of one item up to ``CHUNK``
+    and answers each with one pickle: the results up to its first failing
+    item, and that failure. A batch of at most ``CHUNK`` items is mapped
+    here: starting a worker costs more. Either way an item's exception, or
+    the input iterator's, is raised when its position is reached, after the
+    results of the items before it; a worker that dies or cuts a reply
+    short raises ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)

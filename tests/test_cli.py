@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -551,6 +552,33 @@ class TestFanOut:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a worker process died\n", b"")
 
+    @pytest.mark.parametrize("setup", [
+        # items 63..126 form one chunk. Its first 63 results take 252 KiB, and
+        # item 126 raises an error holding a lock, which cannot be pickled:
+        # the worker writes the whole 64 KiB frames before it and dies
+        "def fn(i):\n"
+        "    if i == 126:\n        raise ValueError(threading.Lock())\n"
+        "    return bytes(4096)\n",
+        # each worker loses its first reply's last byte, as when it is killed
+        # in a write; this process sends with pickle.dumps, not pickle.dump
+        "fn = abs\n"
+        "pickle.dump = lambda obj, f: (f.write(pickle.dumps(obj)[:-1]), f.flush(), os._exit(1))\n",
+    ], ids=["unpicklable-error", "last-byte-lost"])
+    def test_a_reply_cut_short_reads_as_a_dead_worker(self, setup):
+        code = ("import os, pickle, threading\nfrom twindom import sweep\n"
+                "sweep.os.cpu_count = lambda: 2\n"
+                "pids, fork = [], sweep._fork\n"
+                "sweep._fork = lambda *args: pids.append((w := fork(*args))[0]) or w\n"
+                + setup +
+                "try:\n    list(sweep.ordered_map(fn, range(200), 2))\n"
+                "except ChildProcessError as e:\n    print(e)\n"
+                "for pid in pids:\n"
+                "    try:\n        os.kill(pid, 0)\n"
+                "    except ProcessLookupError:\n        print('reaped')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
+        assert proc.stderr == b""
+        assert (proc.returncode, proc.stdout) == (0, b"a worker process died\nreaped\nreaped\n")
+
     def test_a_failing_first_record_ends_every_loaded_run(self, tmp_path):
         # line 1 has an isolated vertex, which classify refuses. A pool once
         # hung here on a host loaded by other runs, so four run at a time.
@@ -585,13 +613,13 @@ class TestFanOut:
             return -item
 
         sizes = []
-        frame = sweep._frame
+        send = sweep._send
 
-        def recorded(chunk):  # the workers' copies record into their own memory
-            sizes.append(len(chunk))
-            return frame(chunk)
+        def recorded(worker, data):  # each chunk goes out pickled
+            sizes.append(len(pickle.loads(data)))
+            return send(worker, data)
 
-        monkeypatch.setattr(sweep, "_frame", recorded)
+        monkeypatch.setattr(sweep, "_send", recorded)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         results = sweep.ordered_map(fn, range(200), 2)
         assert next(results) == 0
@@ -990,6 +1018,15 @@ class TestSweepCommand:
         obj = self._summary(capsys, ["--fixture", "g2"])
         assert (obj["graphs"], obj["skippedIsolated"], obj["ok"]) == (1, 0, True)
         assert obj == self._summary(capsys, ["--input", str(write_g6(tmp_path, [g6(fixture("g2"))]))])
+
+    @pytest.mark.parametrize("text, fmt", [("?", "graph6"), ("n 0", "edgelist")])
+    def test_the_null_graph_is_no_cor4_case(self, capsys, monkeypatch, text, fmt):
+        # cor4 needs minimum degree >= 2, which no vertex of the null graph has
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode() + b"\n"), encoding="ascii"))
+        assert run(["sweep", "-", "--format", fmt, "--jobs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "  cor4     checked=       0 violations=0\n" in captured.out
+        assert captured.err == ""
 
     def test_human_summary(self, capsys):
         assert run(["sweep", "--max-n", "3", "--jobs", "1", "--claims", "lemma6,bounds"]) == 0

@@ -149,6 +149,13 @@ class TestBoundsConnectivity:
         assert sweep.check_graph(g, ("bounds",)) == {"bounds": []}
 
 
+def test_the_null_graph_has_no_cor4_entry():
+    # its minimum degree is undefined, so "every vertex has degree >= 2" is
+    # no reason to check it
+    outcome = sweep.check_graph(Graph(0))
+    assert "cor4" not in outcome and not any(outcome.values())
+
+
 class TestClaimNames:
     # a sweep that checks nothing must not report ok after running the oracles
     @pytest.mark.parametrize("claims,message", [
