@@ -41,9 +41,9 @@ Claims:
 
 from __future__ import annotations
 
+import _thread
 import os
 import signal
-import sys
 from functools import partial
 from itertools import chain, islice
 
@@ -199,19 +199,6 @@ def _distinguished_cuts(blocks: list[int]) -> int:
     return lone | multi
 
 
-def _die_with_parent(parent_pid: int) -> None:
-    # a parent killed before it reaps its workers (by SIGPIPE, SIGKILL, ...)
-    # would leave them running
-    if sys.platform == "linux":
-        import ctypes  # only workers need it
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    # a parent that died before the signal was armed is already gone
-    if os.getppid() != parent_pid:
-        os._exit(1)
-
-
 def _until_error(values) -> tuple[list, Exception | None]:
     """The values an iterable yields before it raises, and what it raised
     (None when it ran out)."""
@@ -224,21 +211,21 @@ def _until_error(values) -> tuple[list, Exception | None]:
     return out, None
 
 
-def _fork(fn, inherited: list[int]):
+def _fork(fn, lifeline: tuple[int, int]):
     """Fork a worker that answers each pickled chunk with one pickled
     ``_until_error(map(fn, chunk))``; (pid, task pipe, its read end, result
-    stream). It closes the ``inherited`` descriptors, its siblings' ends in
-    this process, and runs until it is killed or its parent is gone."""
+    stream). The worker closes the ``lifeline`` pipe's write end, which only
+    this process holds, and exits when its read end reaches end of file, that
+    is, when this process is gone, however it ended."""
     import pickle  # only a fan-out needs it
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
-    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
         try:
-            for fd in (task_w, result_r, *inherited):
+            for fd in (task_w, result_r, lifeline[1]):
                 os.close(fd)
-            _die_with_parent(parent)
+            _thread.start_new_thread(lambda: os.read(lifeline[0], 1) or os._exit(1), ())
             tasks, results = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
             while True:
                 pickle.dump(_until_error(map(fn, pickle.load(tasks))), results)
@@ -273,9 +260,10 @@ def _fan_out(fn, items, jobs: int):
     import pickle
     import select
     workers = []
+    lifeline = os.pipe()  # the kernel closes its write end when this process ends, however it ends
     try:
         for _ in range(jobs):
-            workers.append(_fork(fn, [fd for w in workers for fd in (w[1], w[2], w[3].fileno())]))
+            workers.append(_fork(fn, lifeline))
         idle, busy, done = list(workers), {}, {}  # busy: result stream -> (worker, chunk number)
         sent = yielded = 0
         size = 1  # the next chunk's, doubling up to CHUNK
@@ -315,19 +303,22 @@ def _fan_out(fn, items, jobs: int):
             os.close(task_w)
             os.close(task_r)
             results.close()
+        for fd in lifeline:
+            os.close(fd)
 
 
 def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
     With ``jobs > 1``, more than ``CHUNK`` items and ``os.fork`` available,
-    the calls fan out to forked workers that die with this process, at most
-    one per CPU. A worker reads pickled chunks of one item up to ``CHUNK``
+    the calls fan out to forked workers, at most one per CPU, which exit
+    when this process ends: a pipe whose write end only it holds then reaches
+    end of file. A worker reads pickled chunks of one item up to ``CHUNK``
     and answers each with one pickle: the results up to its first failing
     item, and that failure. A batch of at most ``CHUNK`` items is mapped
-    here: starting a worker costs more. Either way an item's exception, or
-    the input iterator's, is raised when its position is reached, after the
-    results of the items before it; a worker that dies or cuts a reply
+    here, as starting a worker costs more. Either way an item's exception,
+    or the input iterator's, is raised when its position is reached, after
+    the results of the items before it; a worker that dies or cuts a reply
     short raises ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)

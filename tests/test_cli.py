@@ -494,25 +494,27 @@ class TestFanOut:
         assert b"Traceback" not in err
         assert len(out.splitlines()) == (35 if argv[0] == "classify" else 0)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="workers die with their parent on Linux")
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no worker")
     def test_sweep_workers_die_with_the_cli(self):
-        proc = subprocess.Popen([*CLI, "sweep", "--max-n", "6", "--jobs", "2"],
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                                env=cli_env(), start_new_session=True)
-        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-        deadline = time.monotonic() + 30
+        # both workers are inside a 60 s item when the parent is killed, so
+        # neither reads a task or writes a reply before it would end anyway
+        code = ("import os, time\nfrom twindom import sweep\n"
+                "sweep.os.cpu_count = lambda: 2\n"
+                "def fn(i):\n    print(os.getpid(), flush=True)\n    time.sleep(60)\n"
+                "list(sweep.ordered_map(fn, range(200), 2))\n")
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=cli_env(), start_new_session=True)
         try:
-            while len(children.read_text().split()) < 2:  # until both workers run
-                assert time.monotonic() < deadline, "the sweep forked no worker"
-                time.sleep(0.05)
+            workers = {proc.stdout.readline() for _ in range(2)}
+            assert len(workers) == 2 and b"" not in workers, "both workers start an item"
         except BaseException:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
             raise
+        finally:
+            proc.stdout.close()
         proc.kill()
         proc.wait(timeout=30)
-        assert_session_ends(proc.pid)
+        assert_session_ends(proc.pid, within=2)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers are found through /proc")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to the CPU count: no worker")
@@ -545,7 +547,7 @@ class TestFanOut:
         # kills as it does in the CLI
         code = ("import os, signal\nfrom twindom import sweep\n"
                 "signal.signal(signal.SIGPIPE, signal.SIG_DFL)\n"
-                "worker = sweep._fork(abs, [])\n"
+                "worker = sweep._fork(abs, os.pipe())\n"
                 "os.kill(worker[0], signal.SIGKILL)\nos.waitpid(worker[0], 0)\n"
                 "try:\n    sweep._send(worker, bytes(1 << 20))\n"
                 "except ChildProcessError as e:\n    print(e)\n")
@@ -663,16 +665,29 @@ class TestFanOut:
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == count
 
-    @pytest.mark.parametrize("given, survives", [("os.getppid()", True), ("os.getpid()", False)],
-                             ids=["parent-alive", "parent-gone"])
-    def test_worker_start_checks_its_parent(self, given, survives):
-        # a worker whose parent died before PR_SET_PDEATHSIG was armed has
-        # been re-parented, so its parent is no longer the pid it was handed
-        code = f"import os\nfrom twindom import sweep\nsweep._die_with_parent({given})\nprint('ran')"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              env=cli_env(), timeout=60)
-        assert proc.stderr == b""
-        assert (proc.returncode, proc.stdout) == ((0, b"ran\n") if survives else (1, b""))
+    def test_a_worker_whose_lifeline_is_closed_exits_at_once(self):
+        # as when its parent ends right after the fork, most likely before
+        # the worker starts reading the pipe; the alarm ends a wait for a
+        # worker that does not exit
+        code = ("import os, signal, time\nfrom twindom import sweep\n"
+                "signal.alarm(10)\n"
+                "lifeline = os.pipe()\nworker = sweep._fork(abs, lifeline)\n"
+                "os.close(lifeline[1])\nstart = time.monotonic()\n"
+                "status = os.waitpid(worker[0], 0)[1]\n"
+                "print(os.waitstatus_to_exitcode(status), time.monotonic() - start < 2)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1 True\n", b"")
+
+    def test_a_worker_whose_lifeline_is_open_answers_a_chunk(self):
+        # it is still alive when it is killed after its reply
+        code = ("import os, pickle, signal\nfrom twindom import sweep\n"
+                "worker = sweep._fork(abs, os.pipe())\n"
+                "sweep._send(worker, pickle.dumps([-1, -2]))\n"
+                "print(pickle.load(worker[3]))\n"
+                "os.kill(worker[0], signal.SIGKILL)\n"
+                "print(os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"([1, 2], None)\n-9\n", b"")
 
     def test_sweep_pool_parent_never_reencodes(self, tmp_path, capsys, monkeypatch):
         # the workers parse the lines, so the parent neither parses nor encodes
