@@ -290,8 +290,8 @@ def _emit(obj: dict, tail: str, as_json: bool) -> str:
 
 def _drive(fn, args) -> int:
     """Run ``fn`` on every input graph and write its records in input order.
-    The records are rendered where they are computed, in a worker under
-    ``--jobs`` N, so this process only reads, reorders and writes lines."""
+    Each record is rendered where it is computed: in a worker for the graphs
+    past the first ``sweep.CHUNK`` under ``--jobs`` N, else here."""
     numbered = enumerate(_records(args))
     sys.stdout.writelines(sweep.ordered_map(partial(_record, fn, args), numbered, getattr(args, "jobs", 1)))
     return 0
@@ -344,7 +344,3 @@ def main() -> None:
     # exit quietly, as other filters do, when the reader closes the pipe
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -52,7 +52,7 @@ class Graph:
     external display name per vertex and never takes part in equality.
     ``_cores`` is where :func:`twindom.forbidden.find_induced` keeps the
     reduced hosts and the sorted degree sequence it derives from the graph,
-    and takes no part either.
+    and takes no part either. A pickle holds ``n``, ``adj`` and ``labels``.
     """
 
     __slots__ = ("n", "adj", "closed", "full", "labels", "_cores")
@@ -120,6 +120,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return Graph.from_masks, (self.n, self.adj, self.labels)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

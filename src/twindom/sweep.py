@@ -52,8 +52,8 @@ from .domination import DEFAULT_ORACLE_CAP
 from .forbidden import girth, is_free
 from .graphs import Graph, bit_indices, component_masks, mask_of, parse_graph6, serialize_graph6
 
-# the most items per message to a worker; ordered_map maps a batch of at
-# most CHUNK items in this process, as starting workers costs more
+# the items per message to a worker; ordered_map maps the first CHUNK
+# items in this process, as starting workers costs more
 CHUNK = 64
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
@@ -252,11 +252,10 @@ def _send(worker, data: bytes) -> None:
 
 
 def _fan_out(fn, items, jobs: int):
-    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk in
-    flight at a time, and at most ``2 * jobs`` chunks are sent and not yet
-    yielded, which bounds the buffer that restores order. The chunks hold
-    1, 2, 4, ... items, then ``CHUNK`` from the seventh on, so the first
-    result does not wait for a worker to map a whole ``CHUNK``."""
+    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk of
+    ``CHUNK`` items (fewer at the end) in flight at a time, and at most
+    ``2 * jobs`` chunks are sent and not yet yielded, which bounds the
+    buffer that restores order."""
     import pickle
     import select
     workers = []
@@ -266,7 +265,6 @@ def _fan_out(fn, items, jobs: int):
             workers.append(_fork(fn, lifeline))
         idle, busy, done = list(workers), {}, {}  # busy: result stream -> (worker, chunk number)
         sent = yielded = 0
-        size = 1  # the next chunk's, doubling up to CHUNK
         more, error = True, None  # error: the input iterator's
         while True:
             while yielded in done:
@@ -276,9 +274,8 @@ def _fan_out(fn, items, jobs: int):
                     raise item_error
                 yielded += 1
             while more and idle and sent - yielded < 2 * jobs:
-                chunk, error = _until_error(islice(items, size))
-                more = error is None and len(chunk) == size
-                size = min(2 * size, CHUNK)
+                chunk, error = _until_error(islice(items, CHUNK))
+                more = error is None and len(chunk) == CHUNK
                 if chunk:
                     worker = idle.pop()
                     _send(worker, pickle.dumps(chunk))
@@ -310,25 +307,24 @@ def _fan_out(fn, items, jobs: int):
 def ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` for every item, in input order.
 
-    With ``jobs > 1``, more than ``CHUNK`` items and ``os.fork`` available,
-    the calls fan out to forked workers, at most one per CPU, which exit
-    when this process ends: a pipe whose write end only it holds then reaches
-    end of file. A worker reads pickled chunks of one item up to ``CHUNK``
-    and answers each with one pickle: the results up to its first failing
-    item, and that failure. A batch of at most ``CHUNK`` items is mapped
-    here, as starting a worker costs more. Either way an item's exception,
-    or the input iterator's, is raised when its position is reached, after
-    the results of the items before it; a worker that dies or cuts a reply
-    short raises ``ChildProcessError``.
+    Items are read and mapped here one at a time, but with ``jobs > 1`` and
+    ``os.fork`` available those after the first ``CHUNK`` fan out to forked
+    workers, at most one per CPU, which exit when this process ends: a pipe
+    whose write end only it holds then reaches end of file. A worker reads
+    pickled chunks of ``CHUNK`` items and answers each with one pickle: the
+    results up to its first failing item, and that failure. Either way an
+    item's exception, or the input iterator's, is raised when its position
+    is reached, after the results of the items before it; a worker that
+    dies or cuts a reply short raises ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)
-    head = list(islice(items, CHUNK + 1))
-    items = chain(head, items)
-    if jobs <= 1 or len(head) <= CHUNK or not hasattr(os, "fork"):
+    if jobs <= 1 or not hasattr(os, "fork"):
         yield from map(fn, items)
-    else:
-        yield from _fan_out(fn, items, jobs)
+        return
+    yield from map(fn, islice(items, CHUNK))
+    if rest := list(islice(items, 1)):  # fork only once a CHUNK + 1st item exists
+        yield from _fan_out(fn, chain(rest, items), jobs)
 
 
 def as_graph(item) -> Graph:

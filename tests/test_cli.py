@@ -4,7 +4,9 @@ import io
 import json
 import os
 import pickle
+import random
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -373,6 +375,7 @@ class TestPerGraphDriver:
         assert calls == {"parse_graph6": len(lines), "serialize_graph6": 0}
 
     def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
+        # the CLI maps the first CHUNK lines itself; the workers parse the rest
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
         assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
@@ -380,7 +383,7 @@ class TestPerGraphDriver:
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
         assert [o["graph6"] for o in objs] == lines
-        assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": sweep.CHUNK, "serialize_graph6": 0}
 
     def test_records_before_a_failing_line_are_written(self, tmp_path, capsys, monkeypatch):
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
@@ -399,6 +402,8 @@ class TestPerGraphDriver:
 
     def test_malformed_first_line_fails_before_the_input_is_read(self, capsys, monkeypatch):
         limit = 1 << 20
+        valid = g6(Graph(500)).encode() + b"\n"
+        assert (sweep.CHUNK + 1) * len(valid) > limit  # reading ahead a chunk's worth fails
 
         class EndlessStdin(io.RawIOBase):
             """A malformed line 1, then valid lines without end; reading
@@ -411,17 +416,19 @@ class TestPerGraphDriver:
             def readinto(self, buf):
                 assert self.served < limit, f"read {self.served} bytes and line 1 is not parsed yet"
                 while len(self.pending) < len(buf):
-                    self.pending += b"A_\n" * 4096
+                    self.pending += valid
                 k = len(buf)
                 buf[:k], self.pending = self.pending[:k], self.pending[k:]
                 self.served += k
                 return k
 
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(EndlessStdin()), encoding="ascii"))
-        assert run(["classify", "-", "--jobs", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "twindom classify: line 1: graph6 body has 0 bytes, expected 3 for n=6\n"
-        assert captured.out == ""
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        for jobs in ("1", "2"):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(EndlessStdin()), encoding="ascii"))
+            assert run(["classify", "-", "--jobs", jobs]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "twindom classify: line 1: graph6 body has 0 bytes, expected 3 for n=6\n"
+            assert captured.out == ""
 
     @staticmethod
     def _read_one_line_and_close(tmp_path, argv, stdin=None):
@@ -451,6 +458,25 @@ class TestPerGraphDriver:
         assert err == b""
         assert_session_ends(group)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_record_is_written_before_the_next_line_arrives(self, jobs):
+        # stdin stays open after one line, so a run that reads ahead waits
+        proc = subprocess.Popen([sys.executable, "-u", *CLI[1:], "classify", "-", "--json", "--jobs", jobs],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=cli_env(), start_new_session=True)
+        try:
+            proc.stdin.write(g6(fixture("c6")).encode() + b"\n")
+            proc.stdin.flush()
+            assert select.select([proc.stdout], [], [], 2)[0], "no record within 2 s"
+            record = json.loads(proc.stdout.readline())
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+            raise
+        code, out, err = finish_cli(proc)  # which closes stdin
+        assert (code, out, err) == (0, b"", b"")
+        assert (record["index"], record["graph6"], record["verdict"]) == (0, g6(fixture("c6")), "unknown")
+
 
 class TestStartUp:
     # a per-graph run needs none of these, and each takes milliseconds to import
@@ -472,6 +498,16 @@ class TestStartUp:
         assert "twindom.cli" in loaded
         assert loaded & self.SLOW == set()
 
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        argv = ["classify", "--fixture", "c6", "--json"]
+        proc = subprocess.run([sys.executable, "-m", "twindom", *argv], capture_output=True,
+                              env=cli_env(), timeout=60)
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        elapsed = re.compile(r'"elapsedMicros":\d+')
+        assert elapsed.sub("", proc.stdout.decode()) == elapsed.sub("", expected)
+
 
 class TestFanOut:
     """classify and sweep share one ordered fan-out to worker processes."""
@@ -479,12 +515,12 @@ class TestFanOut:
     @pytest.mark.parametrize("argv", [["classify", "--fallback", "oracle"], ["sweep", "--input"]],
                              ids=["classify", "sweep"])
     def test_worker_error_ends_like_serial_run(self, tmp_path, argv):
-        # line 36: a hexagon and a disjoint 36-vertex path, ineligible and
+        # line 81: a hexagon and a disjoint 36-vertex path, ineligible and
         # above the oracle cap, so its worker raises OracleCapExceeded
         big = Graph(42, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 41)])
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 99)]
-        lines.insert(35, g6(big))
-        assert len(lines) > sweep.CHUNK
+        lines.insert(80, g6(big))
+        assert len(lines) > 80 > sweep.CHUNK
         f = write_g6(tmp_path, lines)
         runs = [run_cli([*argv, str(f), "--jobs", jobs]) for jobs in ("1", "2")]
         assert runs[0] == runs[1]
@@ -492,14 +528,16 @@ class TestFanOut:
         assert code == 1
         assert b"exact search refused: n=42 exceeds oracle cap 32" in err
         assert b"Traceback" not in err
-        assert len(out.splitlines()) == (35 if argv[0] == "classify" else 0)
+        assert len(out.splitlines()) == (80 if argv[0] == "classify" else 0)
 
     def test_sweep_workers_die_with_the_cli(self):
         # both workers are inside a 60 s item when the parent is killed, so
-        # neither reads a task or writes a reply before it would end anyway
+        # neither reads a task or writes a reply before it would end anyway;
+        # the items the parent maps itself return at once
         code = ("import os, time\nfrom twindom import sweep\n"
                 "sweep.os.cpu_count = lambda: 2\n"
-                "def fn(i):\n    print(os.getpid(), flush=True)\n    time.sleep(60)\n"
+                "def fn(i):\n    if i < sweep.CHUNK:\n        return i\n"
+                "    print(os.getpid(), flush=True)\n    time.sleep(60)\n"
                 "list(sweep.ordered_map(fn, range(200), 2))\n")
         proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL, env=cli_env(), start_new_session=True)
@@ -555,7 +593,7 @@ class TestFanOut:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a worker process died\n", b"")
 
     @pytest.mark.parametrize("setup", [
-        # items 63..126 form one chunk. Its first 63 results take 252 KiB, and
+        # items 64..127 form one chunk. Its first 62 results take 248 KiB, and
         # item 126 raises an error holding a lock, which cannot be pickled:
         # the worker writes the whole 64 KiB frames before it and dies
         "def fn(i):\n"
@@ -582,11 +620,11 @@ class TestFanOut:
         assert (proc.returncode, proc.stdout) == (0, b"a worker process died\nreaped\nreaped\n")
 
     def test_a_failing_first_record_ends_every_loaded_run(self, tmp_path):
-        # line 1 has an isolated vertex, which classify refuses. A pool once
-        # hung here on a host loaded by other runs, so four run at a time.
-        lines = [g6(Graph(3, [(0, 1)]))]
-        lines += [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
-        assert len(lines) > sweep.CHUNK
+        # line 65, the first record a worker maps, has an isolated vertex,
+        # which classify refuses. A pool once hung on such a first record on
+        # a host loaded by other runs, so four run at a time.
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
+        lines.insert(sweep.CHUNK, g6(Graph(3, [(0, 1)])))
         f = write_g6(tmp_path, lines)
         for _ in range(5):
             procs = [spawn_cli(["classify", str(f), "--json", "--jobs", "2"]) for _ in range(4)]
@@ -598,14 +636,14 @@ class TestFanOut:
                         os.killpg(proc.pid, signal.SIGKILL)
                 raise
             for proc, (code, out, err) in zip(procs, runs):
-                assert (code, out) == (1, b"")
+                assert (code, len(out.splitlines())) == (1, sweep.CHUNK)
                 assert err == b"twindom classify: gamma_t is undefined: graph has an isolated vertex\n"
                 assert_session_ends(proc.pid)
 
     def test_the_first_result_is_not_held_back_by_later_items(self, tmp_path, monkeypatch):
         # every item but the first waits for the release file, or for the
-        # deadline, so the first result arrives early only if its chunk
-        # holds no later item
+        # deadline, so the first result arrives early only if no later item
+        # is mapped before it is yielded
         release = tmp_path / "release"
         deadline = time.monotonic() + 3
 
@@ -628,14 +666,33 @@ class TestFanOut:
         assert time.monotonic() < deadline - 2
         release.touch()
         assert list(results) == [-i for i in range(1, 200)]
-        assert sweep.CHUNK == 64 and sizes == [1, 2, 4, 8, 16, 32, 64, 64, 9]
+        # the first CHUNK items are mapped here, the rest in full chunks
+        assert sweep.CHUNK == 64 and sizes == [64, 64, 8]
 
-    @pytest.mark.parametrize("index", [0, 1, 2, 3, 6, 7, 62, 63, 64, 65, 126, 127, 128])
+    @pytest.mark.parametrize("jobs,count,checked", [(1, 200, 200), (2, 200, 64)])
+    def test_the_kth_result_needs_only_k_items(self, monkeypatch, jobs, count, checked):
+        pulled = []
+
+        def source():
+            for i in range(count):
+                pulled.append(i)
+                yield i
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # jobs 2 stays 2, even on one CPU
+        results = sweep.ordered_map(abs, source(), jobs)
+        for k in range(1, checked + 1):
+            assert next(results) == k - 1
+            assert len(pulled) == k
+        results.close()  # before the fan-out, which would read ahead
+        assert len(pulled) == checked
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 6, 7, 62, 63, 64, 65, 126, 127, 128, 129])
     @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
     def test_a_failing_record_at_a_chunk_boundary_ends_like_serial_run(
             self, tmp_path, capsys, monkeypatch, command, index):
-        # the record fails in a worker, and nothing after it is written; the
-        # chunks start at items 0, 1, 3, 7, ..., 63, 127 and 191
+        # the record fails in this process or in a worker, and nothing after
+        # it is written; items 0..63 are mapped here, and the chunks sent to
+        # the workers start at items 64 and 128
         assert sweep.CHUNK == 64
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 140)]
         lines[index] = "E"  # a size header without its body
@@ -690,7 +747,8 @@ class TestFanOut:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"([1, 2], None)\n-9\n", b"")
 
     def test_sweep_pool_parent_never_reencodes(self, tmp_path, capsys, monkeypatch):
-        # the workers parse the lines, so the parent neither parses nor encodes
+        # the parent parses the first CHUNK lines and the workers the rest;
+        # nothing is encoded
         lines = [g6(g) for g in islice(enumerate_small_graphs(5), 100)]
         assert len(lines) > sweep.CHUNK
         f = write_g6(tmp_path, lines)
@@ -698,7 +756,7 @@ class TestFanOut:
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         assert run(["sweep", "--input", str(f), "--jobs", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["graphs"] == len(lines)
-        assert calls == {"parse_graph6": 0, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": sweep.CHUNK, "serialize_graph6": 0}
 
     def test_small_input_sweep_is_identical_at_any_jobs(self, tmp_path, capsys):
         lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + sweep.CHUNK)]
@@ -712,7 +770,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
     def test_a_one_chunk_batch_stays_in_this_process(self, tmp_path, capsys, monkeypatch, command):
-        # a chunk goes to one worker, so forking for a single chunk gains nothing
+        # the first CHUNK graphs are mapped here, so a batch of CHUNK forks nothing
         class FannedOut(Exception):
             pass
 
@@ -1225,3 +1283,82 @@ class TestErrors:
     def test_oracle_cap_propagates_as_usage_error(self, capsys):
         assert run(["gamma", "--generate", "corona:c20", "--oracle-cap", "32"]) == 1
         assert "cap" in capsys.readouterr().err
+
+
+class TestHostileInput:
+    """Seeded hostile input through the in-process CLI: mutated graph6
+    lines, random edge lists and bad generator specs. No exception escapes
+    ``run``, the exit code is 0 or 1, stderr holds no traceback, and
+    ``--jobs 2`` prints what ``--jobs 1`` prints."""
+
+    CASES = 150
+    # spec fields: small orders, values below each minimum, non-integers and
+    # values over the caps, so that every spec builds a small graph or fails
+    FIELDS = ["-1", "0", "1", "2", "3", "x", "", "99999999"]
+    HEADS = ["tree", "blockgraph", "enum", "corona", "c3", "k4", "p0", "star2", "fig1", "h9", "c99999999"]
+
+    @staticmethod
+    def _mutated(rng, text: bytes) -> bytes:
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            at = rng.randrange(len(text) + 1)
+            text = rng.choice((
+                text[:at] + bytes([rng.randrange(256)]) + text[at:],  # an inserted byte
+                text[:at] + text[at + 1:],  # a deleted byte
+                text[:at],  # cut short
+                rng.choice((b">>graph6<<", b"~", b"~~", b"\r", b"\x0c ")) + text,
+            ))
+        return text
+
+    def _graph6_input(self, rng) -> bytes:
+        if rng.random() < 0.15:
+            # more than CHUNK isolate-free lines, one of them mutated near or
+            # past the CHUNK-th, so that under --jobs 2 a worker may meet it
+            lines = [g6(g).encode() for g in islice(enumerate_small_graphs(5, "isolate_free"),
+                                                     rng.randrange(100), None, 7)]
+            lines = lines[:sweep.CHUNK + rng.randrange(1, 9)]
+            at = rng.randrange(sweep.CHUNK - 4, len(lines))
+            lines[at] = self._mutated(rng, lines[at])
+        else:
+            lines = []
+            for _ in range(rng.randrange(1, 5)):
+                n = rng.randrange(11)
+                pairs = [(u, v) for v in range(n) for u in range(v)]
+                lines.append(self._mutated(rng, serialize_graph6(
+                    Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))))
+        return b"\n".join(lines) + rng.choice((b"", b"\n", b"\r\n"))
+
+    @staticmethod
+    def _edgelist_input(rng) -> bytes:
+        token = lambda: rng.choice(("-1", "0", "1", "2", "5", "11", "a", "b", "x y", "40000", "1.5", "\xff"))
+        rows = [f"n {rng.choice(('-1', '0', '3', '12', 'x', '40000'))}"] if rng.random() < 0.4 else []
+        rows += [" ".join(token() for _ in range(rng.choice((1, 2, 2, 2, 3)))) for _ in range(rng.randrange(6))]
+        return "\n".join(rows).encode("utf-8", "surrogateescape") + rng.choice((b"", b"\n", b"\x80"))
+
+    def _spec(self, rng) -> str:
+        fields = [rng.choice(self.FIELDS) for _ in range(rng.randrange(4))]
+        return ":".join([rng.choice(self.HEADS), *fields])
+
+    @pytest.mark.parametrize("command", [*PER_GRAPH_COMMANDS, "sweep"])
+    def test_no_exception_escapes_the_cli(self, tmp_path, capsys, monkeypatch, command):
+        rng = random.Random(f"hostile {command}")
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        f = tmp_path / "input"
+        codes = set()
+        for _ in range(self.CASES):
+            kind = rng.choice(("graph6", "edgelist", "generate"))
+            if kind == "generate":
+                argv = [command, f"--generate={self._spec(rng)}"]
+            else:
+                f.write_bytes(self._graph6_input(rng) if kind == "graph6" else self._edgelist_input(rng))
+                argv = [command, str(f), "--format", kind]
+            argv += rng.choice(([], ["--json"]))
+            runs = []
+            for jobs in (["--jobs", "1"], ["--jobs", "2"]) if command in ("classify", "sweep") else ([],):
+                code = run([*argv, *jobs])
+                captured = capsys.readouterr()
+                assert code in (0, 1), argv
+                assert "Traceback" not in captured.err, argv
+                runs.append((code, re.sub(r'"elapsedMicros":\d+', "", captured.out), captured.err))
+                codes.add(code)
+            assert runs[0] == runs[-1], argv
+        assert codes == {0, 1}  # the cases reach both outcomes

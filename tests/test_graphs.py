@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 
+from twindom import classify, forbidden
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
 from twindom.domination import is_dominating
 from twindom.graphs import (
@@ -109,6 +111,21 @@ class TestGraphType:
     def test_edges_sorted(self):
         g = Graph(4, [(3, 2), (1, 0), (0, 2)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
+
+    @pytest.mark.parametrize("g", [fixture("fig1"), fixture("g2"), Graph(8, list(cycle(7).edges()))],
+                             ids=["fig1", "g2", "c7-and-isolated"])
+    def test_pickles_by_value(self, g):
+        # the closed masks and the pattern-search memo are derived, so
+        # searching the graph leaves its pickle as it was
+        before = pickle.dumps(g)
+        if all(g.adj):
+            classify(g)
+        forbidden.is_free(g)
+        assert g._cores is not None
+        assert pickle.dumps(g) == before
+        twin = pickle.loads(before)
+        assert (twin, hash(twin), twin.labels, twin.closed) == (g, hash(g), g.labels, g.closed)
+        assert twin._cores is None
 
 
 class TestGraph6:

@@ -15,10 +15,21 @@ from twindom import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+
+
+def _twindom_words(part: str) -> list[str]:
+    """The words of a ``twindom`` command, from ``twindom`` on, whether it
+    is run as ``twindom`` or as ``python -m twindom``; else none."""
+    words = shlex.split(part, comments=True)
+    if words[:3] == ["python", "-m", "twindom"]:
+        words = words[2:]
+    return words if words[:1] == ["twindom"] else []
+
+
 # the twindom commands of the sh blocks, split at pipes, less # comments
 COMMANDS = [words for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
             for line in block.splitlines() for part in line.split("|")
-            if (words := shlex.split(part, comments=True))[:1] == ["twindom"]]
+            if (words := _twindom_words(part))]
 
 
 def test_readme_has_python_blocks():
