@@ -14,6 +14,7 @@ import json
 import math
 import os
 import signal
+import stat
 import sys
 import time
 from contextlib import nullcontext
@@ -93,6 +94,14 @@ def _open_source(path: str):
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
+def _is_live(f) -> bool:
+    """Is ``f`` a pipe or a terminal, not a file read at its own pace?"""
+    try:
+        return f.isatty() or stat.S_ISFIFO(os.fstat(f.fileno()).st_mode)
+    except (OSError, ValueError):  # no descriptor, or a closed one
+        return False
+
+
 def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
     """The (line number, stripped line) pairs of the nonblank lines, read
     one ``\\n``-terminated chunk at a time. Each chunk is split again by
@@ -100,6 +109,9 @@ def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
     number the lines as a split of the whole input would; ``\\r\\n`` never
     straddles two chunks. A non-ASCII byte survives decoding, so parsing
     its line reports it. A stream with no nonblank line is an error."""
+    if path == "-" and _is_live(sys.stdin):
+        # its writer may wait for each record, so none waits in a block
+        sys.stdout.reconfigure(line_buffering=True)
     lineno, found = 0, False
     with _open_source(path) as fh:
         for chunk in fh:

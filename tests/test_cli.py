@@ -458,16 +458,17 @@ class TestPerGraphDriver:
         assert err == b""
         assert_session_ends(group)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_a_record_is_written_before_the_next_line_arrives(self, jobs):
-        # stdin stays open after one line, so a run that reads ahead waits
-        proc = subprocess.Popen([sys.executable, "-u", *CLI[1:], "classify", "-", "--json", "--jobs", jobs],
+    @staticmethod
+    def _first_record(python: list[str], env: dict, jobs: str, within: float) -> None:
+        """Write one graph6 line to ``classify -`` and keep stdin open; its
+        record must arrive within ``within`` s."""
+        proc = subprocess.Popen([*python, *CLI[1:], "classify", "-", "--json", "--jobs", jobs],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=cli_env(), start_new_session=True)
+                                env=env, start_new_session=True)
         try:
             proc.stdin.write(g6(fixture("c6")).encode() + b"\n")
             proc.stdin.flush()
-            assert select.select([proc.stdout], [], [], 2)[0], "no record within 2 s"
+            assert select.select([proc.stdout], [], [], within)[0], f"no record within {within} s"
             record = json.loads(proc.stdout.readline())
         except BaseException:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -476,6 +477,29 @@ class TestPerGraphDriver:
         code, out, err = finish_cli(proc)  # which closes stdin
         assert (code, out, err) == (0, b"", b"")
         assert (record["index"], record["graph6"], record["verdict"]) == (0, g6(fixture("c6")), "unknown")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_record_is_written_before_the_next_line_arrives(self, jobs):
+        # stdin stays open after one line, so a run that reads ahead waits
+        self._first_record([sys.executable, "-u"], cli_env(), jobs, 2)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_pipe_gets_each_record_without_unbuffered_python(self, jobs):
+        # stdout is a pipe, which Python block-buffers unless told otherwise
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        self._first_record([sys.executable], env, jobs, 3)
+
+    def test_only_a_pipe_or_terminal_stdin_is_live(self, tmp_path):
+        f = tmp_path / "in.g6"
+        f.write_bytes(b"A_\n")
+        with open(f, "rb") as regular:
+            assert not cli._is_live(regular)
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            assert cli._is_live(pipe)
+        assert not cli._is_live(io.BytesIO(b"A_\n"))
 
 
 class TestStartUp:
@@ -1283,6 +1307,22 @@ class TestErrors:
     def test_oracle_cap_propagates_as_usage_error(self, capsys):
         assert run(["gamma", "--generate", "corona:c20", "--oracle-cap", "32"]) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_a_too_deep_exact_search_fails_in_one_line(self, tmp_path):
+        # a perfect matching: each of its gamma = n/2 chosen vertices is one
+        # more nested call of the cover search
+        def matching(n):
+            f = tmp_path / f"m{n}.el"
+            f.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(n // 2)))
+            return [str(f), "--format", "edgelist", "--oracle-cap", "5000", "--json"]
+        for command in ("gamma", "analyze"):
+            code, out, err = run_cli([command, *matching(2000)])
+            assert (code, out) == (1, b"")
+            assert err == (f"twindom {command}: exact search too deep: covers of 1000 vertices "
+                           f"reach Python's recursion limit ({sys.getrecursionlimit()})\n").encode()
+        code, out, err = run_cli(["gamma", *matching(1900)])
+        assert (code, err) == (0, b"")
+        assert json.loads(out)["value"] == 950
 
 
 class TestHostileInput:

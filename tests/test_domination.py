@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import signal
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+from twindom import sweep
 from twindom.domination import (
     IsolatedVertexError,
     OracleCapExceeded,
@@ -16,7 +20,17 @@ from twindom.domination import (
     is_dominating,
     is_packing,
 )
-from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
+from twindom.generators import (
+    complete,
+    construction_h,
+    cycle,
+    enumerate_small_graphs,
+    fixture,
+    path,
+    random_block_graph,
+    random_tree,
+    star,
+)
 from twindom.graphs import Graph, parse_graph6
 
 from conftest import (
@@ -246,6 +260,142 @@ class TestEnumerateGammaSets:
                 search(g, cap=10)
         with pytest.raises(IsolatedVertexError):
             exact_gamma_total(g, cap=12)
+
+
+def seeded_gnp(seed: int, low: int = 7, high: int = 20) -> Graph:
+    """An isolate-free G(n, p), n in [low, high], p in [0.1, 0.5]: each
+    isolated vertex is joined to its successor."""
+    rng = random.Random(seed)
+    n = rng.randint(low, high)
+    p = rng.uniform(0.1, 0.5)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    touched = {v for e in edges for v in e}
+    return Graph(n, [*edges, *((v, (v + 1) % n) for v in range(n) if v not in touched)])
+
+
+def witness_digest(graphs) -> str:
+    """sha256 of every graph's sorted gamma and gamma_t witnesses."""
+    rows = [(sorted(exact_gamma(g).witness), sorted(exact_gamma_total(g).witness)) for g in graphs]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@contextmanager
+def alarm(seconds: float):
+    """Fail the block if it runs longer than ``seconds``."""
+    def ring(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestSearchAnswers:
+    """The packing bound cuts only subtrees that hold no cover, so the
+    witnesses (the first cover found, which ``gamma`` and ``gamma-t``
+    print) and the listed gamma-sets are those of the search without it.
+    The digests were taken from that search."""
+
+    def test_witnesses_on_every_small_isolate_free_graph(self):
+        graphs = [g for n in range(1, 7) for g in enumerate_small_graphs(n, "isolate_free")]
+        assert len(graphs) == 28263
+        assert witness_digest(graphs) == "4722a9a23c19722d52f2d627b86d0f69e30b1be5ea3c8903959377aa42737e23"
+
+    def test_witnesses_on_seeded_random_graphs(self):
+        graphs = [seeded_gnp(seed) for seed in range(200)]
+        assert {g.n for g in graphs} == set(range(7, 21))
+        assert witness_digest(graphs) == "e7d375bfcaa77cd1016fd999bfa4c8514cbac48947dabda1afc0a8a320635e8c"
+
+    def test_gamma_sets_on_seeded_random_graphs_match_brute_force(self):
+        for seed in range(40):
+            g = seeded_gnp(seed, high=10)
+            every = tuple(sorted(brute_gamma_sets(g), key=sorted))
+            for list_cap in (None, 0, 1, 3):
+                e = enumerate_gamma_sets(g, list_cap=list_cap)
+                assert (e.gamma, e.count) == (brute_gamma(g), len(every)), g
+                assert e.sets == every[:list_cap], g
+
+    def test_null_graph(self):
+        g = Graph(0)
+        assert exact_gamma(g) == ("gamma", 0, frozenset())
+        assert exact_gamma_total(g) == ("gamma_total", 0, frozenset())
+        assert enumerate_gamma_sets(g) == (0, 1, (frozenset(),))
+
+    def test_a_search_deeper_than_the_recursion_limit_is_refused(self):
+        # a perfect matching on 2,000 vertices: every cover has 1,000 of them
+        g = Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+        with pytest.raises(ValueError, match=r"^exact search too deep: covers of 1000 vertices"):
+            exact_gamma(g, cap=g.n)
+
+
+class TestReach:
+    """The packing bound takes the oracle past n = 30 on sparse graphs,
+    where the uncovered-count bound alone searched for about a minute."""
+
+    def test_random_tree_of_order_60(self):
+        g = random_tree(60, 1)
+        with alarm(5):
+            gamma = exact_gamma(g, cap=64)
+            gamma_t = exact_gamma_total(g, cap=64)
+        # the search without the bound gave these in 55 s and 0.2 s
+        assert sorted(gamma.witness) == [0, 1, 2, 3, 4, 5, 6, 7, 13, 15, 16, 18, 19, 22, 27, 31, 32, 37,
+                                         38, 44, 48, 49, 50]
+        assert sorted(gamma_t.witness) == [0, 1, 4, 6, 7, 8, 13, 14, 16, 17, 20, 22, 24, 27, 28, 31, 34,
+                                           36, 37, 38, 41, 44, 48, 49, 50, 51, 53, 54]
+        assert (gamma.value, gamma_t.value) == (23, 28)
+        assert is_dominating(g, gamma.witness) and brute_is_total_dominating(g, gamma_t.witness)
+
+    @staticmethod
+    def _construction_h(seed: int, low: int, high: int) -> Graph:
+        rng = random.Random(seed)
+        menu = (Graph(1), complete(2), complete(3))
+        while True:
+            b = rng.randint(low // 3, high // 2)
+            g = construction_h(random_tree(b, rng.randrange(1 << 30)), [rng.choice(menu) for _ in range(b)])
+            if low <= g.n <= high:
+                return g
+
+    @staticmethod
+    def _block_graph(seed: int) -> Graph:
+        rng = random.Random(seed)
+        while True:
+            g = random_block_graph(rng.randint(10, 30), rng.randint(2, 4), rng.randrange(1 << 30))
+            if 30 <= g.n <= 60:
+                return g
+
+    @staticmethod
+    def _check(graphs) -> dict[str, int]:
+        """Check prop7, cor9 and lemma5 on each graph, with the oracle capped
+        at 64; how many graphs each claim applied to."""
+        applied = {"prop7": 0, "cor9": 0, "lemma5": 0}
+        for g in graphs:
+            assert g.n >= 30
+            outcome = sweep.check_graph(g, tuple(applied), oracle_cap=64)
+            for claim, violations in outcome.items():
+                assert violations == [], (claim, violations)
+                applied[claim] += 1
+        return applied
+
+    def test_claims_on_trees_and_block_graphs(self):
+        trees = (random_tree(30 + seed % 31, seed) for seed in range(20))
+        blocks = (self._block_graph(seed) for seed in range(20))
+        assert self._check(trees) == {"prop7": 20, "cor9": 0, "lemma5": 0}
+        assert self._check(blocks)["prop7"] == 20
+
+    def test_claims_on_construction_h_outputs(self):
+        # every output has gamma_t = 2 gamma, so all three claims apply
+        graphs = [self._construction_h(seed, 30, 40) for seed in range(10)]
+        assert self._check(graphs) == {"prop7": 10, "cor9": 10, "lemma5": 10}
+
+    @pytest.mark.slow
+    def test_claims_on_larger_construction_h_outputs(self):
+        # about 25 s: gamma_t must rule out every size below 2 gamma, and
+        # past n = 50 that takes up to a minute per graph
+        graphs = [self._construction_h(seed, 41, 50) for seed in range(10)]
+        assert self._check(graphs) == {"prop7": 10, "cor9": 10, "lemma5": 10}
 
 
 class TestIsGamma2:
