@@ -71,11 +71,6 @@ class ClassificationReport(NamedTuple):
         }
 
 
-def _require_isolate_free(g: Graph) -> None:
-    if any(m == 0 for m in g.adj):
-        raise IsolatedVertexError("gamma_t is undefined: graph has an isolated vertex")
-
-
 def _least_uncovered(g: Graph, members) -> int:
     covered = 0
     for v in members:
@@ -96,7 +91,8 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
     """
     if fallback not in FALLBACKS:
         raise ValueError(f"unknown fallback {fallback!r}; expected from {FALLBACKS}")
-    _require_isolate_free(g)
+    if not all(g.adj):
+        raise IsolatedVertexError("gamma_t is undefined: graph has an isolated vertex")
     started = time.perf_counter_ns()
     chordal = is_chordal(g)
     witness = None if chordal else is_free(g)[1]
@@ -111,7 +107,7 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         verdict = VERDICT_YES if pack_ok and dom_ok else VERDICT_NO
         if verdict == VERDICT_YES:
             implied = (len(reps), 2 * len(reps))
-            count = math.prod(len(c) for c in s_set.classes)
+            count = math.prod(map(len, s_set.classes))
     elif fallback == "oracle":
         gamma = domination.exact_gamma(g, oracle_cap).value
         gamma_t = domination.exact_gamma_total(g, oracle_cap).value
@@ -119,15 +115,6 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
         verdict = VERDICT_YES if gamma_t == 2 * gamma else VERDICT_NO
     else:  # ineligible: the characterization does not apply
         verdict = VERDICT_UNKNOWN
-    return ClassificationReport(
-        method=method,
-        eligible=witness is None,
-        verdict=verdict,
-        ineligibility_witness=witness,
-        s_set=s_set,
-        packing_violation=violation,
-        uncovered_vertex=uncovered,
-        implied_values=implied,
-        gamma_set_count=count,
-        elapsed_micros=(time.perf_counter_ns() - started) // 1000,
-    )
+    # positional, in field order: the keyword form costs more per graph
+    return ClassificationReport(method, witness is None, verdict, witness, s_set, violation, uncovered,
+                                implied, count, (time.perf_counter_ns() - started) // 1000)

@@ -62,10 +62,11 @@ class GammaSetEnumeration(NamedTuple):
 
 def is_dominating(g: Graph, s) -> bool:
     """True when every vertex is in or adjacent to ``s``."""
-    m = 0
+    closed, n, m = g.closed, g.n, 0
     for v in s:
-        g.check_vertex(v)
-        m |= g.closed[v]
+        if not 0 <= v < n:  # tested here, as a call per member costs more
+            g.check_vertex(v)
+        m |= closed[v]
     return m == g.full
 
 
@@ -76,19 +77,20 @@ def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     (u, v), u < v, with intersecting closed neighborhoods.
     """
     members = sorted(set(s))
+    if members and not (0 <= members[0] and members[-1] < g.n):  # sorted: the ends bound the rest
+        for v in members:
+            g.check_vertex(v)
+    closed = g.closed
+    union = total = 0
     for v in members:
-        g.check_vertex(v)
-    union = 0
-    total = 0
-    for v in members:
-        union |= g.closed[v]
-        total += g.closed[v].bit_count()
+        union |= closed[v]
+        total += closed[v].bit_count()
     if total == union.bit_count():
         return True, None
     for i, u in enumerate(members):
-        cu = g.closed[u]
+        cu = closed[u]
         for v in members[i + 1:]:
-            if cu & g.closed[v]:
+            if cu & closed[v]:
                 return False, (u, v)
     raise AssertionError("unreachable")
 
@@ -165,7 +167,8 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, every: bool,
     if not all(masks):
         raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     full = (1 << n) - 1
-    max_cover = max(map(int.bit_count, masks), default=1)
+    # a conditional, not max(..., default=1), which parses its keyword on every call
+    max_cover = max(map(int.bit_count, masks)) if masks else 1
     found: list[tuple[int, ...]] = []
     for k in range(-(-n // max_cover), n + 1):
         try:
@@ -203,4 +206,4 @@ def enumerate_gamma_sets(
     """
     keep = None if list_cap is None else max(list_cap, 0)
     gamma, count, listed = _covers(g.closed, g.n, cap, True, keep)
-    return GammaSetEnumeration(gamma=gamma, count=count, sets=tuple(frozenset(s) for s in listed))
+    return GammaSetEnumeration(gamma, count, tuple(map(frozenset, listed)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graphs import Graph, bit_indices, mask_of
+from .graphs import Graph, bit_indices, component_masks, mask_of
 
 _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
@@ -25,12 +25,13 @@ class Pattern:
     and ``raised`` pairs each degree above the least with the positions of
     its vertices. ``profile``, the least degree, whether no two vertices are
     true or false twins and the order, picks the host reductions
-    :func:`find_induced` applies; ``degrees`` is the sorted degree sequence.
+    :func:`find_induced` applies; ``degrees`` is the sorted degree sequence,
+    and ``_cycle`` says whether the pattern is a cycle (connected, 2-regular).
     Equality, hashing and ``repr`` read the name and the graph alone; the
     plan follows from them.
     """
 
-    __slots__ = ("name", "graph", "plan", "raised", "profile", "degrees")
+    __slots__ = ("name", "graph", "plan", "raised", "profile", "degrees", "_cycle")
 
     def __init__(self, name: str, graph: Graph):
         k = graph.n
@@ -40,6 +41,7 @@ class Pattern:
         self.profile = (low := min(deg, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k, k)
         self.degrees = sorted(deg)
         self.raised = tuple((d, [k - 1 - i for i in range(k) if deg[i] == d]) for d in set(deg) - {low})
+        self._cycle = set(deg) == {2} and component_masks(graph) == [graph.full]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pattern):
@@ -179,7 +181,10 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     the host vertices with at least its degree. Mapping a vertex to ``u``
     narrows each later mask with one AND, by the neighbors of ``u`` or its
     non-neighbors, and a mask left empty rejects ``u`` at once. That cuts
-    only dead ends, so the first hit is unchanged.
+    only dead ends, so the first hit is unchanged. A cycle (c3, c6, custom
+    ones such as c8) is vertex-transitive, so a root the search backtracks
+    past lies in no copy: it leaves every candidate mask before the next
+    root is tried, and the first hit, which holds no such root, stays.
 
     The search runs inside a reduced host (:func:`_core`) that keeps the
     original vertex ids. The pattern's ``profile`` enables each reduction:
@@ -224,7 +229,7 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
         cores = g._cores = {}
     if k == g.n:  # a copy is the whole host, so the degree sequences agree
         if (degrees := cores.get("degrees")) is None:
-            degrees = cores["degrees"] = sorted(m.bit_count() for m in g.adj)
+            degrees = cores["degrees"] = sorted(map(int.bit_count, g.adj))
         if degrees != pattern.degrees:
             return None
     core = cores.get(pattern.profile)
@@ -232,16 +237,16 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
         core = cores[pattern.profile] = _core(g, *pattern.profile)
     alive, deg = core
     size = alive.bit_count()
-    if size < k or size == k and sorted(deg[v] for v in bit_indices(alive)) != pattern.degrees:
+    if size < k or size == k and sorted([deg[v] for v in bit_indices(alive)]) != pattern.degrees:
         return None
     # level[-1]: candidates of vertices k - 1 down to i given mapping[:i]; all have the least degree
     level = [[alive] * k]
     for d, where in pattern.raised:
-        if not (at_least := mask_of(v for v in bit_indices(alive) if deg[v] >= d)):
+        if not (at_least := mask_of([v for v in bit_indices(alive) if deg[v] >= d])):
             return None
         for j in where:
             level[0][j] = at_least
-    gadj, plan = g.adj, pattern.plan
+    gadj, plan, cycle = g.adj, pattern.plan, pattern._cycle
     mapping, i = [0] * k, 0
     while 0 <= i < k:
         doms = level[-1]
@@ -249,6 +254,8 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
         if not cand:
             level.pop()
             i -= 1
+            if i == 0 and cycle:  # the root just left lies in no copy
+                level[0] = [m & ~(1 << mapping[0]) for m in level[0]]
             continue
         bit = cand & -cand
         doms[-1] = cand ^ bit

@@ -73,7 +73,7 @@ class Graph:
     def _init_from_masks(self, n: int, masks: Sequence[int], labels: Sequence[str] | None) -> None:
         self.n = n
         self.adj = tuple(masks)
-        self.closed = tuple(m | (1 << v) for v, m in enumerate(masks))
+        self.closed = tuple([m | (1 << v) for v, m in enumerate(masks)])
         self.full = (1 << n) - 1
         self.labels = tuple(labels) if labels is not None else None
         self._cores = None
@@ -138,8 +138,10 @@ def component_masks(g: Graph) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= adj[v]
+            while frontier:  # not bit_indices: a generator per layer costs more than the layer
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= frontier
         out.append(comp)

@@ -17,6 +17,7 @@ Specialness belongs to the twin class, which shares the whole split.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .graphs import Graph, component_masks, mask_of
@@ -74,12 +75,10 @@ def special_classes(g: Graph) -> SpecialClasses:
             if inner & ~adj[low.bit_length() - 1] == 0:
                 break
         else:
-            classes.append(frozenset(members))
-    return SpecialClasses(
-        special=frozenset(v for c in classes for v in c),
-        classes=tuple(classes),
-        representatives=frozenset(min(c) for c in classes),
-    )
+            classes.append(members)
+    # each member list ascends, so its first entry is the representative
+    return SpecialClasses(frozenset(chain.from_iterable(classes)), tuple(map(frozenset, classes)),
+                          frozenset([c[0] for c in classes]))
 
 
 def support_vertices(g: Graph) -> set[int]:

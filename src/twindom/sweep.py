@@ -136,20 +136,20 @@ def check_graph(
 
     if "cor9" in claims and free and is_g2:
         count = report.gamma_set_count
-        singletons = (count == 1) == all(len(c) == 1 for c in classes.classes)
+        singletons = (count == 1) == all([len(c) == 1 for c in classes.classes])
         outcome["cor9"] = [] if count == enum.count and singletons else _violation(
             g, f"twin-class product {count}, enumerated {enum.count}"
                + ("" if singletons else f", classes {[sorted(c) for c in classes.classes]}"))
 
-    if "cor4" in claims and is_g2 and g.n and all(a & (a - 1) for a in g.adj):  # minimum degree >= 2
+    if "cor4" in claims and is_g2 and g.n and all([a & (a - 1) for a in g.adj]):  # minimum degree >= 2
         outcome["cor4"] = [] if (gv := girth(g)) <= 6 and has_c3_or_c6 else _violation(
             g, f"girth={gv} induced c3/c6 present={has_c3_or_c6}")
 
     if "supports" in claims and not has_c3_or_c6:
         supports = structure.support_vertices(g)
         # two true twins of degree 1 are the ends of a lone-edge component
-        ok = reps == supports and all(
-            len(c) == 1 or (len(c) == 2 and all(g.degree(v) == 1 for v in c)) for c in classes.classes)
+        ok = reps == supports and all([
+            len(c) == 1 or (len(c) == 2 and all([g.degree(v) == 1 for v in c])) for c in classes.classes])
         outcome["supports"] = [] if ok else _violation(
             g, f"representatives {sorted(reps)}, supports {sorted(supports)}, "
                f"classes {[sorted(c) for c in classes.classes]}")
@@ -157,7 +157,7 @@ def check_graph(
     blocks = structure.clique_blocks(g) if "blocks" in claims and chordal else None
     if blocks is not None and len(blocks) >= 2:
         cuts = _distinguished_cuts(blocks)
-        ok = mask_of(classes.special) == cuts and all(len(c) == 1 for c in classes.classes)
+        ok = mask_of(classes.special) == cuts and all([len(c) == 1 for c in classes.classes])
         outcome["blocks"] = [] if ok else _violation(
             g, f"special {sorted(classes.special)}, distinguished cut vertices "
                f"{list(bit_indices(cuts))}, classes {[sorted(c) for c in classes.classes]}")
@@ -332,7 +332,7 @@ def as_graph(item) -> Graph:
     return item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
 
 
-def _check_item(item, claims: frozenset[str], oracle_cap: int):
+def _check_item(claims: frozenset[str], oracle_cap: int, item):
     return check_graph(as_graph(item), claims, oracle_cap)
 
 
@@ -360,14 +360,16 @@ def sweep_graphs(
     totals = {name: {"checked": 0, "violations": []} for name in sorted(set(claims))}
     seen = skipped = 0
     # one set for the whole sweep, so check_graph's membership tests are cheap
-    check = partial(_check_item, claims=frozenset(claims), oracle_cap=oracle_cap)
+    check = partial(_check_item, frozenset(claims), oracle_cap)  # positional: keywords cost per call
     for outcome in ordered_map(check, graphs, jobs):
         seen += 1
         if outcome is None:
             skipped += 1
             continue
         for name, violations in outcome.items():
-            totals[name]["checked"] += 1
-            totals[name]["violations"] += violations
+            entry = totals[name]
+            entry["checked"] += 1
+            if violations:
+                entry["violations"] += violations
     return {"graphs": seen, "skippedIsolated": skipped, "claims": totals,
             "ok": not any(c["violations"] for c in totals.values())}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -295,16 +296,36 @@ def run_cli(argv, timeout=60) -> tuple[int, bytes, bytes]:
     return finish_cli(spawn_cli(argv), timeout)
 
 
+def session_runs(group: int) -> bool:
+    """Whether a process of the session ``group`` has not exited. An orphan
+    that exited stays a zombie, which signals still reach, until init reaps
+    it, and some inits reap only every 2 s or so; so where ``/proc`` exists
+    zombies count as exited."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:  # state, parent, group and session follow the parenthesized name
+            state, _, _, session = stat.read_text().rpartition(")")[2].split()[:4]
+        except OSError:  # it was reaped while listed
+            continue
+        if int(session) == group and state != "Z":
+            return True
+    return False
+
+
 def assert_session_ends(group: int, within: float = 30) -> None:
-    """Fail unless every process of the session ``group`` is gone in time."""
+    """Fail unless every process of the session ``group`` exits in time."""
     deadline = time.monotonic() + within
     while time.monotonic() < deadline:
-        try:
-            os.killpg(group, 0)  # any worker still alive in the session?
-        except ProcessLookupError:
+        if not session_runs(group):
             return
         time.sleep(0.05)
-    os.killpg(group, signal.SIGKILL)
+    with contextlib.suppress(ProcessLookupError):  # the last one exited after the deadline
+        os.killpg(group, signal.SIGKILL)
     pytest.fail("a worker outlived the CLI")
 
 
@@ -569,7 +590,8 @@ class TestFanOut:
             workers = {proc.stdout.readline() for _ in range(2)}
             assert len(workers) == 2 and b"" not in workers, "both workers start an item"
         except BaseException:
-            os.killpg(proc.pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):  # the session may be empty already
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
             raise
         finally:

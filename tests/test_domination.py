@@ -90,6 +90,14 @@ class TestPredicates:
         ok, pair = is_packing(g, {0, 1, 3, 5})
         assert not ok and pair == (0, 5)
 
+    # {0, 3} dominates c6 and is a packing, and closed[-1] is vertex 5's mask,
+    # so a negative id let through would go unnoticed
+    @pytest.mark.parametrize("members, bad", [([-1], -1), ([6], 6), ([0, -1, 3], -1), ([0, 3, 6], 6)])
+    @pytest.mark.parametrize("predicate", [is_dominating, is_packing])
+    def test_out_of_range_members_are_refused(self, predicate, members, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for graph of order 6$"):
+            predicate(cycle(6), members)
+
     @given(small_graphs())
     def test_predicates_match_brute_force(self, g):
         rng = random.Random(g.n * 31 + g.edge_count)

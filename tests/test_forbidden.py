@@ -24,6 +24,10 @@ from conftest import (
     twin_rich_graphs,
 )
 
+# a 5-cycle whose ids do not run around it: find_induced drops exhausted roots
+# of every cycle pattern, however it is labeled
+C5_RELABELED = Pattern("c5", Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]))
+
 
 class TestPatternShapes:
     def test_degree_sequences(self):
@@ -100,7 +104,7 @@ class TestFindInduced:
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(max_n=8, min_n=6))
     def test_agrees_with_naive_oracle_random(self, g):
-        for p in (C6, H1, H2):
+        for p in (C6, H1, H2, C5_RELABELED):
             assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), p.name
 
     @settings(max_examples=30, deadline=None)
@@ -129,6 +133,9 @@ class TestFindInduced:
         assert Pattern("c4", cycle(4)).profile == (2, False, 4)
         assert Pattern("paw", Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])).profile == (1, False, 4)
         assert Pattern("p4", path(4)).profile == (1, True, 4)
+        # only a connected 2-regular pattern, a cycle, has its exhausted roots dropped
+        assert [p._cycle for p in (C3, C6, H1, H2, C5_RELABELED)] == [True, True, False, False, True]
+        assert not Pattern("c3+c4", Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]))._cycle
 
     def test_agrees_with_networkx_beyond_brute_force(self):
         nx = pytest.importorskip("networkx")
@@ -361,13 +368,13 @@ class TestReducedHost:
 class TestThreads:
     # a copy that holds a thread vertex holds its whole thread and ends, so
     # dropping the long threads keeps the least copy
-    SEARCHED = (C3, C6, H1, H2, Pattern("c4", cycle(4)), Pattern("c8", cycle(8)))
+    SEARCHED = (C3, C6, H1, H2, Pattern("c4", cycle(4)), C5_RELABELED, Pattern("c8", cycle(8)))
 
     def test_witnesses_agree_with_naive_oracle(self):
         small = [g for g in THREAD_RICH if g.n <= 9]
         assert len(small) >= 20
         for g in small:
-            for p in PATTERNS.values():
+            for p in (*PATTERNS.values(), C5_RELABELED):
                 assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph), (p.name, sorted(g.edges()))
 
     def test_witnesses_agree_with_networkx_and_the_unreduced_host(self):
@@ -383,7 +390,7 @@ class TestThreads:
                 assert (emb is not None) == GraphMatcher(host, nx.Graph(p.graph.edges())).subgraph_is_isomorphic()
                 assert emb == _search_on(g, p, _unreduced(g)), (p.name, sorted(g.edges()))
                 seen.add((p.name, emb is not None))
-        assert {(name, hit) for name in ("c6", "h1", "c4", "c8") for hit in (False, True)} <= seen
+        assert {(name, hit) for name in ("c6", "h1", "c4", "c5", "c8") for hit in (False, True)} <= seen
 
     @pytest.mark.parametrize("host", [cycle(8), corona_p2(cycle(8))], ids=["c8", "corona-c8"])
     def test_a_larger_pattern_gets_its_own_host(self, host):
