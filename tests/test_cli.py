@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -28,6 +30,10 @@ from conftest import SPARSE_GAMMA9_G6, SWEEP_N6_CHECKED, blow_up, brute_find_ind
 
 def g6(g) -> str:
     return serialize_graph6(g).decode("ascii")
+
+
+# the only field of a record or summary that differs between two runs
+ELAPSED = re.compile(r'"elapsedMicros":\d+')
 
 
 def run_json(capsys, argv) -> list[dict]:
@@ -522,6 +528,21 @@ class TestPerGraphDriver:
             assert cli._is_live(pipe)
         assert not cli._is_live(io.BytesIO(b"A_\n"))
 
+    def test_the_reader_holds_a_long_line_once(self, tmp_path):
+        # the reader only splits lines, so they need not be valid graph6
+        f = tmp_path / "long.g6"
+        f.write_bytes(b"~" * 300_000 + b"\n" + b"~" * 300_000 + b"\n")
+        tracemalloc.start()
+        try:
+            lines = cli._graph6_lines(str(f))
+            lineno, line = next(lines)
+            held = tracemalloc.get_traced_memory()[0]
+            lines.close()
+        finally:
+            tracemalloc.stop()
+        assert (lineno, len(line)) == (1, 300_000)
+        assert held < 1.5 * len(line)
+
 
 class TestStartUp:
     # a per-graph run needs none of these, and each takes milliseconds to import
@@ -543,15 +564,61 @@ class TestStartUp:
         assert "twindom.cli" in loaded
         assert loaded & self.SLOW == set()
 
-    def test_python_dash_m_runs_the_cli(self, capsys):
-        argv = ["classify", "--fixture", "c6", "--json"]
+    @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "-"]], ids=["classify", "sweep"])
+    def test_the_start_up_objects_are_frozen_at_exit(self, argv):
+        # the exit's collections skip frozen objects, and start-up leaves ~12,000
+        entry = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+                 "from twindom.cli import main; main()")
+        proc = subprocess.run([sys.executable, "-c", entry, *argv, "--jobs", "1"],
+                              input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
+                              env=cli_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stdout
+        assert int(proc.stderr) >= 5000
+
+    @pytest.mark.parametrize("case", ["fixture", "jobs-1", "jobs-2", "malformed-line-66", "sweep",
+                                      "usage-error", "help"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, capsys, monkeypatch, case):
+        # the same output and exit status as cli.run, which freezes nothing
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 70)]
+        if case == "malformed-line-66":
+            lines[65] = "E"  # a size header without its body
+        f = str(write_g6(tmp_path, lines))
+        argv = {"fixture": ["classify", "--fixture", "c6", "--json"],
+                "jobs-1": ["classify", f, "--json", "--jobs", "1"],
+                "jobs-2": ["classify", f, "--json", "--jobs", "2"],
+                "malformed-line-66": ["classify", f, "--jobs", "2"],
+                "sweep": ["sweep", "--input", f, "--json"],
+                "usage-error": ["classify", f, "--jobs"],
+                "help": ["classify", "--help"]}[case]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         proc = subprocess.run([sys.executable, "-m", "twindom", *argv], capture_output=True,
                               env=cli_env(), timeout=60)
+        try:
+            code = run(argv)
+        except SystemExit as e:  # argparse's usage errors and --help
+            code = e.code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, ELAPSED.sub("", proc.stdout.decode()), proc.stderr.decode()) == (
+            code, ELAPSED.sub("", out), err)
+        if case == "malformed-line-66":
+            assert (code, len(out.splitlines())) == (1, 65)
+        assert out or err
+
+    def test_main_runs_where_there_is_no_sigpipe(self, capsys, monkeypatch):
+        argv = ["classify", "--fixture", "c6", "--json"]
         assert run(argv) == 0
         expected = capsys.readouterr().out
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        elapsed = re.compile(r'"elapsedMicros":\d+')
-        assert elapsed.sub("", proc.stdout.decode()) == elapsed.sub("", expected)
+        monkeypatch.delattr(signal, "SIGPIPE")
+        monkeypatch.setattr(sys, "argv", ["twindom", *argv])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.main()
+        finally:
+            gc.unfreeze()
+        assert exited.value.code == 0
+        assert ELAPSED.sub("", capsys.readouterr().out) == ELAPSED.sub("", expected)
 
 
 class TestFanOut:

@@ -3,7 +3,8 @@ import is used, every function parameter is read, and every module-level
 private name is used somewhere in the package, so deleting code cannot
 leave a dead import, parameter or helper behind; and no module imports,
 when it is itself imported, what only a fan-out to worker processes
-needs or what no command needs."""
+needs or what no command needs; and only the CLI's entry point
+changes the garbage collector's settings."""
 
 from __future__ import annotations
 
@@ -188,3 +189,60 @@ def test_an_unused_helper_is_reported():
     )
     other = "from .mod import _SEEN\n"
     assert unused_private_names(source, [other]) == ["_Planted", "_recursive"]
+
+
+# The CLI's entry point freezes the objects start-up leaves, for a faster
+# exit; a library caller keeps the collector as it set it.
+GC_SETTINGS = {"freeze", "unfreeze", "disable", "enable", "collect", "set_threshold"}
+
+
+def gc_setting_calls(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """The calls in ``source`` of a function in ``GC_SETTINGS``, through
+    ``import gc`` (under any name) or ``from gc import``, outside the
+    module-level functions named in ``allowed``, as "line: gc.function"."""
+    tree = ast.parse(source)
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and node.level == 0:
+            functions.update((a.asname or a.name, a.name) for a in node.names)
+    exempt = {
+        id(node)
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+            name = f.attr
+        elif isinstance(f, ast.Name) and f.id in functions:
+            name = functions[f.id]
+        else:
+            continue
+        if name in GC_SETTINGS:
+            found.append((node.lineno, f"gc.{name}"))
+    return [f"{line}: {call}" for line, call in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_cli_entry_point_sets_the_gc(path):
+    allowed = ("main",) if path.name == "cli.py" else ()
+    assert gc_setting_calls(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_a_gc_setting_call_is_reported():
+    source = (
+        "import gc\nimport gc as collector\nfrom gc import collect as sweep, get_count\n"
+        "def main():\n    gc.freeze()\n    def inner():\n        gc.disable()\n"
+        "def run():\n    gc.get_stats()\n    collector.set_threshold(0)\n    return sweep()\n"
+        "class C:\n    def main(self):\n        gc.enable()\n"
+        "gc.unfreeze()\nget_count()\n"
+    )
+    assert gc_setting_calls(source, ("main",)) == [
+        "10: gc.set_threshold", "11: gc.collect", "14: gc.enable", "15: gc.unfreeze",
+    ]
+    assert gc_setting_calls(source)[:2] == ["5: gc.freeze", "7: gc.disable"]
