@@ -71,14 +71,6 @@ class ClassificationReport(NamedTuple):
         }
 
 
-def _least_uncovered(g: Graph, members) -> int:
-    covered = 0
-    for v in members:
-        covered |= g.closed[v]
-    missing = g.full & ~covered
-    return (missing & -missing).bit_length() - 1
-
-
 def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_CAP) -> ClassificationReport:
     """Main decision procedure.
 
@@ -102,9 +94,12 @@ def classify(g: Graph, fallback: str = "none", oracle_cap: int = DEFAULT_ORACLE_
     violation = uncovered = implied = count = None
     if witness is None:  # eligible: the representatives decide
         pack_ok, violation = domination.is_packing(g, reps)
-        dom_ok = domination.is_dominating(g, reps)
-        uncovered = None if dom_ok else _least_uncovered(g, reps)
-        verdict = VERDICT_YES if pack_ok and dom_ok else VERDICT_NO
+        covered = 0
+        for v in reps:
+            covered |= g.closed[v]
+        missing = g.full & ~covered
+        uncovered = (missing & -missing).bit_length() - 1 if missing else None
+        verdict = VERDICT_YES if pack_ok and not missing else VERDICT_NO
         if verdict == VERDICT_YES:
             implied = (len(reps), 2 * len(reps))
             count = math.prod(map(len, s_set.classes))

@@ -116,13 +116,16 @@ def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
     lineno, found = 0, False
     with _open_source(path) as fh:
         for chunk in fh:
-            lines = chunk.decode("ascii", "surrogateescape").splitlines()
-            del chunk  # so a long line is held once while it is analysed
+            text = chunk.decode("ascii", "surrogateescape")
+            del chunk  # each copy of a long line goes once the next is made: two at most
+            lines = text.splitlines()
+            del text
             for raw in lines:
                 lineno += 1
                 if line := raw.strip():
                     found = True
                     yield lineno, line
+            lines = raw = line = None  # not kept while the next chunk is read
     if not found:
         raise ValueError("input contains no graphs")
 

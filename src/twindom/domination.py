@@ -95,13 +95,13 @@ def is_packing(g: Graph, s) -> tuple[bool, tuple[int, int] | None]:
     raise AssertionError("unreachable")
 
 
-def _search(masks: tuple[int, ...], full: int, covered: int, banned: int, budget: int, max_cover: int,
+def _search(masks: tuple[int, ...], missing: int, banned: int, budget: int, max_cover: int,
             chosen: list[int], found: list[tuple[int, ...]], every: bool, keep: int | None) -> int:
     """The covers in one node's subtree: selections of at most ``budget``
-    more vertices, none of them ``banned``, that with ``chosen`` cover
-    ``full``. Each is appended to ``found`` (cut to the ``keep`` least once
-    it holds twice that many); returns how many, stopping at the first
-    unless ``every``.
+    more vertices, none of them ``banned``, that cover ``missing``, the
+    vertices ``chosen`` leaves uncovered. Each, with ``chosen``, is appended
+    to ``found`` (cut to the ``keep`` least once it holds twice that many);
+    returns how many, stopping at the first unless ``every``.
 
     The packing bound: scanning the uncovered vertices in id order, keep
     each whose candidates (``masks[v] & ~banned``) miss those of every kept
@@ -112,7 +112,6 @@ def _search(masks: tuple[int, ...], full: int, covered: int, banned: int, budget
     costs more than the cut saves (the n <= 6 sweep's oracle time rose
     about 15% with the bound at budget 2).
     """
-    missing = full & ~covered
     if not missing:
         found.append(tuple(sorted(chosen)))
         if keep is not None and len(found) >= 2 * keep:
@@ -140,7 +139,7 @@ def _search(masks: tuple[int, ...], full: int, covered: int, banned: int, budget
         low = cand & -cand
         u = low.bit_length() - 1
         chosen.append(u)
-        count += _search(masks, full, covered | masks[u], banned, budget - 1, max_cover,
+        count += _search(masks, missing & ~masks[u], banned, budget - 1, max_cover,
                          chosen, found, every, keep)
         chosen.pop()
         if count and not every:
@@ -172,7 +171,7 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, every: bool,
     found: list[tuple[int, ...]] = []
     for k in range(-(-n // max_cover), n + 1):
         try:
-            count = _search(masks, full, 0, 0, k, max_cover, [], found, every, keep)
+            count = _search(masks, full, 0, k, max_cover, [], found, every, keep)
         except RecursionError:
             raise ValueError(f"exact search too deep: covers of {k} vertices reach "
                              f"Python's recursion limit ({sys.getrecursionlimit()})") from None

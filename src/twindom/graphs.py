@@ -281,18 +281,12 @@ def parse_edgelist(text: bytes | str) -> Graph:
             raise GraphParseError(f"expected two tokens, got {len(toks)}", lineno)
         rows.append((lineno, toks[0], toks[1]))
 
-    all_int = all(_is_int(a) and _is_int(b) for _, a, b in rows)
     labels: list[str] | None = None
-    if all_int:
+    try:
         ids = [(ln, int(a), int(b)) for ln, a, b in rows]
-    else:
+    except ValueError:  # a token that is no integer (or too long for int): all are labels
         index: dict[str, int] = {}
-        ids = []
-        for ln, a, b in rows:
-            for tok in (a, b):
-                if tok not in index:
-                    index[tok] = len(index)
-            ids.append((ln, index[a], index[b]))
+        ids = [(ln, index.setdefault(a, len(index)), index.setdefault(b, len(index))) for ln, a, b in rows]
         labels = list(index)
 
     if declared_n is not None:
@@ -314,11 +308,3 @@ def parse_edgelist(text: bytes | str) -> Graph:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph.from_masks(n, masks, labels)
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False

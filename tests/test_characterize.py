@@ -16,7 +16,7 @@ from twindom.generators import (
     path,
     star,
 )
-from twindom.graphs import Graph
+from twindom.graphs import Graph, parse_graph6
 from twindom.sweep import check_graph
 
 from conftest import is_gamma2_exact, twin_rich_graphs
@@ -112,6 +112,18 @@ class TestClassify:
         assert rep.packing_violation == (1, 2)
         assert rep.uncovered_vertex is None
         assert rep.implied_values is None
+
+    def test_c5_has_no_representative_so_vertex_0_is_uncovered(self):
+        rep = classify(cycle(5))
+        assert (rep.verdict, rep.s_set.representatives, rep.packing_violation) == ("not_gamma2", frozenset(), None)
+        assert rep.uncovered_vertex == 0
+
+    def test_uncovered_vertex_is_the_least_one_the_representatives_miss(self):
+        # edges 0-2, 0-3, 0-4, 1-2, 1-3: 0 is special, and 1 is its only non-neighbour
+        rep = classify(parse_graph6(b"D]_"))
+        assert rep.eligible and rep.verdict == "not_gamma2"
+        assert (sorted(rep.s_set.representatives), rep.packing_violation) == ([0], None)
+        assert rep.uncovered_vertex == 1
 
     def test_two_triangles(self, two_triangles):
         rep = classify(two_triangles)

@@ -543,6 +543,25 @@ class TestPerGraphDriver:
         assert (lineno, len(line)) == (1, 300_000)
         assert held < 1.5 * len(line)
 
+    def test_the_reader_peaks_under_three_copies_of_a_long_line(self, tmp_path):
+        # the raw bytes, their decoded text and the split line: never all at once
+        f = tmp_path / "long.g6"
+        f.write_bytes(b"~" * 300_000 + b"\n" + b"~" * 300_000 + b"\n")
+        peaks = []
+        tracemalloc.start()
+        try:
+            lines = cli._graph6_lines(str(f))
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                lineno, line = next(lines)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del line  # a caller drops each line before asking for the next
+            lines.close()
+        finally:
+            tracemalloc.stop()
+        assert lineno == 2
+        assert max(peaks) < 2.5 * 300_000, peaks
+
 
 class TestStartUp:
     # a per-graph run needs none of these, and each takes milliseconds to import

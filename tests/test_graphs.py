@@ -282,6 +282,18 @@ class TestEdgelist:
         assert g.labels == ("v1", "v2", "v3")
         assert g == path(3)
 
+    def test_mixed_tokens_are_all_labels_in_first_appearance_order(self):
+        g = parse_edgelist(b"3 a\n1 3\na 0")
+        assert g.labels == ("3", "a", "1", "0")
+        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3)]
+
+    def test_a_token_too_long_for_int_makes_every_token_a_label(self):
+        # int() refuses more than 4,300 digits, Python's default limit
+        long = "1" * 4301
+        g = parse_edgelist(f"{long} 0\n0 2")
+        assert g.labels == (long, "0", "2")
+        assert g == path(3)
+
     def test_duplicates_collapse(self):
         g = parse_edgelist(b"0 1\n1 0")
         assert g.edge_count == 1

@@ -1,7 +1,9 @@
 """Checks on the package source that need no linter: every module-level
-import is used, every function parameter is read, and every module-level
-private name is used somewhere in the package, so deleting code cannot
-leave a dead import, parameter or helper behind; and no module imports,
+import is used, every function parameter is read, every module-level
+private name is used somewhere in the package, and every module-level
+function and class is referenced outside its own body, so deleting code
+cannot leave a dead import, parameter, helper or definition behind; and
+no module imports,
 when it is itself imported, what only a fan-out to worker processes
 needs or what no command needs; and only the CLI's entry point
 changes the garbage collector's settings."""
@@ -157,20 +159,26 @@ def _used_names(node: ast.AST) -> set[str]:
     return used
 
 
-def unused_private_names(source: str, others: list[str]) -> list[str]:
-    """Module-level ``_names`` that ``source`` defines and that neither
-    another statement of ``source`` nor any of the ``others`` uses."""
+def _unused(source: str, others: list[str], candidates) -> list[str]:
+    """The names ``candidates`` picks from each module-level statement of
+    ``source`` that neither another statement of ``source`` nor any of
+    the ``others`` uses."""
     tree = ast.parse(source)
     used_elsewhere = set().union(*(_used_names(ast.parse(o)) for o in others))
     dead = []
     for stmt in tree.body:
-        for name in _defined_names(stmt):
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            rest = [s for s in tree.body if s is not stmt]
+        rest = [s for s in tree.body if s is not stmt]
+        for name in candidates(stmt):
             if name not in used_elsewhere and not any(name in _used_names(s) for s in rest):
                 dead.append(name)
     return sorted(dead)
+
+
+def unused_private_names(source: str, others: list[str]) -> list[str]:
+    """Module-level ``_names`` that ``source`` defines and that neither
+    another statement of ``source`` nor any of the ``others`` uses."""
+    return _unused(source, others, lambda stmt: [
+        name for name in _defined_names(stmt) if name.startswith("_") and not name.startswith("__")])
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -189,6 +197,41 @@ def test_an_unused_helper_is_reported():
     )
     other = "from .mod import _SEEN\n"
     assert unused_private_names(source, [other]) == ["_Planted", "_recursive"]
+
+
+def unreferenced_definitions(source: str, others: list[str]) -> list[str]:
+    """Module-level functions and classes, public or private, that
+    ``source`` defines and that neither another statement of ``source``
+    nor any of the ``others`` names, reaches as an attribute or imports:
+    re-exporting a public one from ``__init__`` counts as a use."""
+    return _unused(source, others, lambda stmt: [stmt.name] if isinstance(
+        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else [])
+
+
+# the paper's construction of yes graphs, for library callers: no command
+# builds one
+UNREFERENCED = {"generators.py": ["construction_h"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_function_and_class_is_referenced(path):
+    others = [p.read_text(encoding="utf-8") for p in PACKAGE if p != path]
+    found = unreferenced_definitions(path.read_text(encoding="utf-8"), others)
+    assert found == UNREFERENCED.get(path.name, [])
+
+
+def test_an_unreferenced_definition_is_reported():
+    source = (
+        "CAP = 3\n"
+        "class Used:\n    pass\n"
+        "class _Lonely:\n    def method(self):\n        return _Lonely\n"
+        "def recursive(x):\n    return recursive(x - 1) if x else Used\n"
+        "def exported():\n    pass\n"
+        "def reached():\n    pass\n"
+        "async def waited():\n    pass\n"
+    )
+    others = ["from .mod import exported\n", "value = mod.reached()\n"]
+    assert unreferenced_definitions(source, others) == ["_Lonely", "recursive", "waited"]
 
 
 # The CLI's entry point freezes the objects start-up leaves, for a faster

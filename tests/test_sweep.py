@@ -3,15 +3,20 @@
 The violation entries are built only when a claim fails, so each claim
 gets one planted failure here and its entry is pinned: the graph6 echo
 and the detail text, with its wording, list order and number format.
+``TestAtlas`` runs the claims over networkx's isomorphism classes.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from twindom import characterize, domination, structure, sweep
 from twindom.generators import cycle, path
 from twindom.graphs import Graph, component_masks, serialize_graph6
+
+from conftest import SWEEP_N6_CHECKED
 
 # small int sets iterate by id mod 8: {1, 8} as 8, 1 and {1, 4, 8} as 8, 1, 4,
 # so only a sorted rendering prints them in order
@@ -169,3 +174,38 @@ class TestClaimNames:
         with pytest.raises(ValueError, match=message):
             sweep.sweep_graphs(graphs, claims)
         assert read == []
+
+
+class TestAtlas:
+    """The claims over networkx's atlas of every graph up to isomorphism
+    with at most 7 vertices: each class once, and a check of the labeled
+    n <= 6 sweep that shares none of its enumeration."""
+
+    def test_every_claim_holds_on_the_order_7_classes(self):
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+        result = sweep.sweep_graphs(Graph(7, list(h.edges())) for h in atlas)
+        assert (len(atlas), result["graphs"], result["ok"]) == (1044, 1044, True)
+        assert {name: c["checked"] for name, c in result["claims"].items()} == {
+            "blocks": 58, "bounds": 888, "cor2": 299, "cor4": 127, "cor9": 180,
+            "lemma5": 188, "lemma6": 888, "prop7": 820, "supports": 65,
+        }
+
+    def test_classes_weighted_by_their_labelings_give_the_labeled_sweep(self):
+        # a class of order n has n!/|Aut| labeled members, all checked alike
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        labeled = dict.fromkeys(range(1, 7), 0)
+        checked = dict.fromkeys(SWEEP_N6_CHECKED, 0)
+        for h in nx.graph_atlas_g():
+            if (n := h.number_of_nodes()) not in labeled:
+                continue
+            weight = math.factorial(n) // sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            labeled[n] += weight
+            outcome = sweep.check_graph(Graph(n, list(h.edges())))
+            for name, violations in (outcome or {}).items():
+                assert violations == [], (name, sorted(h.edges()))
+                checked[name] += weight
+        assert labeled == {n: 2 ** (n * (n - 1) // 2) for n in labeled}
+        assert checked == SWEEP_N6_CHECKED
