@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 from . import characterize, domination, structure, sweep
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
-from .forbidden import PATTERNS, Pattern, girth, is_chordal, is_free
+from .forbidden import ELIGIBILITY_PATTERNS, PATTERNS, Pattern, girth, is_chordal, is_free
 from .graphs import Graph, component_masks, parse_edgelist, serialize_graph6
 
 
@@ -57,7 +57,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
                         "blockgraph:<b>:<k>[:<seed>], enum:<n>[:<filter>], or a fixture name)")
     p.add_argument("--format", default="graph6", choices=("graph6", "edgelist"),
                    help="file input format (default graph6)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random generator specs")
     p.add_argument("--json", action="store_true", help="line-delimited JSON output")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                    help=f"exact-search size cap (default {DEFAULT_ORACLE_CAP})")
@@ -76,7 +75,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="emit graphs as graph6 lines")
     p.add_argument("spec", help="generator spec, as for --generate")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="verify the library's claims over a corpus")
     _add_graph_args(p)
@@ -143,7 +141,7 @@ def _records(args) -> Iterable:
         if which == "fixture":
             return [generators.fixture(args.fixture)]
         if which == "generate":
-            return generators.expand(args.generate, args.seed)
+            return generators.expand(args.generate)
         if args.max_n < 1:
             raise ValueError("--max-n must be at least 1")
         # built eagerly, so an order over the enumeration cap fails here
@@ -245,7 +243,7 @@ def _parse_patterns(args) -> list[Pattern]:
     names = [name.strip() for name in args.patterns.split(",") if name.strip()]
     for name in names:
         if name not in PATTERNS:
-            raise ValueError(f"unknown pattern {name!r}; expected c3, c6, h1, h2")
+            raise ValueError(f"unknown pattern {name!r}; expected {', '.join(PATTERNS)}")
     out = [PATTERNS[name] for name in names]
     if args.pattern_file:
         with open(args.pattern_file, "rb") as fh:
@@ -282,8 +280,8 @@ COMMANDS = {
               "twin classes of special vertices with representatives", ()),
     "count-gamma-sets": (_count_gamma_sets, "number of minimum dominating sets", ()),
     "check-free": (_check_free, "search for induced forbidden patterns", (
-        ("--patterns", dict(default="c6,h1,h2",
-                            help="comma list from {c3,c6,h1,h2} (default c6,h1,h2)")),
+        ("--patterns", dict(default=",".join(p.name for p in ELIGIBILITY_PATTERNS),
+                            help=f"comma list from {{{','.join(PATTERNS)}}} (default %(default)s)")),
         ("--pattern-file", dict(default=None, metavar="FILE",
                                 help="extra custom pattern as an edge-list file")))),
 }
@@ -320,7 +318,7 @@ def _drive(fn, args) -> int:
 
 def cmd_generate(args) -> int:
     from . import generators
-    for g in generators.expand(args.spec, args.seed):
+    for g in generators.expand(args.spec):
         sys.stdout.write(serialize_graph6(g).decode("ascii") + "\n")
     return 0
 

@@ -13,6 +13,7 @@ import random
 import re
 from typing import Iterable, Iterator
 
+from .forbidden import H1, H2
 from .graphs import MAX_ORDER, Graph, bit_indices, component_masks
 
 
@@ -52,8 +53,6 @@ def complete(k: int) -> Graph:
     return Graph.from_masks(k, [full ^ (1 << v) for v in range(k)])
 
 
-_HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
-
 # Named example graphs used throughout the test corpus. fig1 is an
 # 8-vertex graph whose vertices v1, v2 are its only special vertices;
 # g1 and g2 are the sharpness examples: each attains gamma_t = 2*gamma
@@ -65,11 +64,11 @@ _FIXED: dict[str, tuple[int, list[tuple[int, int]], tuple[str, ...] | None]] = {
          (2, 3), (2, 5), (3, 4), (4, 6), (5, 7), (6, 7)],
         ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"),
     ),
-    "h1": (6, _HEX + [(1, 5)], None),
-    "h2": (6, _HEX + [(1, 5), (2, 4)], None),
+    "h1": (6, [*H1.graph.edges()], None),
+    "h2": (6, [*H2.graph.edges()], None),
     # hexagon with one chord, plus a pendant on the vertex common to both
     # chord endpoints; its unique special vertex is that attachment point
-    "g1": (7, _HEX + [(1, 5), (0, 6)], None),
+    "g1": (7, [*H1.graph.edges(), (0, 6)], None),
     # two chorded hexagons sharing a vertex path, with a pendant at each
     # far end; the pendant supports (1 and 11) are the special vertices
     "g2": (
@@ -88,8 +87,7 @@ def fixture(name: str) -> Graph:
     c<k> (cycle), p<k> (path), star<k> (K_{1,k}), k<k> (complete)."""
     key = name.strip().lower()
     if key in _FIXED:
-        n, edges, labels = _FIXED[key]
-        return Graph(n, edges, labels)
+        return Graph(*_FIXED[key])
     m = _FAMILY.match(key)
     if m:
         kind, k = m.group(1), int(m.group(2))
@@ -181,51 +179,6 @@ def _enumerate(n: int, flt: str) -> Iterator[Graph]:
         yield g
 
 
-def expand(spec: str, seed: int = 0) -> Iterable[Graph]:
-    """Expand a generator spec into graphs: ``corona:<fixture>``,
-    ``tree:<n>[:<seed>]``, ``blockgraph:<blocks>:<max-clique>[:<seed>]``,
-    ``enum:<n>[:<filter>]`` (yielded lazily) or a fixture name. ``seed``
-    serves the random specs that name none."""
-    parts = spec.strip().lower().split(":")
-    head = parts[0]
-    if head == "corona":
-        if len(parts) != 2:
-            raise ValueError("corona spec is corona:<fixture>")
-        return [corona_p2(fixture(parts[1]))]
-    # a seed the spec names comes before ``seed``, which _ints then drops
-    if head == "tree":
-        usage = "tree spec is tree:<n>[:<seed>]"
-        if len(parts) not in (2, 3):
-            raise ValueError(usage)
-        return [random_tree(*_ints(usage, ("<n>", "<seed>"), [*parts[1:], seed]))]
-    if head == "blockgraph":
-        usage = "blockgraph spec is blockgraph:<blocks>:<max-clique>[:<seed>]"
-        if len(parts) not in (3, 4):
-            raise ValueError(usage)
-        return [random_block_graph(*_ints(usage, ("<blocks>", "<max-clique>", "<seed>"), [*parts[1:], seed]))]
-    if head == "enum":
-        usage = "enum spec is enum:<n>[:<filter>]"
-        if len(parts) not in (2, 3):
-            raise ValueError(usage)
-        (n,) = _ints(usage, ("<n>",), parts[1:2])
-        return enumerate_small_graphs(n, parts[2] if len(parts) == 3 else "all")
-    if len(parts) == 1:
-        return [fixture(head)]
-    raise ValueError(f"unknown generator spec {spec!r}")
-
-
-def _ints(usage: str, names: tuple[str, ...], fields) -> list[int]:
-    """The first ``len(names)`` spec ``fields`` as integers; a field that is
-    none fails with the spec's grammar ``usage`` and the field's name."""
-    out = []
-    for name, text in zip(names, fields):
-        try:
-            out.append(int(text))
-        except ValueError:
-            raise ValueError(f"{usage}; {name} must be an integer, not {text!r}") from None
-    return out
-
-
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree, decoded from a random parent sequence."""
     if n < 1:
@@ -274,3 +227,47 @@ def random_block_graph(blocks: int, max_clique: int, seed: int) -> Graph:
         masks += ((fresh | (1 << glue)) ^ (1 << v) for v in range(n, n + size - 1))
         n += size - 1
     return Graph.from_masks(n, masks)
+
+
+# head -> (builder, its integer fields); the last is the seed, 0 when the spec names none
+_SEEDED = {"tree": (random_tree, ("<n>", "<seed>")),
+           "blockgraph": (random_block_graph, ("<blocks>", "<max-clique>", "<seed>"))}
+
+
+def expand(spec: str) -> Iterable[Graph]:
+    """Expand a generator spec into graphs: ``corona:<fixture>``,
+    ``tree:<n>[:<seed>]``, ``blockgraph:<blocks>:<max-clique>[:<seed>]``,
+    ``enum:<n>[:<filter>]`` (yielded lazily) or a fixture name."""
+    parts = spec.strip().lower().split(":")
+    head = parts[0]
+    if head == "corona":
+        if len(parts) != 2:
+            raise ValueError("corona spec is corona:<fixture>")
+        return [corona_p2(fixture(parts[1]))]
+    if head in _SEEDED:
+        build, names = _SEEDED[head]
+        usage = f"{head} spec is {':'.join((head, *names[:-1]))}[:{names[-1]}]"
+        if not len(names) <= len(parts) <= len(names) + 1:
+            raise ValueError(usage)
+        return [build(*_ints(usage, names, [*parts[1:], 0]))]  # _ints drops the 0 after a named seed
+    if head == "enum":
+        usage = "enum spec is enum:<n>[:<filter>]"
+        if len(parts) not in (2, 3):
+            raise ValueError(usage)
+        (n,) = _ints(usage, ("<n>",), parts[1:2])
+        return enumerate_small_graphs(n, parts[2] if len(parts) == 3 else "all")
+    if len(parts) == 1:
+        return [fixture(head)]
+    raise ValueError(f"unknown generator spec {spec!r}")
+
+
+def _ints(usage: str, names: tuple[str, ...], fields) -> list[int]:
+    """The first ``len(names)`` spec ``fields`` as integers; a field that is
+    none fails with the spec's grammar ``usage`` and the field's name."""
+    out = []
+    for name, text in zip(names, fields):
+        try:
+            out.append(int(text))
+        except ValueError:
+            raise ValueError(f"{usage}; {name} must be an integer, not {text!r}") from None
+    return out

@@ -255,7 +255,7 @@ def parse_edgelist(text: bytes | str) -> Graph:
 
     An optional first line ``n <count>`` fixes the vertex count. Every
     other nonblank line names one edge as two tokens. Tokens are integer
-    ids when all of them parse as integers, otherwise labels mapped to ids
+    ids when every one is ASCII digits 0-9, otherwise labels mapped to ids
     in first-appearance order. Duplicate edges collapse; self-loops are
     rejected.
     """
@@ -281,30 +281,35 @@ def parse_edgelist(text: bytes | str) -> Graph:
             raise GraphParseError(f"expected two tokens, got {len(toks)}", lineno)
         rows.append((lineno, toks[0], toks[1]))
 
-    labels: list[str] | None = None
-    try:
-        ids = [(ln, int(a), int(b)) for ln, a, b in rows]
-    except ValueError:  # a token that is no integer (or too long for int): all are labels
-        index: dict[str, int] = {}
+    index: dict[str, int] = {}  # label -> id, empty when every token is a numeral
+    if all([(a + b).isascii() and (a + b).isdigit() for _, a, b in rows]):
+        ids = [(ln, _vertex_id(a, ln), _vertex_id(b, ln)) for ln, a, b in rows]
+    else:  # a token that is no numeral: all are labels
         ids = [(ln, index.setdefault(a, len(index)), index.setdefault(b, len(index))) for ln, a, b in rows]
-        labels = list(index)
 
-    if declared_n is not None:
-        n = declared_n
-    else:
-        for ln, u, v in ids:
-            if max(u, v) >= MAX_ORDER:
-                raise GraphParseError(f"vertex id {max(u, v)} needs more than {MAX_ORDER} vertices", ln)
-        n = 1 + max((max(u, v) for _, u, v in ids), default=-1)
-    if labels is not None and len(labels) < n:
-        labels += [str(i) for i in range(len(labels), n)]
+    n = declared_n if declared_n is not None else 1 + max((max(u, v) for _, u, v in ids), default=-1)
+    if n > MAX_ORDER:  # labels alone get here: the header and each numeral are capped where read
+        ln, u, v = next(row for row in ids if max(row[1:]) >= MAX_ORDER)
+        raise GraphParseError(f"vertex id {max(u, v)} needs more than {MAX_ORDER} vertices", ln)
+    # a vertex the header adds past the last label is named by its id
+    labels = [*index, *map(str, range(len(index), n))] if index else None
 
     masks = [0] * n
     for ln, u, v in ids:
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", ln)
-        if u >= n or v >= n or u < 0 or v < 0:
+        if u >= n or v >= n:
             raise GraphParseError(f"vertex id {max(u, v)} outside 0..{n - 1}", ln)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph.from_masks(n, masks, labels)
+
+
+def _vertex_id(numeral: str, line: int) -> int:
+    """A numeral as a vertex id. One at or past the order cap fails at
+    ``line``; int() reads only numerals no longer than the cap's."""
+    digits = numeral.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_ORDER)) or int(digits) >= MAX_ORDER:
+        shown = digits if len(digits) <= 20 else digits[:20] + "..."
+        raise GraphParseError(f"vertex id {shown} needs more than {MAX_ORDER} vertices", line)
+    return int(digits)

@@ -45,7 +45,7 @@ import _thread
 import os
 import signal
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
@@ -252,18 +252,14 @@ def _send(worker, data: bytes) -> None:
 
 
 def _fan_out(fn, items, jobs: int):
-    """``ordered_map`` over ``jobs`` forked workers. Each has one chunk of
-    ``CHUNK`` items (fewer at the end) in flight at a time, and at most
-    ``2 * jobs`` chunks are sent and not yet yielded, which bounds the
-    buffer that restores order."""
-    import pickle
-    import select
+    """``ordered_map`` over at most ``jobs`` forked workers, each forked for a
+    chunk of ``CHUNK`` items (fewer at the end) that finds none idle. Each has
+    one chunk in flight at a time, and at most ``2 * jobs`` chunks are sent
+    and not yet yielded, which bounds the buffer that restores order."""
     workers = []
     lifeline = os.pipe()  # the kernel closes its write end when this process ends, however it ends
     try:
-        for _ in range(jobs):
-            workers.append(_fork(fn, lifeline))
-        idle, busy, done = list(workers), {}, {}  # busy: result stream -> (worker, chunk number)
+        idle, busy, done = [], {}, {}  # busy: result stream -> (worker, chunk number)
         sent = yielded = 0
         more, error = True, None  # error: the input iterator's
         while True:
@@ -273,16 +269,20 @@ def _fan_out(fn, items, jobs: int):
                 if item_error is not None:
                     raise item_error
                 yielded += 1
-            while more and idle and sent - yielded < 2 * jobs:
+            while more and (idle or len(workers) < jobs) and sent - yielded < 2 * jobs:
                 chunk, error = _until_error(islice(items, CHUNK))
                 more = error is None and len(chunk) == CHUNK
                 if chunk:
-                    worker = idle.pop()
+                    import pickle  # only a chunk sent needs it
+                    if not idle:
+                        workers.append(_fork(fn, lifeline))
+                    worker = idle.pop() if idle else workers[-1]
                     _send(worker, pickle.dumps(chunk))
                     busy[worker[3]] = worker, sent
                     sent += 1
             if not busy:  # every chunk sent is yielded, and the input is spent
                 break
+            import select
             for results in select.select(list(busy), [], [])[0]:
                 worker, number = busy.pop(results)
                 try:
@@ -309,13 +309,14 @@ def ordered_map(fn, items, jobs: int):
 
     Items are read and mapped here one at a time, but with ``jobs > 1`` and
     ``os.fork`` available those after the first ``CHUNK`` fan out to forked
-    workers, at most one per CPU, which exit when this process ends: a pipe
-    whose write end only it holds then reaches end of file. A worker reads
-    pickled chunks of ``CHUNK`` items and answers each with one pickle: the
-    results up to its first failing item, and that failure. Either way an
-    item's exception, or the input iterator's, is raised when its position
-    is reached, after the results of the items before it; a worker that
-    dies or cuts a reply short raises ``ChildProcessError``.
+    workers, at most one per CPU and one per chunk, which exit when this
+    process ends: a pipe whose write end only it holds then reaches end of
+    file. A worker reads pickled chunks of ``CHUNK`` items and answers each
+    with one pickle: the results up to its first failing item, and that
+    failure. Either way an item's exception, or the input iterator's, is
+    raised when its position is reached, after the results of the items
+    before it; a worker that dies or cuts a reply short raises
+    ``ChildProcessError``.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     items = iter(items)
@@ -323,8 +324,7 @@ def ordered_map(fn, items, jobs: int):
         yield from map(fn, items)
         return
     yield from map(fn, islice(items, CHUNK))
-    if rest := list(islice(items, 1)):  # fork only once a CHUNK + 1st item exists
-        yield from _fan_out(fn, chain(rest, items), jobs)
+    yield from _fan_out(fn, items, jobs)
 
 
 def as_graph(item) -> Graph:

@@ -712,6 +712,34 @@ class TestFanOut:
         monkeypatch.setattr(sweep, "_fan_out", None)  # calling it would fail
         assert list(sweep.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
 
+    @pytest.mark.parametrize("cpus, items, forks", [(2, 65, 1), (2, 128, 1), (2, 129, 2), (16, 100, 1),
+                                                   (16, 1000, 15)])
+    def test_a_chunk_forks_a_worker_only_when_none_is_idle(self, monkeypatch, cpus, items, forks):
+        # the items past the first CHUNK make ceil((items - CHUNK) / CHUNK)
+        # chunks, and the 2 * jobs window lets every one go out at once
+        forked = []
+
+        def fork(fn, lifeline):
+            forked.append(fn)
+            return real_fork(fn, lifeline)
+
+        real_fork = sweep._fork
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "_fork", fork)
+        assert list(sweep.ordered_map(abs, range(-items, 0), cpus)) == list(range(items, 0, -1))
+        assert len(forked) == forks
+
+    def test_a_one_record_fan_out_loads_neither_pickle_nor_select(self):
+        # the batch ends inside the first CHUNK, so no chunk is sent or awaited
+        entry = ("import atexit, os, sys\n"
+                 "os.cpu_count = lambda: 2\n"  # a fan-out, even on one CPU
+                 "atexit.register(lambda: print(*sorted({'pickle', 'select'} & set(sys.modules)), file=sys.stderr))\n"
+                 "from twindom.cli import main; main()")
+        proc = subprocess.run([sys.executable, "-c", entry, "classify", "-", "--json", "--jobs", "2"],
+                              input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
+                              env=cli_env(), timeout=60)
+        assert (proc.returncode, len(proc.stdout.splitlines()), proc.stderr) == (0, 1, b"\n")
+
     def test_a_chunk_for_a_dead_worker_fails_instead_of_blocking(self):
         # the chunk is larger than a pipe holds, nothing reads it, and SIGPIPE
         # kills as it does in the CLI
@@ -906,11 +934,11 @@ class TestFanOut:
         class FannedOut(Exception):
             pass
 
-        def fan_out(fn, items, jobs):
+        def fork(fn, lifeline):
             raise FannedOut
 
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sweep, "_fan_out", fan_out)
+        monkeypatch.setattr(sweep, "_fork", fork)
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), sweep.CHUNK + 1)]
         assert run([*command, str(write_g6(tmp_path, lines[:-1])), "--jobs", "2"]) == 0
         with pytest.raises(FannedOut):
@@ -963,12 +991,28 @@ class TestGenerate:
         assert run(["generate", "tree:9:5"]) == 0
         assert a == capsys.readouterr().out
 
-    @pytest.mark.parametrize("spec", [["blockgraph:5:3:7"], ["blockgraph:5:3", "--seed", "7"]],
-                             ids=["spec-seed", "seed-option"])
+    @pytest.mark.parametrize("spec", [["blockgraph:5:3:7"]], ids=["spec-seed"])
     def test_blockgraph_spec_of_a_per_graph_command(self, capsys, spec):
         (obj,) = run_json(capsys, ["special", "--generate", *spec, "--json"])
         assert obj["graph6"] == g6(generators.random_block_graph(5, 3, 7)) == "GxaH?O"
         assert obj["special"] == [0, 2, 4]
+
+    @pytest.mark.parametrize("family", ["tree:9", "blockgraph:5:3"])
+    def test_a_random_spec_without_a_seed_uses_seed_0(self, capsys, family):
+        assert run(["generate", family]) == 0
+        unseeded = capsys.readouterr().out
+        assert run(["generate", f"{family}:0"]) == 0
+        assert unseeded == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["generate", "tree:9"], ["special", "--generate", "tree:9"]],
+                             ids=["generate", "special"])
+    def test_the_seed_option_is_gone(self, capsys, argv):
+        # the seed is a field of the spec; an option repeating it was ignored
+        with pytest.raises(SystemExit) as exited:
+            run([*argv, "--seed", "5"])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (1, "")
+        assert "unrecognized arguments: --seed" in err
 
     @pytest.mark.parametrize("spec,message", [
         ("corona", "corona spec is corona:<fixture>"),
@@ -1268,6 +1312,7 @@ class TestErrors:
 
     def test_unknown_pattern(self, capsys):
         assert run(["check-free", "--fixture", "c6", "--patterns", "c4"]) == 1
+        assert capsys.readouterr() == ("", "twindom check-free: unknown pattern 'c4'; expected c3, c6, h1, h2\n")
 
     def test_missing_file(self, capsys):
         assert run(["classify", "/nonexistent/file.g6"]) == 1

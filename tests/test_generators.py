@@ -61,6 +61,14 @@ class TestFixtures:
         assert sorted(fixture("h1").degree(v) for v in range(6)) == [2, 2, 2, 2, 3, 3]
         assert sorted(fixture("h2").degree(v) for v in range(6)) == [2, 2, 3, 3, 3, 3]
 
+    def test_the_chorded_hexagons_are_the_patterns(self):
+        # each call builds a fresh graph: the search memoizes on the patterns' own
+        h1, h2, g1 = fixture("h1"), fixture("h2"), fixture("g1")
+        assert (h1, h2) == (H1.graph, H2.graph)
+        assert h1 is not H1.graph and h2 is not H2.graph and h1 is not fixture("h1")
+        assert g1 == Graph(7, [*H1.graph.edges(), (0, 6)])
+        assert {h1.labels, h2.labels, g1.labels, h1._cores} == {None}
+
     def test_g1_contains_h1_not_h2(self):
         g1 = fixture("g1")
         assert find_induced(g1, H1) is not None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -287,12 +288,39 @@ class TestEdgelist:
         assert g.labels == ("3", "a", "1", "0")
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3)]
 
-    def test_a_token_too_long_for_int_makes_every_token_a_label(self):
-        # int() refuses more than 4,300 digits, Python's default limit
-        long = "1" * 4301
-        g = parse_edgelist(f"{long} 0\n0 2")
-        assert g.labels == (long, "0", "2")
-        assert g == path(3)
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+    def test_a_numeral_too_long_for_int_fails_at_its_line_under_any_digit_limit(self):
+        # int() refuses more than 4,300 digits under Python's default limit
+        # and reads any number under a limit of 0; the file decides alone
+        text = f"{'1' * 4301} 0\n0 2"
+        with pytest.raises(GraphParseError) as default:
+            parse_edgelist(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(GraphParseError) as unlimited:
+                parse_edgelist(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(default.value) == str(unlimited.value) == (
+            f"line 1: vertex id {'1' * 20}... needs more than {MAX_ORDER} vertices")
+
+    def test_numerals_with_leading_zeros_are_ids(self):
+        g = parse_edgelist(f"{'0' * 5000}1 002\n0 1")
+        assert (g.labels, sorted(g.edges())) == (None, [(0, 1), (1, 2)])
+
+    def test_grid_labels_are_labels(self):
+        # int() reads 1_1 as 11, which made this 4-cycle a 12-vertex graph
+        g = parse_edgelist(b"0_0 0_1\n0_1 1_1\n1_1 1_0\n1_0 0_0\n")
+        assert g == cycle(4)
+        assert g.labels == ("0_0", "0_1", "1_1", "1_0")
+
+    @pytest.mark.parametrize("text", ["-1 0", "+1 0", "\u0661 \u0662", "\u00b2 1"],
+                             ids=["minus", "plus", "arabic-indic", "superscript"])
+    def test_a_token_of_other_than_ascii_digits_makes_every_token_a_label(self, text):
+        g = parse_edgelist(text.encode("utf-8"))
+        assert g.labels == tuple(text.split())
+        assert g == path(2)
 
     def test_duplicates_collapse(self):
         g = parse_edgelist(b"0 1\n1 0")

@@ -1,8 +1,9 @@
 """Checks on the package source that need no linter: every module-level
 import is used, every function parameter is read, every module-level
-private name is used somewhere in the package, and every module-level
-function and class is referenced outside its own body, so deleting code
-cannot leave a dead import, parameter, helper or definition behind; and
+private name is used somewhere in the package, every module-level
+function and class is referenced outside its own body, and every member
+of a class is read somewhere in the package, so deleting code cannot
+leave a dead import, parameter, helper, definition or member behind; and
 no module imports,
 when it is itself imported, what only a fan-out to worker processes
 needs or what no command needs; and only the CLI's entry point
@@ -232,6 +233,60 @@ def test_an_unreferenced_definition_is_reported():
     )
     others = ["from .mod import exported\n", "value = mod.reached()\n"]
     assert unreferenced_definitions(source, others) == ["_Lonely", "recursive", "waited"]
+
+
+def class_members(source: str) -> list[tuple[str, str]]:
+    """(class, member) for each non-dunder method, ``__slots__`` entry and
+    NamedTuple field of the module-level classes of ``source``."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        named_tuple = any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases)
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                names = list(ast.literal_eval(stmt.value))
+            elif named_tuple and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names = [stmt.target.id]
+            else:
+                continue
+            found += [(cls.name, name) for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def unread_members(source: str, others: list[str]) -> list[str]:
+    """The members :func:`class_members` finds in ``source`` whose name
+    neither ``source`` nor any of the ``others`` loads as an attribute, as
+    "Class.member": a store, such as ``self.x = ...``, is no read."""
+    read = {n.attr for text in (source, *others) for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for cls, name in class_members(source) if name not in read)
+
+
+# argparse calls the override itself
+UNREAD = {"cli.py": ["_Parser.error"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_class_member_is_read(path):
+    others = [p.read_text(encoding="utf-8") for p in PACKAGE if p != path]
+    assert unread_members(path.read_text(encoding="utf-8"), others) == UNREAD.get(path.name, [])
+
+
+def test_an_unread_member_is_reported():
+    source = (
+        "import typing\nfrom typing import NamedTuple\n"
+        "class P(NamedTuple):\n    x: int\n    y: int\n    def norm(self):\n        return self.x\n"
+        "class Q(typing.NamedTuple):\n    z: int\n"
+        "class S:\n    __slots__ = ('a', 'b', '__weakref__')\n    limit: int = 3\n"
+        "    def __init__(self):\n        self.a = self.b = 0\n"
+        "    def used(self):\n        return self.a\n    def _lonely(self):\n        pass\n"
+        "def f(s, p):\n    return s.used(), p.norm()\n"
+    )
+    others = ["def g(s):\n    s.b += 1\n    del s.z\n"]
+    assert unread_members(source, others) == ["P.y", "Q.z", "S._lonely", "S.b"]
 
 
 # The CLI's entry point freezes the objects start-up leaves, for a faster
