@@ -46,42 +46,14 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", nargs="?", default=None, metavar="FILE",
-                   help="input file ('-' for stdin)")
-    p.add_argument("--input", default=None, metavar="FILE", help="input stream file")
-    p.add_argument("--fixture", default=None, metavar="NAME",
-                   help="named fixture (fig1, g1, g2, h1, h2, c<k>, p<k>, star<k>, k<k>)")
-    p.add_argument("--generate", default=None, metavar="SPEC",
-                   help="generator spec (corona:<fixture>, tree:<n>[:<seed>], "
-                        "blockgraph:<b>:<k>[:<seed>], enum:<n>[:<filter>], or a fixture name)")
-    p.add_argument("--format", default="graph6", choices=("graph6", "edgelist"),
-                   help="file input format (default graph6)")
-    p.add_argument("--json", action="store_true", help="line-delimited JSON output")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                   help=f"exact-search size cap (default {DEFAULT_ORACLE_CAP})")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="twindom",
                      description="Decide whether gamma_t = 2*gamma, with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (_, help_text, options) in COMMANDS.items():
+    for name, (_, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_graph_args(p)
-        for flag, kwargs in options:
+        for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-
-    p = sub.add_parser("generate", help="emit graphs as graph6 lines")
-    p.add_argument("spec", help="generator spec, as for --generate")
-
-    p = sub.add_parser("sweep", help="verify the library's claims over a corpus")
-    _add_graph_args(p)
-    p.add_argument("--max-n", type=int, metavar="N", help="all labeled graphs of order 1 to N")
-    p.add_argument("--claims", default=",".join(sweep.CLAIM_NAMES),
-                   help=f"comma list from {{{','.join(sweep.CLAIM_NAMES)}}}")
-    p.add_argument(_JOBS[0], **_JOBS[1])
     return parser
 
 
@@ -239,7 +211,8 @@ def _count_gamma_sets(g: Graph, args) -> tuple[dict, str]:
     return obj, f"gamma={gamma} gammaSets={count} ({method})"
 
 
-def _parse_patterns(args) -> list[Pattern]:
+def _drive_check_free(args) -> int:
+    """Parse the pattern options into ``args.patterns``, then drive :func:`_check_free`."""
     names = [name.strip() for name in args.patterns.split(",") if name.strip()]
     for name in names:
         if name not in PATTERNS:
@@ -250,41 +223,18 @@ def _parse_patterns(args) -> list[Pattern]:
             out.append(Pattern("custom", parse_edgelist(fh.read())))
     if not out:
         raise ValueError("no patterns given")
-    return out
+    args.patterns = out
+    return _drive(_check_free, args)
 
 
 def _check_free(g: Graph, args) -> tuple[dict, str]:
-    # run() has replaced args.patterns by the parsed list
+    # _drive_check_free has replaced args.patterns by the parsed list
     emb = is_free(g, args.patterns)[1]
     witness = emb.to_json_dict() if emb else None
     obj = {"patterns": [p.name for p in args.patterns], "free": witness is None,
            "witness": witness}
     return obj, f"free={witness is None}" + (
         f" witness={witness['pattern']}@{witness['mapping']}" if witness else "")
-
-
-_FALLBACK = ("--fallback", dict(
-    default="none", choices=characterize.FALLBACKS,
-    help="on ineligible graphs: report unknown (default) or use the exact oracle"))
-_JOBS = ("--jobs", dict(type=int, default=os.cpu_count() or 1, help="worker processes for batch input"))
-
-# name -> (per-graph function, help, options beyond the shared graph args)
-COMMANDS = {
-    "classify": (_classify, "run the polynomial classifier", (_FALLBACK, _JOBS)),
-    "analyze": (_analyze, "full single-graph analysis", (_FALLBACK,)),
-    "gamma": (partial(_gamma, total=False), "exact gamma number with witness", ()),
-    "gamma-t": (partial(_gamma, total=True), "exact gamma total number with witness", ()),
-    "special": (partial(_special, with_representatives=False),
-                "special vertices and their twin classes", ()),
-    "s-set": (partial(_special, with_representatives=True),
-              "twin classes of special vertices with representatives", ()),
-    "count-gamma-sets": (_count_gamma_sets, "number of minimum dominating sets", ()),
-    "check-free": (_check_free, "search for induced forbidden patterns", (
-        ("--patterns", dict(default=",".join(p.name for p in ELIGIBILITY_PATTERNS),
-                            help=f"comma list from {{{','.join(PATTERNS)}}} (default %(default)s)")),
-        ("--pattern-file", dict(default=None, metavar="FILE",
-                                help="extra custom pattern as an edge-list file")))),
-}
 
 
 # -- the per-graph driver -----------------------------------------------------
@@ -342,16 +292,64 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the source and output arguments of every command that reads graphs
+_GRAPH_ARGS = (
+    ("path", dict(nargs="?", default=None, metavar="FILE", help="input file ('-' for stdin)")),
+    ("--input", dict(default=None, metavar="FILE", help="input stream file")),
+    ("--fixture", dict(default=None, metavar="NAME",
+                       help="named fixture (fig1, g1, g2, h1, h2, c<k>, p<k>, star<k>, k<k>)")),
+    ("--generate", dict(default=None, metavar="SPEC",
+                        help="generator spec (corona:<fixture>, tree:<n>[:<seed>], "
+                             "blockgraph:<b>:<k>[:<seed>], enum:<n>[:<filter>], or a fixture name)")),
+    ("--format", dict(default="graph6", choices=("graph6", "edgelist"),
+                      help="file input format (default graph6)")),
+    ("--json", dict(action="store_true", help="line-delimited JSON output")),
+)
+_ORACLE_CAP = ("--oracle-cap", dict(type=int, default=DEFAULT_ORACLE_CAP,
+                                    help=f"exact-search size cap (default {DEFAULT_ORACLE_CAP})"))
+_FALLBACK = ("--fallback", dict(
+    default="none", choices=characterize.FALLBACKS,
+    help="on ineligible graphs: report unknown (default) or use the exact oracle"))
+_JOBS = ("--jobs", dict(type=int, default=os.cpu_count() or 1, help="worker processes for batch input"))
+
+# name -> (runner, help, every argument the command takes); a per-graph
+# command's runner drives its function over the input graphs
+COMMANDS = {
+    "classify": (partial(_drive, _classify), "run the polynomial classifier",
+                 (*_GRAPH_ARGS, _ORACLE_CAP, _FALLBACK, _JOBS)),
+    "analyze": (partial(_drive, _analyze), "full single-graph analysis",
+                (*_GRAPH_ARGS, _ORACLE_CAP, _FALLBACK)),
+    "gamma": (partial(_drive, partial(_gamma, total=False)), "exact gamma number with witness",
+              (*_GRAPH_ARGS, _ORACLE_CAP)),
+    "gamma-t": (partial(_drive, partial(_gamma, total=True)), "exact gamma total number with witness",
+                (*_GRAPH_ARGS, _ORACLE_CAP)),
+    "special": (partial(_drive, partial(_special, with_representatives=False)),
+                "special vertices and their twin classes", _GRAPH_ARGS),
+    "s-set": (partial(_drive, partial(_special, with_representatives=True)),
+              "twin classes of special vertices with representatives", _GRAPH_ARGS),
+    "count-gamma-sets": (partial(_drive, _count_gamma_sets), "number of minimum dominating sets",
+                         (*_GRAPH_ARGS, _ORACLE_CAP)),
+    "check-free": (_drive_check_free, "search for induced forbidden patterns", (
+        *_GRAPH_ARGS,
+        ("--patterns", dict(default=",".join(p.name for p in ELIGIBILITY_PATTERNS),
+                            help=f"comma list from {{{','.join(PATTERNS)}}} (default %(default)s)")),
+        ("--pattern-file", dict(default=None, metavar="FILE",
+                                help="extra custom pattern as an edge-list file")))),
+    "generate": (cmd_generate, "emit graphs as graph6 lines",
+                 (("spec", dict(help="generator spec, as for --generate")),)),
+    "sweep": (cmd_sweep, "verify the library's claims over a corpus", (
+        *_GRAPH_ARGS, _ORACLE_CAP,
+        ("--max-n", dict(type=int, metavar="N", help="all labeled graphs of order 1 to N")),
+        ("--claims", dict(default=",".join(sweep.CLAIM_NAMES),
+                          help=f"comma list from {{{','.join(sweep.CLAIM_NAMES)}}}")),
+        _JOBS)),
+}
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "check-free":
-            args.patterns = _parse_patterns(args)
-        return _drive(COMMANDS[args.command][0], args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OracleCapExceeded, OSError) as e:
         return _fail(f"twindom {args.command}: {e}")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -1237,6 +1238,16 @@ class TestSweepCommand:
         monkeypatch.setattr(domination, "enumerate_gamma_sets", with_whole_vertex_set)
         assert set(self._sweep_violations(capsys)) == {"lemma5"}
 
+    def test_gamma_sets_at_another_gamma_are_caught(self, capsys, monkeypatch):
+        # the true sets and count, reported at gamma + 1: lemma5 and cor9
+        # hold the enumeration's gamma to the oracle's
+        genuine = domination.enumerate_gamma_sets
+        monkeypatch.setattr(domination, "enumerate_gamma_sets", lambda g, *args, **kwargs: (
+            e := genuine(g, *args, **kwargs))._replace(gamma=e.gamma + 1))
+        violations = self._sweep_violations(capsys)
+        assert set(violations) == {"lemma5", "cor9"}
+        assert violations["lemma5"][0] == {"graph6": "A_", "detail": "enumerated gamma=2, oracle gamma=1"}
+
     def _summary(self, capsys, argv) -> dict:
         """The --json summary of a one-job sweep, with elapsedMicros zeroed."""
         assert run(["sweep", *argv, "--jobs", "1", "--json"]) == 0
@@ -1313,6 +1324,9 @@ class TestErrors:
     def test_unknown_pattern(self, capsys):
         assert run(["check-free", "--fixture", "c6", "--patterns", "c4"]) == 1
         assert capsys.readouterr() == ("", "twindom check-free: unknown pattern 'c4'; expected c3, c6, h1, h2\n")
+        for patterns in (",", ""):
+            assert run(["check-free", "--fixture", "c6", "--patterns", patterns]) == 1
+            assert capsys.readouterr() == ("", "twindom check-free: no patterns given\n")
 
     def test_missing_file(self, capsys):
         assert run(["classify", "/nonexistent/file.g6"]) == 1
@@ -1476,6 +1490,67 @@ class TestErrors:
         code, out, err = run_cli(["gamma", *matching(1900)])
         assert (code, err) == (0, b"")
         assert json.loads(out)["value"] == 950
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that notes every public name read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def unread_arguments(monkeypatch, argv) -> list[str]:
+    """The arguments of ``argv``'s command, by dest, that a run of it never
+    reads: argparse sets each one on the namespace, and its own reads
+    are forgotten before the command runs."""
+    genuine, parsed = cli.build_parser, []
+
+    def recording_parser():
+        parser = genuine()
+        parse = parser.parse_args
+
+        def parse_args(args):
+            parsed.append(namespace := parse(args, ReadRecorder()))
+            namespace._reads.clear()
+            return namespace
+        parser.parse_args = parse_args
+        return parser
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    assert run(argv) == 0
+    (namespace,) = parsed
+    return sorted(name for name in vars(namespace) if not name.startswith("_") and name not in namespace._reads)
+
+
+class TestCommandTable:
+    # c6 also sends count-gamma-sets down its enumeration branch
+    RUNS = {**{command: [command, "GRAPHS", "--json"] for command in [*PER_GRAPH_COMMANDS, "sweep"]},
+            "generate": ["generate", "c6"]}
+
+    @pytest.fixture
+    def graphs(self, tmp_path):
+        f = tmp_path / "in.g6"
+        f.write_text(f"{g6(cycle(6))}\n{g6(fixture('k3'))}\n")
+        return str(f)
+
+    def test_every_command_is_run(self):
+        assert sorted(self.RUNS) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_every_argument_is_read(self, monkeypatch, graphs, command):
+        argv = [graphs if a == "GRAPHS" else a for a in self.RUNS[command]]
+        assert unread_arguments(monkeypatch, argv) == []
+
+    def test_an_unread_argument_is_reported(self, monkeypatch, graphs):
+        runner, help_text, arguments = cli.COMMANDS["gamma"]
+        monkeypatch.setitem(cli.COMMANDS, "gamma", (
+            runner, help_text, (*arguments, ("--unread", dict(action="store_true")))))
+        assert unread_arguments(monkeypatch, ["gamma", graphs, "--json"]) == ["unread"]
 
 
 class TestHostileInput:

@@ -85,6 +85,10 @@ class TestFixtures:
             fixture("nope")
         with pytest.raises(ValueError):
             fixture("c2")
+        with pytest.raises(ValueError, match="^bad fixture 'star0': star needs at least one leaf$"):
+            fixture("star0")
+        with pytest.raises(ValueError, match="^bad fixture 'k0': complete graph needs at least one vertex$"):
+            fixture("k0")
 
 
 class TestCorona:

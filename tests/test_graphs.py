@@ -93,6 +93,12 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_a_negative_order_and_a_label_count_off_the_order(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
+        with pytest.raises(ValueError, match="^labels must have one entry per vertex$"):
+            Graph(2, labels=["a"])
+
     def test_duplicate_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
