@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(_fail(f"{self.prog}: {message}"))
 
+    # argparse hands a subcommand's unknown options up for the top-level
+    # parser to report, under its own usage; each command refuses its own
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
@@ -145,8 +153,8 @@ def _analyze(g: Graph, args) -> tuple[dict, str]:
     isolated = degrees.count(0)
     gv = girth(g)
     # classify refuses graphs with an isolated vertex, and takes its chordal
-    # path on every chordal graph, which is eligible, at either fallback
-    report = None if isolated else characterize.classify(g, args.fallback, args.oracle_cap)
+    # path on every chordal graph, which is eligible
+    report = None if isolated else characterize.classify(g)
     chordal = report.method == characterize.METHOD_CHORDAL if report else is_chordal(g)
     classes = report.s_set if report else structure.special_classes(g)
     obj = {
@@ -212,7 +220,7 @@ def _count_gamma_sets(g: Graph, args) -> tuple[dict, str]:
 
 
 def _drive_check_free(args) -> int:
-    """Parse the pattern options into ``args.patterns``, then drive :func:`_check_free`."""
+    """Parse the pattern options, then drive :func:`_check_free` with them."""
     names = [name.strip() for name in args.patterns.split(",") if name.strip()]
     for name in names:
         if name not in PATTERNS:
@@ -223,15 +231,13 @@ def _drive_check_free(args) -> int:
             out.append(Pattern("custom", parse_edgelist(fh.read())))
     if not out:
         raise ValueError("no patterns given")
-    args.patterns = out
-    return _drive(_check_free, args)
+    return _drive(partial(_check_free, patterns=tuple(out)), args)
 
 
-def _check_free(g: Graph, args) -> tuple[dict, str]:
-    # _drive_check_free has replaced args.patterns by the parsed list
-    emb = is_free(g, args.patterns)[1]
+def _check_free(g: Graph, args, patterns: tuple[Pattern, ...]) -> tuple[dict, str]:
+    emb = is_free(g, patterns)[1]
     witness = emb.to_json_dict() if emb else None
-    obj = {"patterns": [p.name for p in args.patterns], "free": witness is None,
+    obj = {"patterns": [p.name for p in patterns], "free": witness is None,
            "witness": witness}
     return obj, f"free={witness is None}" + (
         f" witness={witness['pattern']}@{witness['mapping']}" if witness else "")
@@ -318,7 +324,7 @@ COMMANDS = {
     "classify": (partial(_drive, _classify), "run the polynomial classifier",
                  (*_GRAPH_ARGS, _ORACLE_CAP, _FALLBACK, _JOBS)),
     "analyze": (partial(_drive, _analyze), "full single-graph analysis",
-                (*_GRAPH_ARGS, _ORACLE_CAP, _FALLBACK)),
+                (*_GRAPH_ARGS, _ORACLE_CAP)),
     "gamma": (partial(_drive, partial(_gamma, total=False)), "exact gamma number with witness",
               (*_GRAPH_ARGS, _ORACLE_CAP)),
     "gamma-t": (partial(_drive, partial(_gamma, total=True)), "exact gamma total number with witness",

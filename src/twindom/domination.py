@@ -33,16 +33,6 @@ DEFAULT_ORACLE_CAP = 32
 class OracleCapExceeded(RuntimeError):
     """Graph is larger than the exact-search cap."""
 
-    def __init__(self, n: int, cap: int):
-        super().__init__(f"exact search refused: n={n} exceeds oracle cap {cap}")
-        self.n = n
-        self.cap = cap
-
-    def __reduce__(self):
-        # a worker's error reaches the parent pickled; the default
-        # would call the class with the message alone
-        return type(self), (self.n, self.cap)
-
 
 class IsolatedVertexError(ValueError):
     """Total domination is undefined on graphs with isolated vertices."""
@@ -162,7 +152,7 @@ def _covers(masks: tuple[int, ...], n: int, cap: int, every: bool,
     Python's recursion limit is refused with a ValueError.
     """
     if n > cap:
-        raise OracleCapExceeded(n, cap)
+        raise OracleCapExceeded(f"exact search refused: n={n} exceeds oracle cap {cap}")
     if not all(masks):
         raise IsolatedVertexError("total domination is undefined: graph has an isolated vertex")
     full = (1 << n) - 1

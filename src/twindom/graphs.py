@@ -289,8 +289,8 @@ def parse_edgelist(text: bytes | str) -> Graph:
 
     n = declared_n if declared_n is not None else 1 + max((max(u, v) for _, u, v in ids), default=-1)
     if n > MAX_ORDER:  # labels alone get here: the header and each numeral are capped where read
-        ln, u, v = next(row for row in ids if max(row[1:]) >= MAX_ORDER)
-        raise GraphParseError(f"vertex id {max(u, v)} needs more than {MAX_ORDER} vertices", ln)
+        ln, label = next((ln, t) for ln, a, b in rows for t in (a, b) if index[t] == MAX_ORDER)
+        raise GraphParseError(f"label {label!r} needs more than {MAX_ORDER} vertices", ln)
     # a vertex the header adds past the last label is named by its id
     labels = [*index, *map(str, range(len(index), n))] if index else None
 

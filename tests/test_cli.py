@@ -713,6 +713,35 @@ class TestFanOut:
         monkeypatch.setattr(sweep, "_fan_out", None)  # calling it would fail
         assert list(sweep.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
 
+    def test_an_input_error_past_the_last_chunk_follows_its_results(self, monkeypatch):
+        # items 64..127 and 128..149 go to the workers, and the error that
+        # ends the input waits until both chunks are yielded
+        def source():
+            yield from range(150)
+            raise OSError("input lost")
+
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        results = sweep.ordered_map(abs, source(), 2)
+        assert list(islice(results, 150)) == list(range(150))
+        with pytest.raises(OSError, match="^input lost$"):
+            next(results)
+
+    def test_a_chunk_larger_than_a_pipe_waits_for_room(self, monkeypatch):
+        # a chunk of 64 items of 5,000 bytes pickles to over 300 KiB, more
+        # than the 64 KiB a pipe holds, so its send waits for the worker
+        sizes = []
+        send = sweep._send
+
+        def recorded(worker, data):
+            sizes.append(len(data))
+            return send(worker, data)
+
+        monkeypatch.setattr(sweep, "_send", recorded)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        items = [bytes([i]) * 5000 for i in range(200)]
+        assert list(sweep.ordered_map(bytes, items, 2)) == items
+        assert len(sizes) == 3 and min(sizes[:2]) > 1 << 16
+
     @pytest.mark.parametrize("cpus, items, forks", [(2, 65, 1), (2, 128, 1), (2, 129, 2), (16, 100, 1),
                                                    (16, 1000, 15)])
     def test_a_chunk_forks_a_worker_only_when_none_is_idle(self, monkeypatch, cpus, items, forks):
@@ -1527,10 +1556,21 @@ def unread_arguments(monkeypatch, argv) -> list[str]:
     return sorted(name for name in vars(namespace) if not name.startswith("_") and name not in namespace._reads)
 
 
+def foreign_options() -> list[tuple[str, str, list[str]]]:
+    """(command, flag, its value) for each command and each option that
+    another command takes and it does not."""
+    options = {flag: kwargs for _, _, arguments in cli.COMMANDS.values()
+               for flag, kwargs in arguments if flag.startswith("--")}
+    return [(command, flag, [] if options[flag].get("action") == "store_true" else ["1"])
+            for command, (_, _, arguments) in cli.COMMANDS.items()
+            for flag in options if flag not in {f for f, _ in arguments}]
+
+
 class TestCommandTable:
     # c6 also sends count-gamma-sets down its enumeration branch
     RUNS = {**{command: [command, "GRAPHS", "--json"] for command in [*PER_GRAPH_COMMANDS, "sweep"]},
             "generate": ["generate", "c6"]}
+    FOREIGN = foreign_options()
 
     @pytest.fixture
     def graphs(self, tmp_path):
@@ -1551,6 +1591,16 @@ class TestCommandTable:
         monkeypatch.setitem(cli.COMMANDS, "gamma", (
             runner, help_text, (*arguments, ("--unread", dict(action="store_true")))))
         assert unread_arguments(monkeypatch, ["gamma", graphs, "--json"]) == ["unread"]
+
+    @pytest.mark.parametrize("command, flag, value", FOREIGN, ids=[f"{c} {f}" for c, f, _ in FOREIGN])
+    def test_a_foreign_option_is_refused_under_the_commands_usage(self, capsys, command, flag, value):
+        source = ["c6"] if command == "generate" else ["--fixture", "c6"]
+        with pytest.raises(SystemExit) as exited:
+            run([command, *source, flag, *value])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (1, "")
+        assert err.startswith(f"usage: twindom {command} ")
+        assert err.splitlines()[-1].startswith(f"twindom {command}: unrecognized arguments: {flag}")
 
 
 class TestHostileInput:

@@ -364,6 +364,14 @@ class TestReducedHost:
     def test_hexagon_keeps_all_six(self):
         assert _core(cycle(6), 2, True, 6)[0] == cycle(6).full
 
+    def test_no_vertex_of_a_raised_degree_is_left(self):
+        # two hexagons survive whole, all of degree 2: h1 and h2 need a
+        # vertex of degree 3, so their searches end before the first root
+        g = Graph(12, _cycle_edges(list(range(6))) + _cycle_edges(list(range(6, 12))))
+        assert _core(g, *H1.profile)[0] == g.full
+        for p, expect in ((C6, (0, 1, 2, 3, 4, 5)), (H1, None), (H2, None)):
+            assert _mapping(find_induced(g, p)) == brute_find_induced(g, p.graph) == expect, p.name
+
 
 class TestThreads:
     # a copy that holds a thread vertex holds its whole thread and ends, so

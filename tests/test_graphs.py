@@ -283,6 +283,17 @@ class TestEdgelist:
             parse_edgelist(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("text, message", [
+        ("".join(f"a{2 * i} a{2 * i + 1}\n" for i in range(MAX_ORDER // 2 + 1)),
+         f"line {MAX_ORDER // 2 + 1}: label 'a{MAX_ORDER}' needs more than {MAX_ORDER} vertices"),
+        # x takes id 0, so the label past the cap is the second of its line
+        ("".join(f"x y{i}\n" for i in range(MAX_ORDER)),
+         f"line {MAX_ORDER}: label 'y{MAX_ORDER - 1}' needs more than {MAX_ORDER} vertices"),
+    ], ids=["first-token", "second-token"])
+    def test_label_count_cap_names_the_first_label_past_it(self, text, message):
+        with pytest.raises(GraphParseError, match=f"^{message}$"):
+            parse_edgelist(text)
+
     def test_labels_first_appearance_order(self):
         g = parse_edgelist(b"v1 v2\nv2 v3")
         assert g.n == 3

@@ -5,10 +5,14 @@ compares and hashes by name and graph alone."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
+import twindom
 from twindom import (
     C6,
     Pattern,
@@ -21,7 +25,7 @@ from twindom import (
 )
 from twindom.forbidden import PATTERNS
 from twindom.generators import cycle, fixture, path
-from twindom.graphs import Graph
+from twindom.graphs import Graph, parse_graph6
 
 FIG1_CLASSES = ("SpecialClasses(special=frozenset({0, 1}), classes=(frozenset({0, 1}),), "
                 "representatives=frozenset({0}))")
@@ -112,3 +116,60 @@ class TestPattern:
             assert twin == p and hash(twin) == hash(p)
             for slot in Pattern.__slots__:
                 assert getattr(twin, slot) == getattr(p, slot)
+
+
+def _raised(call) -> Exception:
+    try:
+        call()
+    except Exception as e:
+        return e
+    raise AssertionError(f"{call} raised nothing")
+
+
+# each error class of the package, raised where the package raises it
+ERRORS = {
+    "OracleCapExceeded": lambda: exact_gamma(cycle(33)),
+    "IsolatedVertexError": lambda: classify(Graph(3, [(0, 1)])),
+    "GraphParseError": lambda: parse_graph6("?x", line=3),
+}
+
+
+def lost_in_pickle(errors) -> list[str]:
+    """The class names of the ``errors`` that a pickle round trip, as a
+    worker's error takes to the parent, does not give back with the same
+    type and message."""
+    lost = []
+    for e in errors:
+        try:
+            twin = pickle.loads(pickle.dumps(e))
+        except Exception:
+            twin = None
+        if type(twin) is not type(e) or str(twin) != str(e):
+            lost.append(type(e).__name__)
+    return lost
+
+
+def test_every_error_survives_a_pickle():
+    errors = [_raised(call) for call in ERRORS.values()]
+    assert [type(e).__name__ for e in errors] == list(ERRORS)
+    assert str(errors[0]) == "exact search refused: n=33 exceeds oracle cap 32"
+    assert lost_in_pickle(errors) == []
+
+
+def test_every_error_class_is_listed():
+    found = []
+    for path in sorted(Path(twindom.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"twindom.{path.stem}")
+        found += [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), BaseException)]
+    assert sorted(found) == sorted(ERRORS)
+
+
+class _TwoArguments(ValueError):
+    # pickled as its message alone, so unpickling it misses an argument
+    def __init__(self, n, cap):
+        super().__init__(f"n={n} exceeds cap {cap}")
+
+
+def test_an_error_lost_in_a_pickle_is_reported():
+    assert lost_in_pickle([_TwoArguments(33, 32), ValueError("kept")]) == ["_TwoArguments"]
