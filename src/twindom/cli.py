@@ -23,10 +23,11 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
-from . import characterize, domination, structure, sweep
+from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
+from .fanout import ordered_map
 from .forbidden import ELIGIBILITY_PATTERNS, PATTERNS, Pattern, girth, is_chordal, is_free
-from .graphs import Graph, component_masks, parse_edgelist, serialize_graph6
+from .graphs import Graph, as_graph, component_masks, parse_edgelist, serialize_graph6
 
 
 # one encoder for every record: json.dumps builds a new one per call
@@ -54,14 +55,16 @@ def _fail(message: str) -> int:
     return 1
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of ``command`` alone, or of all ten for -h, no command or an unknown one."""
     parser = _Parser(prog="twindom",
                      description="Decide whether gamma_t = 2*gamma, with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -109,7 +112,7 @@ def _graph6_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _records(args) -> Iterable:
-    """The input graphs, in order, as items for :func:`sweep.as_graph`."""
+    """The input graphs, in order, as items for :func:`graphs.as_graph`."""
     sources = [s for s in ("path", "input", "fixture", "generate", "max_n")
                if getattr(args, s, None) not in (None, "")]
     if len(sources) != 1:
@@ -249,7 +252,7 @@ def _check_free(g: Graph, args, patterns: tuple[Pattern, ...]) -> tuple[dict, st
 def _record(fn, args, numbered) -> str:
     """The output line of one input graph, from its (index, item) pair."""
     index, item = numbered
-    fields, tail = fn(g := sweep.as_graph(item), args)
+    fields, tail = fn(g := as_graph(item), args)
     g6 = serialize_graph6(g).decode("ascii") if g is item else item[1]
     return _emit({"index": index, "graph6": g6, **fields}, tail, args.json)
 
@@ -262,10 +265,10 @@ def _emit(obj: dict, tail: str, as_json: bool) -> str:
 
 def _drive(fn, args) -> int:
     """Run ``fn`` on every input graph and write its records in input order.
-    Each record is rendered where it is computed: in a worker for the graphs
-    past the first ``sweep.CHUNK`` under ``--jobs`` N, else here."""
+    Each record is rendered where it is computed: in a :mod:`fanout` worker
+    for the graphs past the first ``CHUNK`` under ``--jobs`` N, else here."""
     numbered = enumerate(_records(args))
-    sys.stdout.writelines(sweep.ordered_map(partial(_record, fn, args), numbered, getattr(args, "jobs", 1)))
+    sys.stdout.writelines(ordered_map(partial(_record, fn, args), numbered, getattr(args, "jobs", 1)))
     return 0
 
 
@@ -280,7 +283,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    claims = tuple(c.strip() for c in args.claims.split(",") if c.strip())
+    from . import sweep  # the claim checks: no per-graph command compiles them
+    claims = sweep.CLAIM_NAMES if args.claims is None else tuple(
+        c.strip() for c in args.claims.split(",") if c.strip())
     started = time.perf_counter_ns()
     obj = sweep.sweep_graphs(_records(args), claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
     obj["elapsedMicros"] = (time.perf_counter_ns() - started) // 1000
@@ -346,14 +351,14 @@ COMMANDS = {
     "sweep": (cmd_sweep, "verify the library's claims over a corpus", (
         *_GRAPH_ARGS, _ORACLE_CAP,
         ("--max-n", dict(type=int, metavar="N", help="all labeled graphs of order 1 to N")),
-        ("--claims", dict(default=",".join(sweep.CLAIM_NAMES),
-                          help=f"comma list from {{{','.join(sweep.CLAIM_NAMES)}}}")),
+        ("--claims", dict(default=None, help="comma list of claims to check (default: all)")),
         _JOBS)),
 }
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
     except (ValueError, OracleCapExceeded, OSError) as e:

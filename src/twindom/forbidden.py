@@ -18,7 +18,7 @@ _HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 
 
 class Pattern:
-    """A named pattern graph and its search plan, compiled at construction.
+    """A named pattern graph and its search plan, compiled when first searched.
 
     The search lists candidates from pattern vertex ``k - 1`` down; in that
     order, ``plan[i]`` says whether ``i`` is adjacent to each later vertex,
@@ -37,7 +37,7 @@ class Pattern:
         k = graph.n
         self.name, self.graph = name, graph
         deg = [graph.degree(i) for i in range(k)]
-        self.plan = tuple(tuple(graph.has_edge(i, j) for j in range(k - 1, i, -1)) for i in range(k))
+        self.plan = None  # k(k-1)/2 slots: a host smaller than the pattern never needs them
         self.profile = (low := min(deg, default=0), len(set(graph.adj)) == len(set(graph.closed)) == k, k)
         self.degrees = sorted(deg)
         self.raised = tuple((d, [k - 1 - i for i in range(k) if deg[i] == d]) for d in set(deg) - {low})
@@ -224,6 +224,8 @@ def find_induced(g: Graph, pattern: Pattern) -> Embedding | None:
     k = pattern.graph.n
     if k > g.n:
         return None
+    if pattern.plan is None:
+        pattern.plan = tuple(tuple(pattern.graph.has_edge(i, j) for j in range(k - 1, i, -1)) for i in range(k))
     cores = g._cores
     if cores is None:
         cores = g._cores = {}

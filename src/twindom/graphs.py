@@ -221,6 +221,11 @@ def parse_graph6(data: bytes | str, line: int | None = None) -> Graph:
     return Graph.from_masks(n, masks)
 
 
+def as_graph(item) -> Graph:
+    """A Graph as it is, or a (line number, graph6 line) pair parsed here."""
+    return item if isinstance(item, Graph) else parse_graph6(item[1], line=item[0])
+
+
 def serialize_graph6(g: Graph) -> bytes:
     """Encode as graph6 (without trailing newline)."""
     n = g.n

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import twindom
-from twindom import characterize, cli, domination, forbidden, generators, graphs, structure, sweep
+from twindom import characterize, cli, domination, fanout, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
 from twindom.graphs import Graph, parse_edgelist, parse_graph6, serialize_graph6
@@ -161,6 +161,20 @@ class TestAnalysisCommands:
             ["check-free", "--fixture", "c6", "--patterns", "", "--pattern-file", str(p), "--json"],
         )
         assert obj["free"] is False and obj["witness"]["pattern"] == "custom"
+
+    def test_check_free_pattern_larger_than_the_host_compiles_no_plan(self, tmp_path, capsys):
+        # a plan holds k(k-1)/2 slots, about 18 M here, and a 6-vertex host needs none
+        p = tmp_path / "pat.edges"
+        p.write_text("n 6000\n0 1\n")
+        tracemalloc.start()
+        try:
+            (obj,) = run_json(capsys, ["check-free", "--fixture", "c6", "--patterns", "",
+                                       "--pattern-file", str(p), "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obj["free"] is True
+        assert peak < 16 << 20, peak
 
     def test_check_free_c3_keeps_the_least_triangle(self, tmp_path, capsys):
         # K5 is all true twins: collapsing them would leave no triangle
@@ -405,20 +419,20 @@ class TestPerGraphDriver:
     def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
         # the CLI maps the first CHUNK lines itself; the workers parse the rest
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
-        assert len(lines) > sweep.CHUNK
+        assert len(lines) > fanout.CHUNK
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
         assert [o["graph6"] for o in objs] == lines
-        assert calls == {"parse_graph6": sweep.CHUNK, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": fanout.CHUNK, "serialize_graph6": 0}
 
     def test_records_before_a_failing_line_are_written(self, tmp_path, capsys, monkeypatch):
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
         lines.insert(40, "E")  # line 41: size header without its body
-        assert len(lines) > sweep.CHUNK
+        assert len(lines) > fanout.CHUNK
         f = write_g6(tmp_path, lines)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         outs = []
         for jobs in ("1", "2"):
             assert run(["classify", str(f), "--jobs", jobs]) == 1
@@ -431,7 +445,7 @@ class TestPerGraphDriver:
     def test_malformed_first_line_fails_before_the_input_is_read(self, capsys, monkeypatch):
         limit = 1 << 20
         valid = g6(Graph(500)).encode() + b"\n"
-        assert (sweep.CHUNK + 1) * len(valid) > limit  # reading ahead a chunk's worth fails
+        assert (fanout.CHUNK + 1) * len(valid) > limit  # reading ahead a chunk's worth fails
 
         class EndlessStdin(io.RawIOBase):
             """A malformed line 1, then valid lines without end; reading
@@ -450,7 +464,7 @@ class TestPerGraphDriver:
                 self.served += k
                 return k
 
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         for jobs in ("1", "2"):
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(EndlessStdin()), encoding="ascii"))
             assert run(["classify", "-", "--jobs", jobs]) == 1
@@ -573,16 +587,20 @@ class TestStartUp:
              "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
              "from twindom.cli import main; main()")
 
-    @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "--input", "-"], ["sweep", "-"]],
-                             ids=["classify", "sweep", "sweep-stdin"])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "-", "--json", "--jobs", "1"], ["classify", "-", "--json", "--jobs", "2"],
+        ["analyze", "-", "--json"], ["sweep", "--input", "-", "--jobs", "1"], ["sweep", "-", "--jobs", "1"],
+    ], ids=["classify", "classify-jobs-2", "analyze", "sweep", "sweep-stdin"])
     def test_a_one_record_run_imports_no_slow_module(self, argv):
-        proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv, "--jobs", "1"],
+        proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv],
                               input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
                               env=cli_env(), timeout=60)
         assert proc.returncode == 0 and proc.stdout
         loaded = set(proc.stderr.decode().split())
         assert "twindom.cli" in loaded
         assert loaded & self.SLOW == set()
+        # the claim checks are compiled by the sweep alone
+        assert ("twindom.sweep" in loaded) == (argv[0] == "sweep")
 
     @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "-"]], ids=["classify", "sweep"])
     def test_the_start_up_objects_are_frozen_at_exit(self, argv):
@@ -612,7 +630,7 @@ class TestStartUp:
                 "usage-error": ["classify", f, "--jobs"],
                 "help": ["classify", "--help"]}[case]
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         proc = subprocess.run([sys.executable, "-m", "twindom", *argv], capture_output=True,
                               env=cli_env(), timeout=60)
         try:
@@ -652,7 +670,7 @@ class TestFanOut:
         big = Graph(42, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 41)])
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 99)]
         lines.insert(80, g6(big))
-        assert len(lines) > 80 > sweep.CHUNK
+        assert len(lines) > 80 > fanout.CHUNK
         f = write_g6(tmp_path, lines)
         runs = [run_cli([*argv, str(f), "--jobs", jobs]) for jobs in ("1", "2")]
         assert runs[0] == runs[1]
@@ -666,11 +684,11 @@ class TestFanOut:
         # both workers are inside a 60 s item when the parent is killed, so
         # neither reads a task or writes a reply before it would end anyway;
         # the items the parent maps itself return at once
-        code = ("import os, time\nfrom twindom import sweep\n"
-                "sweep.os.cpu_count = lambda: 2\n"
-                "def fn(i):\n    if i < sweep.CHUNK:\n        return i\n"
+        code = ("import os, time\nfrom twindom import fanout\n"
+                "fanout.os.cpu_count = lambda: 2\n"
+                "def fn(i):\n    if i < fanout.CHUNK:\n        return i\n"
                 "    print(os.getpid(), flush=True)\n    time.sleep(60)\n"
-                "list(sweep.ordered_map(fn, range(200), 2))\n")
+                "list(fanout.ordered_map(fn, range(200), 2))\n")
         proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL, env=cli_env(), start_new_session=True)
         try:
@@ -709,9 +727,9 @@ class TestFanOut:
 
     def test_without_fork_the_map_is_serial(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sweep, "_fan_out", None)  # calling it would fail
-        assert list(sweep.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fanout, "_fan_out", None)  # calling it would fail
+        assert list(fanout.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
 
     def test_an_input_error_past_the_last_chunk_follows_its_results(self, monkeypatch):
         # items 64..127 and 128..149 go to the workers, and the error that
@@ -720,8 +738,8 @@ class TestFanOut:
             yield from range(150)
             raise OSError("input lost")
 
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
-        results = sweep.ordered_map(abs, source(), 2)
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        results = fanout.ordered_map(abs, source(), 2)
         assert list(islice(results, 150)) == list(range(150))
         with pytest.raises(OSError, match="^input lost$"):
             next(results)
@@ -730,16 +748,16 @@ class TestFanOut:
         # a chunk of 64 items of 5,000 bytes pickles to over 300 KiB, more
         # than the 64 KiB a pipe holds, so its send waits for the worker
         sizes = []
-        send = sweep._send
+        send = fanout._send
 
         def recorded(worker, data):
             sizes.append(len(data))
             return send(worker, data)
 
-        monkeypatch.setattr(sweep, "_send", recorded)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        monkeypatch.setattr(fanout, "_send", recorded)
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         items = [bytes([i]) * 5000 for i in range(200)]
-        assert list(sweep.ordered_map(bytes, items, 2)) == items
+        assert list(fanout.ordered_map(bytes, items, 2)) == items
         assert len(sizes) == 3 and min(sizes[:2]) > 1 << 16
 
     @pytest.mark.parametrize("cpus, items, forks", [(2, 65, 1), (2, 128, 1), (2, 129, 2), (16, 100, 1),
@@ -753,10 +771,10 @@ class TestFanOut:
             forked.append(fn)
             return real_fork(fn, lifeline)
 
-        real_fork = sweep._fork
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(sweep, "_fork", fork)
-        assert list(sweep.ordered_map(abs, range(-items, 0), cpus)) == list(range(items, 0, -1))
+        real_fork = fanout._fork
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(fanout, "_fork", fork)
+        assert list(fanout.ordered_map(abs, range(-items, 0), cpus)) == list(range(items, 0, -1))
         assert len(forked) == forks
 
     def test_a_one_record_fan_out_loads_neither_pickle_nor_select(self):
@@ -773,11 +791,11 @@ class TestFanOut:
     def test_a_chunk_for_a_dead_worker_fails_instead_of_blocking(self):
         # the chunk is larger than a pipe holds, nothing reads it, and SIGPIPE
         # kills as it does in the CLI
-        code = ("import os, signal\nfrom twindom import sweep\n"
+        code = ("import os, signal\nfrom twindom import fanout\n"
                 "signal.signal(signal.SIGPIPE, signal.SIG_DFL)\n"
-                "worker = sweep._fork(abs, os.pipe())\n"
+                "worker = fanout._fork(abs, os.pipe())\n"
                 "os.kill(worker[0], signal.SIGKILL)\nos.waitpid(worker[0], 0)\n"
-                "try:\n    sweep._send(worker, bytes(1 << 20))\n"
+                "try:\n    fanout._send(worker, bytes(1 << 20))\n"
                 "except ChildProcessError as e:\n    print(e)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(), timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a worker process died\n", b"")
@@ -795,12 +813,12 @@ class TestFanOut:
         "pickle.dump = lambda obj, f: (f.write(pickle.dumps(obj)[:-1]), f.flush(), os._exit(1))\n",
     ], ids=["unpicklable-error", "last-byte-lost"])
     def test_a_reply_cut_short_reads_as_a_dead_worker(self, setup):
-        code = ("import os, pickle, threading\nfrom twindom import sweep\n"
-                "sweep.os.cpu_count = lambda: 2\n"
-                "pids, fork = [], sweep._fork\n"
-                "sweep._fork = lambda *args: pids.append((w := fork(*args))[0]) or w\n"
+        code = ("import os, pickle, threading\nfrom twindom import fanout\n"
+                "fanout.os.cpu_count = lambda: 2\n"
+                "pids, fork = [], fanout._fork\n"
+                "fanout._fork = lambda *args: pids.append((w := fork(*args))[0]) or w\n"
                 + setup +
-                "try:\n    list(sweep.ordered_map(fn, range(200), 2))\n"
+                "try:\n    list(fanout.ordered_map(fn, range(200), 2))\n"
                 "except ChildProcessError as e:\n    print(e)\n"
                 "for pid in pids:\n"
                 "    try:\n        os.kill(pid, 0)\n"
@@ -814,7 +832,7 @@ class TestFanOut:
         # which classify refuses. A pool once hung on such a first record on
         # a host loaded by other runs, so four run at a time.
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
-        lines.insert(sweep.CHUNK, g6(Graph(3, [(0, 1)])))
+        lines.insert(fanout.CHUNK, g6(Graph(3, [(0, 1)])))
         f = write_g6(tmp_path, lines)
         for _ in range(5):
             procs = [spawn_cli(["classify", str(f), "--json", "--jobs", "2"]) for _ in range(4)]
@@ -826,7 +844,7 @@ class TestFanOut:
                         os.killpg(proc.pid, signal.SIGKILL)
                 raise
             for proc, (code, out, err) in zip(procs, runs):
-                assert (code, len(out.splitlines())) == (1, sweep.CHUNK)
+                assert (code, len(out.splitlines())) == (1, fanout.CHUNK)
                 assert err == b"twindom classify: gamma_t is undefined: graph has an isolated vertex\n"
                 assert_session_ends(proc.pid)
 
@@ -843,21 +861,21 @@ class TestFanOut:
             return -item
 
         sizes = []
-        send = sweep._send
+        send = fanout._send
 
         def recorded(worker, data):  # each chunk goes out pickled
             sizes.append(len(pickle.loads(data)))
             return send(worker, data)
 
-        monkeypatch.setattr(sweep, "_send", recorded)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
-        results = sweep.ordered_map(fn, range(200), 2)
+        monkeypatch.setattr(fanout, "_send", recorded)
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        results = fanout.ordered_map(fn, range(200), 2)
         assert next(results) == 0
         assert time.monotonic() < deadline - 2
         release.touch()
         assert list(results) == [-i for i in range(1, 200)]
         # the first CHUNK items are mapped here, the rest in full chunks
-        assert sweep.CHUNK == 64 and sizes == [64, 64, 8]
+        assert fanout.CHUNK == 64 and sizes == [64, 64, 8]
 
     @pytest.mark.parametrize("jobs,count,checked", [(1, 200, 200), (2, 200, 64)])
     def test_the_kth_result_needs_only_k_items(self, monkeypatch, jobs, count, checked):
@@ -868,8 +886,8 @@ class TestFanOut:
                 pulled.append(i)
                 yield i
 
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # jobs 2 stays 2, even on one CPU
-        results = sweep.ordered_map(abs, source(), jobs)
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # jobs 2 stays 2, even on one CPU
+        results = fanout.ordered_map(abs, source(), jobs)
         for k in range(1, checked + 1):
             assert next(results) == k - 1
             assert len(pulled) == k
@@ -883,11 +901,11 @@ class TestFanOut:
         # the record fails in this process or in a worker, and nothing after
         # it is written; items 0..63 are mapped here, and the chunks sent to
         # the workers start at items 64 and 128
-        assert sweep.CHUNK == 64
+        assert fanout.CHUNK == 64
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 140)]
         lines[index] = "E"  # a size header without its body
         f = write_g6(tmp_path, lines)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         runs = []
         for jobs in ("1", "2"):
             code = run([*command, str(f), "--jobs", jobs])
@@ -904,7 +922,7 @@ class TestFanOut:
         lines = [g6(g) for g in islice(enumerate_small_graphs(6, "isolate_free"), 0, 7 * count, 7)]
         lines[3::20] = [g6((cycle(6), fixture("g1"), fixture("g2"))[i % 3]) for i in range(len(lines[3::20]))]
         f = write_g6(tmp_path, lines)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         outs = []
         for jobs in ("1", "2"):
             assert run(["classify", str(f), "--json", "--jobs", jobs]) == 0
@@ -916,9 +934,9 @@ class TestFanOut:
         # as when its parent ends right after the fork, most likely before
         # the worker starts reading the pipe; the alarm ends a wait for a
         # worker that does not exit
-        code = ("import os, signal, time\nfrom twindom import sweep\n"
+        code = ("import os, signal, time\nfrom twindom import fanout\n"
                 "signal.alarm(10)\n"
-                "lifeline = os.pipe()\nworker = sweep._fork(abs, lifeline)\n"
+                "lifeline = os.pipe()\nworker = fanout._fork(abs, lifeline)\n"
                 "os.close(lifeline[1])\nstart = time.monotonic()\n"
                 "status = os.waitpid(worker[0], 0)[1]\n"
                 "print(os.waitstatus_to_exitcode(status), time.monotonic() - start < 2)\n")
@@ -927,9 +945,9 @@ class TestFanOut:
 
     def test_a_worker_whose_lifeline_is_open_answers_a_chunk(self):
         # it is still alive when it is killed after its reply
-        code = ("import os, pickle, signal\nfrom twindom import sweep\n"
-                "worker = sweep._fork(abs, os.pipe())\n"
-                "sweep._send(worker, pickle.dumps([-1, -2]))\n"
+        code = ("import os, pickle, signal\nfrom twindom import fanout\n"
+                "worker = fanout._fork(abs, os.pipe())\n"
+                "fanout._send(worker, pickle.dumps([-1, -2]))\n"
                 "print(pickle.load(worker[3]))\n"
                 "os.kill(worker[0], signal.SIGKILL)\n"
                 "print(os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1]))\n")
@@ -940,23 +958,23 @@ class TestFanOut:
         # the parent parses the first CHUNK lines and the workers the rest;
         # nothing is encoded
         lines = [g6(g) for g in islice(enumerate_small_graphs(5), 100)]
-        assert len(lines) > sweep.CHUNK
+        assert len(lines) > fanout.CHUNK
         f = write_g6(tmp_path, lines)
         calls = TestPerGraphDriver._count_codec_calls(monkeypatch)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         assert run(["sweep", "--input", str(f), "--jobs", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["graphs"] == len(lines)
-        assert calls == {"parse_graph6": sweep.CHUNK, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": fanout.CHUNK, "serialize_graph6": 0}
 
     def test_small_input_sweep_is_identical_at_any_jobs(self, tmp_path, capsys):
-        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + sweep.CHUNK)]
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + fanout.CHUNK)]
         f = write_g6(tmp_path, lines)
         outs = []
         for jobs in ("1", "2"):
             assert run(["sweep", "--input", str(f), "--jobs", jobs, "--json"]) == 0
             outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
         assert outs[0] == outs[1]
-        assert json.loads(outs[0])["graphs"] == sweep.CHUNK
+        assert json.loads(outs[0])["graphs"] == fanout.CHUNK
 
     @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
     def test_a_one_chunk_batch_stays_in_this_process(self, tmp_path, capsys, monkeypatch, command):
@@ -967,9 +985,9 @@ class TestFanOut:
         def fork(fn, lifeline):
             raise FannedOut
 
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sweep, "_fork", fork)
-        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), sweep.CHUNK + 1)]
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fanout, "_fork", fork)
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), fanout.CHUNK + 1)]
         assert run([*command, str(write_g6(tmp_path, lines[:-1])), "--jobs", "2"]) == 0
         with pytest.raises(FannedOut):
             run([*command, str(write_g6(tmp_path, lines)), "--jobs", "2"])
@@ -984,14 +1002,14 @@ class TestFanOut:
             sizes.append(jobs)
             return map(fn, items)
 
-        monkeypatch.setattr(sweep, "_fan_out", fake_fan_out)
+        monkeypatch.setattr(fanout, "_fan_out", fake_fan_out)
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
-        assert len(lines) > sweep.CHUNK
+        assert len(lines) > fanout.CHUNK
         f = str(write_g6(tmp_path, lines))
         argv = ["classify", f] if command == "classify" else ["sweep", "--input", f]
         outs = []
         for cpus, jobs in ((3, "1"), (3, "100000"), (None, "100000")):
-            monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(fanout.os, "cpu_count", lambda: cpus)
             assert run([*argv, "--json", "--jobs", jobs]) == 0
             outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
         # an unknown CPU count counts as one CPU: no fan-out at all
@@ -1384,7 +1402,7 @@ class TestErrors:
         lines.insert(36, b"B\xffw")  # line 37
         f = tmp_path / "in.g6"
         f.write_bytes(b"\n".join(lines) + b"\n")
-        assert len(lines) > sweep.CHUNK
+        assert len(lines) > fanout.CHUNK
         assert run([*argv, str(f)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"twindom {argv[0]}: line 37: invalid graph6 byte 255 at offset 1\n"
@@ -1540,8 +1558,8 @@ def unread_arguments(monkeypatch, argv) -> list[str]:
     are forgotten before the command runs."""
     genuine, parsed = cli.build_parser, []
 
-    def recording_parser():
-        parser = genuine()
+    def recording_parser(*command):
+        parser = genuine(*command)
         parse = parser.parse_args
 
         def parse_args(args):
@@ -1592,6 +1610,30 @@ class TestCommandTable:
             runner, help_text, (*arguments, ("--unread", dict(action="store_true")))))
         assert unread_arguments(monkeypatch, ["gamma", graphs, "--json"]) == ["unread"]
 
+    @staticmethod
+    def _subparsers(parser) -> dict:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_one_command_parser_prints_what_the_full_parser_does(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+        alone = self._subparsers(cli.build_parser(command))
+        assert list(alone) == [command]
+        full = self._subparsers(cli.build_parser())[command]
+        assert (alone[command].format_help(), alone[command].format_usage()) == (
+            full.format_help(), full.format_usage())
+
+    @pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 1), (["bogus"], 1)],
+                             ids=["help", "no-command", "unknown-command"])
+    def test_a_run_naming_no_command_lists_every_command(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        out, err = capsys.readouterr()
+        assert exited.value.code == code
+        assert "{" + ",".join(cli.COMMANDS) + "}" in out + err
+
     @pytest.mark.parametrize("command, flag, value", FOREIGN, ids=[f"{c} {f}" for c, f, _ in FOREIGN])
     def test_a_foreign_option_is_refused_under_the_commands_usage(self, capsys, command, flag, value):
         source = ["c6"] if command == "generate" else ["--fixture", "c6"]
@@ -1633,8 +1675,8 @@ class TestHostileInput:
             # past the CHUNK-th, so that under --jobs 2 a worker may meet it
             lines = [g6(g).encode() for g in islice(enumerate_small_graphs(5, "isolate_free"),
                                                      rng.randrange(100), None, 7)]
-            lines = lines[:sweep.CHUNK + rng.randrange(1, 9)]
-            at = rng.randrange(sweep.CHUNK - 4, len(lines))
+            lines = lines[:fanout.CHUNK + rng.randrange(1, 9)]
+            at = rng.randrange(fanout.CHUNK - 4, len(lines))
             lines[at] = self._mutated(rng, lines[at])
         else:
             lines = []
@@ -1659,7 +1701,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("command", [*PER_GRAPH_COMMANDS, "sweep"])
     def test_no_exception_escapes_the_cli(self, tmp_path, capsys, monkeypatch, command):
         rng = random.Random(f"hostile {command}")
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
+        monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         f = tmp_path / "input"
         codes = set()
         for _ in range(self.CASES):

@@ -92,7 +92,7 @@ def test_an_unused_parameter_is_reported():
 
 # Slow to import and needed by no per-graph command: never imported at all,
 # or imported only inside the functions that fork or run a worker.
-# sweep.ordered_map forks its workers itself, so multiprocessing is banned,
+# fanout.ordered_map forks its workers itself, so multiprocessing is banned,
 # and they end through a pipe, so ctypes is too.
 BANNED = {"ctypes", "dataclasses", "multiprocessing"}
 DEFERRED = {"pickle"}
