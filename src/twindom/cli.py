@@ -12,22 +12,19 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import signal
 import stat
 import sys
-import time
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
-from . import characterize, domination, structure
+from . import characterize
 from .domination import DEFAULT_ORACLE_CAP, OracleCapExceeded
-from .fanout import ordered_map
-from .forbidden import ELIGIBILITY_PATTERNS, PATTERNS, Pattern, girth, is_chordal, is_free
-from .graphs import Graph, as_graph, component_masks, parse_edgelist, serialize_graph6
+from .forbidden import ELIGIBILITY_PATTERNS, PATTERNS
+from .graphs import Graph, as_graph, ordered_map, serialize_graph6
 
 
 # one encoder for every record: json.dumps builds a new one per call
@@ -131,16 +128,13 @@ def _records(args) -> Iterable:
         return chain.from_iterable([generators.enumerate_small_graphs(n) for n in range(1, args.max_n + 1)])
     path = args.path if which == "path" else args.input
     if args.format == "edgelist":
+        from .edgelist import parse_edgelist
         with _open_source(path) as fh:
             return [parse_edgelist(fh.read())]
     return _graph6_lines(path)
 
 
-# -- per-graph commands: (graph, args) -> (JSON fields, human-readable tail) --
-
-
-def _vset(g: Graph, vs) -> str:
-    return "{" + ",".join(g.label(v) for v in sorted(vs)) + "}"
+# -- classify, as every per-graph command: (graph, args) -> (JSON fields, tail) --
 
 
 def _classify(g: Graph, args) -> tuple[dict, str]:
@@ -149,101 +143,6 @@ def _classify(g: Graph, args) -> tuple[dict, str]:
     if o["impliedGamma"] is not None:
         tail += f" gamma={o['impliedGamma']} gammaT={o['impliedGammaT']}"
     return o, tail
-
-
-def _analyze(g: Graph, args) -> tuple[dict, str]:
-    degrees = [a.bit_count() for a in g.adj]
-    isolated = degrees.count(0)
-    gv = girth(g)
-    # classify refuses graphs with an isolated vertex, and takes its chordal
-    # path on every chordal graph, which is eligible
-    report = None if isolated else characterize.classify(g)
-    chordal = report.method == characterize.METHOD_CHORDAL if report else is_chordal(g)
-    classes = report.s_set if report else structure.special_classes(g)
-    obj = {
-        "n": g.n,
-        "minDegree": min(degrees, default=0),
-        "maxDegree": max(degrees, default=0),
-        "edgeCount": sum(degrees) // 2,
-        "componentCount": len(component_masks(g)),
-        "isolatedCount": isolated,
-        "girth": None if math.isinf(gv) else gv,
-        "chordal": chordal,
-        "special": sorted(classes.special),
-        "twinClasses": [sorted(c) for c in classes.classes],
-        "supportVertices": sorted(structure.support_vertices(g)),
-    }
-    obj["gamma"] = obj["gammaWitness"] = obj["gammaT"] = obj["gammaTWitness"] = None
-    if g.n <= args.oracle_cap:
-        cert_g = domination.exact_gamma(g, args.oracle_cap)
-        obj["gamma"] = cert_g.value
-        obj["gammaWitness"] = sorted(cert_g.witness)
-        if not isolated:
-            cert_t = domination.exact_gamma_total(g, args.oracle_cap)
-            obj["gammaT"] = cert_t.value
-            obj["gammaTWitness"] = sorted(cert_t.witness)
-    obj["classification"] = report.to_json_dict() if report else None
-    return obj, (
-        f"n={g.n} m={obj['edgeCount']} girth={obj['girth']} "
-        f"chordal={obj['chordal']} special={_vset(g, classes.special)} "
-        f"gamma={obj['gamma']} gammaT={obj['gammaT']} "
-        f"verdict={obj['classification']['verdict'] if report else 'n/a'}"
-    )
-
-
-def _gamma(g: Graph, args, total: bool) -> tuple[dict, str]:
-    exact = domination.exact_gamma_total if total else domination.exact_gamma
-    cert = exact(g, args.oracle_cap)
-    obj = {"kind": cert.kind, "value": cert.value, "witness": sorted(cert.witness)}
-    return obj, f"{cert.kind}={cert.value} witness={_vset(g, cert.witness)}"
-
-
-def _special(g: Graph, args, with_representatives: bool) -> tuple[dict, str]:
-    classes = structure.special_classes(g)
-    obj = classes.to_json_dict()
-    tail = f"special={_vset(g, classes.special)} classes=" + "[" + " ".join(
-        _vset(g, c) for c in classes.classes) + "]"
-    if with_representatives:
-        tail += f" representatives={_vset(g, classes.representatives)}"
-    else:
-        del obj["representatives"]
-    return obj, tail
-
-
-def _count_gamma_sets(g: Graph, args) -> tuple[dict, str]:
-    # classify refuses graphs with an isolated vertex
-    report = characterize.classify(g) if all(g.adj) else None
-    if report is not None and report.verdict == characterize.VERDICT_YES:
-        gamma, count, method = report.implied_values[0], report.gamma_set_count, "twin_classes"
-    else:
-        enum = domination.enumerate_gamma_sets(g, list_cap=0, cap=args.oracle_cap)
-        gamma, count, method = enum.gamma, enum.count, "enumeration"
-    obj = {"gamma": gamma, "count": count, "method": method}
-    return obj, f"gamma={gamma} gammaSets={count} ({method})"
-
-
-def _drive_check_free(args) -> int:
-    """Parse the pattern options, then drive :func:`_check_free` with them."""
-    names = [name.strip() for name in args.patterns.split(",") if name.strip()]
-    for name in names:
-        if name not in PATTERNS:
-            raise ValueError(f"unknown pattern {name!r}; expected {', '.join(PATTERNS)}")
-    out = [PATTERNS[name] for name in names]
-    if args.pattern_file:
-        with open(args.pattern_file, "rb") as fh:
-            out.append(Pattern("custom", parse_edgelist(fh.read())))
-    if not out:
-        raise ValueError("no patterns given")
-    return _drive(partial(_check_free, patterns=tuple(out)), args)
-
-
-def _check_free(g: Graph, args, patterns: tuple[Pattern, ...]) -> tuple[dict, str]:
-    emb = is_free(g, patterns)[1]
-    witness = emb.to_json_dict() if emb else None
-    obj = {"patterns": [p.name for p in patterns], "free": witness is None,
-           "witness": witness}
-    return obj, f"free={witness is None}" + (
-        f" witness={witness['pattern']}@{witness['mapping']}" if witness else "")
 
 
 # -- the per-graph driver -----------------------------------------------------
@@ -266,40 +165,9 @@ def _emit(obj: dict, tail: str, as_json: bool) -> str:
 def _drive(fn, args) -> int:
     """Run ``fn`` on every input graph and write its records in input order.
     Each record is rendered where it is computed: in a :mod:`fanout` worker
-    for the graphs past the first ``CHUNK`` under ``--jobs`` N, else here."""
+    for the graphs past the first ``graphs.CHUNK`` under ``--jobs`` N, else here."""
     numbered = enumerate(_records(args))
     sys.stdout.writelines(ordered_map(partial(_record, fn, args), numbered, getattr(args, "jobs", 1)))
-    return 0
-
-
-# -- generate and sweep ---------------------------------------------------------
-
-
-def cmd_generate(args) -> int:
-    from . import generators
-    for g in generators.expand(args.spec):
-        sys.stdout.write(serialize_graph6(g).decode("ascii") + "\n")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    from . import sweep  # the claim checks: no per-graph command compiles them
-    claims = sweep.CLAIM_NAMES if args.claims is None else tuple(
-        c.strip() for c in args.claims.split(",") if c.strip())
-    started = time.perf_counter_ns()
-    obj = sweep.sweep_graphs(_records(args), claims, jobs=args.jobs, oracle_cap=args.oracle_cap)
-    obj["elapsedMicros"] = (time.perf_counter_ns() - started) // 1000
-    if args.json:
-        print(_JSON.encode(obj))
-    else:
-        print(f"swept {obj['graphs']} graphs ({obj['skippedIsolated']} skipped with isolated vertices)")
-        for name, c in obj["claims"].items():
-            print(f"  {name:8s} checked={c['checked']:8d} violations={len(c['violations'])}")
-            for v in c["violations"][:10]:
-                print(f"    VIOLATION {v['graph6']}: {v['detail']}")
-    if not obj["ok"]:
-        print("claim violation found: this indicates an implementation bug", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -323,32 +191,42 @@ _FALLBACK = ("--fallback", dict(
     help="on ineligible graphs: report unknown (default) or use the exact oracle"))
 _JOBS = ("--jobs", dict(type=int, default=os.cpu_count() or 1, help="worker processes for batch input"))
 
+
+def _later(pick):
+    """The runner ``pick(commands)`` names: :mod:`commands` is imported when
+    that runner runs, so a ``classify`` run never compiles it."""
+    def runner(args):
+        from . import commands
+        return pick(commands)(args)
+    return runner
+
+
 # name -> (runner, help, every argument the command takes); a per-graph
 # command's runner drives its function over the input graphs
 COMMANDS = {
     "classify": (partial(_drive, _classify), "run the polynomial classifier",
                  (*_GRAPH_ARGS, _ORACLE_CAP, _FALLBACK, _JOBS)),
-    "analyze": (partial(_drive, _analyze), "full single-graph analysis",
+    "analyze": (_later(lambda c: partial(_drive, c._analyze)), "full single-graph analysis",
                 (*_GRAPH_ARGS, _ORACLE_CAP)),
-    "gamma": (partial(_drive, partial(_gamma, total=False)), "exact gamma number with witness",
+    "gamma": (_later(lambda c: partial(_drive, partial(c._gamma, total=False))), "exact gamma number with witness",
               (*_GRAPH_ARGS, _ORACLE_CAP)),
-    "gamma-t": (partial(_drive, partial(_gamma, total=True)), "exact gamma total number with witness",
-                (*_GRAPH_ARGS, _ORACLE_CAP)),
-    "special": (partial(_drive, partial(_special, with_representatives=False)),
+    "gamma-t": (_later(lambda c: partial(_drive, partial(c._gamma, total=True))),
+                "exact gamma total number with witness", (*_GRAPH_ARGS, _ORACLE_CAP)),
+    "special": (_later(lambda c: partial(_drive, partial(c._special, with_representatives=False))),
                 "special vertices and their twin classes", _GRAPH_ARGS),
-    "s-set": (partial(_drive, partial(_special, with_representatives=True)),
+    "s-set": (_later(lambda c: partial(_drive, partial(c._special, with_representatives=True))),
               "twin classes of special vertices with representatives", _GRAPH_ARGS),
-    "count-gamma-sets": (partial(_drive, _count_gamma_sets), "number of minimum dominating sets",
+    "count-gamma-sets": (_later(lambda c: partial(_drive, c._count_gamma_sets)), "number of minimum dominating sets",
                          (*_GRAPH_ARGS, _ORACLE_CAP)),
-    "check-free": (_drive_check_free, "search for induced forbidden patterns", (
+    "check-free": (_later(lambda c: c._drive_check_free), "search for induced forbidden patterns", (
         *_GRAPH_ARGS,
         ("--patterns", dict(default=",".join(p.name for p in ELIGIBILITY_PATTERNS),
                             help=f"comma list from {{{','.join(PATTERNS)}}} (default %(default)s)")),
         ("--pattern-file", dict(default=None, metavar="FILE",
                                 help="extra custom pattern as an edge-list file")))),
-    "generate": (cmd_generate, "emit graphs as graph6 lines",
+    "generate": (_later(lambda c: c.cmd_generate), "emit graphs as graph6 lines",
                  (("spec", dict(help="generator spec, as for --generate")),)),
-    "sweep": (cmd_sweep, "verify the library's claims over a corpus", (
+    "sweep": (_later(lambda c: c.cmd_sweep), "verify the library's claims over a corpus", (
         *_GRAPH_ARGS, _ORACLE_CAP,
         ("--max-n", dict(type=int, metavar="N", help="all labeled graphs of order 1 to N")),
         ("--claims", dict(default=None, help="comma list of claims to check (default: all)")),

@@ -1,5 +1,5 @@
-"""The ordered fan-out that every per-graph command and ``sweep`` share:
-:func:`ordered_map` maps items in input order, here or in forked workers."""
+"""The fan-out to forked workers behind :func:`graphs.ordered_map`, imported
+only by a batch that reaches past its first chunk."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import os
 import signal
 from itertools import islice
 
-# the items per message to a worker; ordered_map maps the first CHUNK
-# items in this process, as starting workers costs more
-CHUNK = 64
+from .graphs import CHUNK
 
 
 def _until_error(values) -> tuple[list, Exception | None]:
@@ -65,11 +63,16 @@ def _send(worker, data: bytes) -> None:
                 raise ChildProcessError("a worker process died") from None
 
 
-def _fan_out(fn, items, jobs: int):
+def fan_out(fn, items, jobs: int):
     """``ordered_map`` over at most ``jobs`` forked workers, each forked for a
     chunk of ``CHUNK`` items (fewer at the end) that finds none idle. Each has
     one chunk in flight at a time, and at most ``2 * jobs`` chunks are sent
-    and not yet yielded, which bounds the buffer that restores order."""
+    and not yet yielded, which bounds the buffer that restores order.
+
+    A worker reads pickled chunks and answers each with one pickle: the
+    results up to its first failing item, and that failure. The workers
+    exit when this process ends: a pipe whose write end only it holds then
+    reaches end of file."""
     workers = []
     lifeline = os.pipe()  # the kernel closes its write end when this process ends, however it ends
     try:
@@ -117,25 +120,3 @@ def _fan_out(fn, items, jobs: int):
         for fd in lifeline:
             os.close(fd)
 
-
-def ordered_map(fn, items, jobs: int):
-    """Yield ``fn(item)`` for every item, in input order.
-
-    Items are read and mapped here one at a time, but with ``jobs > 1`` and
-    ``os.fork`` available those after the first ``CHUNK`` fan out to forked
-    workers, at most one per CPU and one per chunk, which exit when this
-    process ends: a pipe whose write end only it holds then reaches end of
-    file. A worker reads pickled chunks of ``CHUNK`` items and answers each
-    with one pickle: the results up to its first failing item, and that
-    failure. Either way an item's exception, or the input iterator's, is
-    raised when its position is reached, after the results of the items
-    before it; a worker that dies or cuts a reply short raises
-    ``ChildProcessError``.
-    """
-    jobs = min(jobs, os.cpu_count() or 1)
-    items = iter(items)
-    if jobs <= 1 or not hasattr(os, "fork"):
-        yield from map(fn, items)
-        return
-    yield from map(fn, islice(items, CHUNK))
-    yield from _fan_out(fn, items, jobs)

@@ -1,4 +1,6 @@
-"""Immutable simple-graph representation, basic queries, and text formats.
+"""Immutable simple-graph representation, basic queries, the graph6 format,
+and the ordered map that the per-graph commands and the sweep run over
+their input graphs.
 
 Vertices are dense integer ids ``0..n-1``. Adjacency is stored as one
 bitmask per vertex, so neighborhood intersection, union, and containment
@@ -10,11 +12,13 @@ them safe to share across worker processes.
 from __future__ import annotations
 
 import binascii
+import os
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 68719476735  # largest order representable in the 8-byte size header
-# largest order parse_edgelist accepts: its header and vertex ids are not tied
-# to the input size, and at this order the closed masks alone take ~64 MiB
+# largest order edgelist.parse_edgelist accepts: its header and vertex ids are
+# not tied to the input size, and at this order the closed masks alone take ~64 MiB
 MAX_ORDER = 1 << 15
 
 
@@ -252,69 +256,32 @@ def serialize_graph6(g: Graph) -> bytes:
     return text.translate(_FROM_BASE64)
 
 
-# -- edge-list text -------------------------------------------------------
+# -- mapping the input graphs -----------------------------------------------
 
 
-def parse_edgelist(text: bytes | str) -> Graph:
-    """Parse the whitespace edge-list format.
+# the items per message to a fanout worker; ordered_map maps the first CHUNK
+# items in this process, as starting workers costs more
+CHUNK = 64
 
-    An optional first line ``n <count>`` fixes the vertex count. Every
-    other nonblank line names one edge as two tokens. Tokens are integer
-    ids when every one is ASCII digits 0-9, otherwise labels mapped to ids
-    in first-appearance order. Duplicate edges collapse; self-loops are
-    rejected.
+
+def ordered_map(fn, items, jobs: int):
+    """Yield ``fn(item)`` for every item, in input order.
+
+    Items are read and mapped here one at a time, but with ``jobs > 1`` and
+    ``os.fork`` available those after the first ``CHUNK`` go to
+    :func:`fanout.fan_out`, at most one worker per CPU. Only a batch that
+    reaches past the first chunk imports that module. Either way an item's
+    exception, or the input iterator's, is raised when its position is
+    reached, after the results of the items before it; a worker that dies
+    or cuts a reply short raises ``ChildProcessError``.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows: list[tuple[int, str, str]] = []
-    declared_n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split()
-        if not toks:
-            continue
-        if declared_n is None and not rows and len(toks) == 2 and toks[0] == "n":
-            try:
-                declared_n = int(toks[1])
-            except ValueError:
-                raise GraphParseError("header count is not an integer", lineno) from None
-            if declared_n < 0:
-                raise GraphParseError("header count is negative", lineno)
-            if declared_n > MAX_ORDER:
-                raise GraphParseError(f"header count exceeds the order cap {MAX_ORDER}", lineno)
-            continue
-        if len(toks) != 2:
-            raise GraphParseError(f"expected two tokens, got {len(toks)}", lineno)
-        rows.append((lineno, toks[0], toks[1]))
-
-    index: dict[str, int] = {}  # label -> id, empty when every token is a numeral
-    if all([(a + b).isascii() and (a + b).isdigit() for _, a, b in rows]):
-        ids = [(ln, _vertex_id(a, ln), _vertex_id(b, ln)) for ln, a, b in rows]
-    else:  # a token that is no numeral: all are labels
-        ids = [(ln, index.setdefault(a, len(index)), index.setdefault(b, len(index))) for ln, a, b in rows]
-
-    n = declared_n if declared_n is not None else 1 + max((max(u, v) for _, u, v in ids), default=-1)
-    if n > MAX_ORDER:  # labels alone get here: the header and each numeral are capped where read
-        ln, label = next((ln, t) for ln, a, b in rows for t in (a, b) if index[t] == MAX_ORDER)
-        raise GraphParseError(f"label {label!r} needs more than {MAX_ORDER} vertices", ln)
-    # a vertex the header adds past the last label is named by its id
-    labels = [*index, *map(str, range(len(index), n))] if index else None
-
-    masks = [0] * n
-    for ln, u, v in ids:
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}", ln)
-        if u >= n or v >= n:
-            raise GraphParseError(f"vertex id {max(u, v)} outside 0..{n - 1}", ln)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return Graph.from_masks(n, masks, labels)
-
-
-def _vertex_id(numeral: str, line: int) -> int:
-    """A numeral as a vertex id. One at or past the order cap fails at
-    ``line``; int() reads only numerals no longer than the cap's."""
-    digits = numeral.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_ORDER)) or int(digits) >= MAX_ORDER:
-        shown = digits if len(digits) <= 20 else digits[:20] + "..."
-        raise GraphParseError(f"vertex id {shown} needs more than {MAX_ORDER} vertices", line)
-    return int(digits)
+    jobs = min(jobs, os.cpu_count() or 1)
+    items = iter(items)
+    if jobs <= 1 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    yield from map(fn, islice(items, CHUNK))
+    for item in items:  # one past the first chunk: the rest fans out
+        from .fanout import fan_out
+        yield from fan_out(fn, chain((item,), items), jobs)
+        return

@@ -45,9 +45,8 @@ from functools import partial
 
 from . import characterize, domination, structure
 from .domination import DEFAULT_ORACLE_CAP
-from .fanout import ordered_map
 from .forbidden import girth, is_free
-from .graphs import Graph, as_graph, bit_indices, component_masks, mask_of, serialize_graph6
+from .graphs import Graph, as_graph, bit_indices, component_masks, mask_of, ordered_map, serialize_graph6
 
 CLAIM_NAMES = ("bounds", "lemma5", "lemma6", "prop7", "cor2", "cor4", "cor9", "supports", "blocks")
 _NO_REPORT = frozenset({"bounds", "lemma5"})  # claims that read no classify report
@@ -209,7 +208,7 @@ def sweep_graphs(
     Returns the summary ``twindom sweep --json`` prints, less its
     ``elapsedMicros``: ``graphs``, ``skippedIsolated``, ``claims`` (each
     named claim once, sorted, as ``{"checked", "violations"}``) and ``ok``.
-    With ``jobs > 1`` the graphs fan out through :func:`fanout.ordered_map`;
+    With ``jobs > 1`` the graphs fan out through :func:`graphs.ordered_map`;
     violations are listed in input order either way. An unknown claim
     name, or no name at all, is a ``ValueError`` before any graph is read.
     """

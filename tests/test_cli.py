@@ -21,10 +21,11 @@ from pathlib import Path
 import pytest
 
 import twindom
-from twindom import characterize, cli, domination, fanout, forbidden, generators, graphs, structure, sweep
+from twindom import characterize, cli, commands, domination, fanout, forbidden, generators, graphs, structure, sweep
 from twindom.cli import run
 from twindom.generators import cycle, enumerate_small_graphs, fixture
-from twindom.graphs import Graph, parse_edgelist, parse_graph6, serialize_graph6
+from twindom.edgelist import parse_edgelist
+from twindom.graphs import Graph, parse_graph6, serialize_graph6
 
 from conftest import SPARSE_GAMMA9_G6, SWEEP_N6_CHECKED, blow_up, brute_find_induced, is_gamma2_exact
 
@@ -244,7 +245,7 @@ class TestAnalysisCommands:
                 return fn(g)
             return wrapper
 
-        for module in (cli, characterize):
+        for module in (commands, characterize):
             monkeypatch.setattr(module, "is_chordal", counted("is_chordal", forbidden.is_chordal))
         monkeypatch.setattr(structure, "special_classes",
                             counted("special_classes", structure.special_classes))
@@ -419,18 +420,18 @@ class TestPerGraphDriver:
     def test_pool_parent_parses_nothing(self, tmp_path, capsys, monkeypatch):
         # the CLI maps the first CHUNK lines itself; the workers parse the rest
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
-        assert len(lines) > fanout.CHUNK
+        assert len(lines) > graphs.CHUNK
         f = write_g6(tmp_path, lines)
         calls = self._count_codec_calls(monkeypatch)
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         objs = run_json(capsys, ["classify", str(f), "--json", "--jobs", "2"])
         assert [o["graph6"] for o in objs] == lines
-        assert calls == {"parse_graph6": fanout.CHUNK, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": graphs.CHUNK, "serialize_graph6": 0}
 
     def test_records_before_a_failing_line_are_written(self, tmp_path, capsys, monkeypatch):
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
         lines.insert(40, "E")  # line 41: size header without its body
-        assert len(lines) > fanout.CHUNK
+        assert len(lines) > graphs.CHUNK
         f = write_g6(tmp_path, lines)
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         outs = []
@@ -445,7 +446,7 @@ class TestPerGraphDriver:
     def test_malformed_first_line_fails_before_the_input_is_read(self, capsys, monkeypatch):
         limit = 1 << 20
         valid = g6(Graph(500)).encode() + b"\n"
-        assert (fanout.CHUNK + 1) * len(valid) > limit  # reading ahead a chunk's worth fails
+        assert (graphs.CHUNK + 1) * len(valid) > limit  # reading ahead a chunk's worth fails
 
         class EndlessStdin(io.RawIOBase):
             """A malformed line 1, then valid lines without end; reading
@@ -579,28 +580,48 @@ class TestPerGraphDriver:
 
 
 class TestStartUp:
-    # a per-graph run needs none of these, and each takes milliseconds to import
-    SLOW = {"multiprocessing", "pickle", "dataclasses", "inspect", "twindom.generators"}
-    # prints, at exit, the modules imported after the interpreter's own start
-    ENTRY = ("import atexit, sys\n"
+    # no run needs these but a fan-out, which pickles and waits on pipes;
+    # each takes milliseconds to import
+    SLOW = {"multiprocessing", "pickle", "select", "dataclasses", "inspect"}
+    # what a classify run compiles of the package
+    CLASSIFY = {"twindom", "twindom.cli", "twindom.characterize", "twindom.domination", "twindom.forbidden",
+                "twindom.graphs", "twindom.structure"}
+    # prints, at exit, the modules imported after the interpreter's own start;
+    # os.cpu_count is patched so that --jobs 2 stays 2 on one CPU
+    ENTRY = ("import atexit, os, sys\n"
+             "os.cpu_count = lambda: 2\n"
              "before = set(sys.modules)\n"
              "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
              "from twindom.cli import main; main()")
 
-    @pytest.mark.parametrize("argv", [
-        ["classify", "-", "--json", "--jobs", "1"], ["classify", "-", "--json", "--jobs", "2"],
-        ["analyze", "-", "--json"], ["sweep", "--input", "-", "--jobs", "1"], ["sweep", "-", "--jobs", "1"],
-    ], ids=["classify", "classify-jobs-2", "analyze", "sweep", "sweep-stdin"])
-    def test_a_one_record_run_imports_no_slow_module(self, argv):
-        proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv],
-                              input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
+    @pytest.mark.parametrize("argv, records, added", [
+        (["classify", "-", "--json", "--jobs", "1"], 1, []),
+        (["classify", "-", "--json", "--jobs", "2"], 1, []),
+        (["classify", "-", "--json", "--jobs", "2"], 64, []),
+        (["classify", "-", "--json", "--jobs", "2"], 65, ["fanout"]),
+        (["classify", "-", "--json", "--format", "edgelist"], 1, ["edgelist"]),
+        *[([command, "-", "--json"], 1, ["commands"]) for command in PER_GRAPH_COMMANDS[1:]],
+        (["check-free", "-", "--pattern-file", "PATTERN"], 1, ["commands", "edgelist"]),
+        (["generate", "c6"], 0, ["commands", "generators"]),
+        (["sweep", "--input", "-", "--jobs", "1"], 1, ["commands", "sweep"]),
+        (["sweep", "-", "--jobs", "1"], 65, ["commands", "sweep"]),
+    ], ids=["classify", "classify-jobs-2", "classify-jobs-2-one-chunk", "classify-jobs-2-fan-out",
+            "classify-edgelist", *PER_GRAPH_COMMANDS[1:], "check-free-pattern-file", "generate", "sweep",
+            "sweep-stdin"])
+    def test_a_run_imports_only_what_it_runs(self, tmp_path, argv, records, added):
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text("0 1\n1 2\n")
+        if "--format" in argv:
+            stdin = pattern.read_bytes()
+        else:
+            stdin = "".join(g6(g) + "\n" for g in islice(enumerate_small_graphs(5, "isolate_free"), records)).encode()
+        argv = [str(pattern) if a == "PATTERN" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", self.ENTRY, *argv], input=stdin, capture_output=True,
                               env=cli_env(), timeout=60)
         assert proc.returncode == 0 and proc.stdout
         loaded = set(proc.stderr.decode().split())
-        assert "twindom.cli" in loaded
-        assert loaded & self.SLOW == set()
-        # the claim checks are compiled by the sweep alone
-        assert ("twindom.sweep" in loaded) == (argv[0] == "sweep")
+        assert loaded & self.SLOW == ({"pickle", "select"} if "fanout" in added else set())
+        assert {m for m in loaded if m.split(".")[0] == "twindom"} == self.CLASSIFY | {f"twindom.{m}" for m in added}
 
     @pytest.mark.parametrize("argv", [["classify", "-", "--json"], ["sweep", "-"]], ids=["classify", "sweep"])
     def test_the_start_up_objects_are_frozen_at_exit(self, argv):
@@ -670,7 +691,7 @@ class TestFanOut:
         big = Graph(42, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 41)])
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 99)]
         lines.insert(80, g6(big))
-        assert len(lines) > 80 > fanout.CHUNK
+        assert len(lines) > 80 > graphs.CHUNK
         f = write_g6(tmp_path, lines)
         runs = [run_cli([*argv, str(f), "--jobs", jobs]) for jobs in ("1", "2")]
         assert runs[0] == runs[1]
@@ -684,11 +705,11 @@ class TestFanOut:
         # both workers are inside a 60 s item when the parent is killed, so
         # neither reads a task or writes a reply before it would end anyway;
         # the items the parent maps itself return at once
-        code = ("import os, time\nfrom twindom import fanout\n"
+        code = ("import os, time\nfrom twindom import fanout, graphs\n"
                 "fanout.os.cpu_count = lambda: 2\n"
-                "def fn(i):\n    if i < fanout.CHUNK:\n        return i\n"
+                "def fn(i):\n    if i < graphs.CHUNK:\n        return i\n"
                 "    print(os.getpid(), flush=True)\n    time.sleep(60)\n"
-                "list(fanout.ordered_map(fn, range(200), 2))\n")
+                "list(graphs.ordered_map(fn, range(200), 2))\n")
         proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL, env=cli_env(), start_new_session=True)
         try:
@@ -728,8 +749,8 @@ class TestFanOut:
     def test_without_fork_the_map_is_serial(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(fanout, "_fan_out", None)  # calling it would fail
-        assert list(fanout.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
+        monkeypatch.setattr(fanout, "fan_out", None)  # calling it would fail
+        assert list(graphs.ordered_map(abs, range(-100, 0), 2)) == list(range(100, 0, -1))
 
     def test_an_input_error_past_the_last_chunk_follows_its_results(self, monkeypatch):
         # items 64..127 and 128..149 go to the workers, and the error that
@@ -739,7 +760,7 @@ class TestFanOut:
             raise OSError("input lost")
 
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
-        results = fanout.ordered_map(abs, source(), 2)
+        results = graphs.ordered_map(abs, source(), 2)
         assert list(islice(results, 150)) == list(range(150))
         with pytest.raises(OSError, match="^input lost$"):
             next(results)
@@ -757,7 +778,7 @@ class TestFanOut:
         monkeypatch.setattr(fanout, "_send", recorded)
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
         items = [bytes([i]) * 5000 for i in range(200)]
-        assert list(fanout.ordered_map(bytes, items, 2)) == items
+        assert list(graphs.ordered_map(bytes, items, 2)) == items
         assert len(sizes) == 3 and min(sizes[:2]) > 1 << 16
 
     @pytest.mark.parametrize("cpus, items, forks", [(2, 65, 1), (2, 128, 1), (2, 129, 2), (16, 100, 1),
@@ -774,19 +795,8 @@ class TestFanOut:
         real_fork = fanout._fork
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(fanout, "_fork", fork)
-        assert list(fanout.ordered_map(abs, range(-items, 0), cpus)) == list(range(items, 0, -1))
+        assert list(graphs.ordered_map(abs, range(-items, 0), cpus)) == list(range(items, 0, -1))
         assert len(forked) == forks
-
-    def test_a_one_record_fan_out_loads_neither_pickle_nor_select(self):
-        # the batch ends inside the first CHUNK, so no chunk is sent or awaited
-        entry = ("import atexit, os, sys\n"
-                 "os.cpu_count = lambda: 2\n"  # a fan-out, even on one CPU
-                 "atexit.register(lambda: print(*sorted({'pickle', 'select'} & set(sys.modules)), file=sys.stderr))\n"
-                 "from twindom.cli import main; main()")
-        proc = subprocess.run([sys.executable, "-c", entry, "classify", "-", "--json", "--jobs", "2"],
-                              input=g6(fixture("fig1")).encode() + b"\n", capture_output=True,
-                              env=cli_env(), timeout=60)
-        assert (proc.returncode, len(proc.stdout.splitlines()), proc.stderr) == (0, 1, b"\n")
 
     def test_a_chunk_for_a_dead_worker_fails_instead_of_blocking(self):
         # the chunk is larger than a pipe holds, nothing reads it, and SIGPIPE
@@ -813,12 +823,12 @@ class TestFanOut:
         "pickle.dump = lambda obj, f: (f.write(pickle.dumps(obj)[:-1]), f.flush(), os._exit(1))\n",
     ], ids=["unpicklable-error", "last-byte-lost"])
     def test_a_reply_cut_short_reads_as_a_dead_worker(self, setup):
-        code = ("import os, pickle, threading\nfrom twindom import fanout\n"
+        code = ("import os, pickle, threading\nfrom twindom import fanout, graphs\n"
                 "fanout.os.cpu_count = lambda: 2\n"
                 "pids, fork = [], fanout._fork\n"
                 "fanout._fork = lambda *args: pids.append((w := fork(*args))[0]) or w\n"
                 + setup +
-                "try:\n    list(fanout.ordered_map(fn, range(200), 2))\n"
+                "try:\n    list(graphs.ordered_map(fn, range(200), 2))\n"
                 "except ChildProcessError as e:\n    print(e)\n"
                 "for pid in pids:\n"
                 "    try:\n        os.kill(pid, 0)\n"
@@ -832,7 +842,7 @@ class TestFanOut:
         # which classify refuses. A pool once hung on such a first record on
         # a host loaded by other runs, so four run at a time.
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 80)]
-        lines.insert(fanout.CHUNK, g6(Graph(3, [(0, 1)])))
+        lines.insert(graphs.CHUNK, g6(Graph(3, [(0, 1)])))
         f = write_g6(tmp_path, lines)
         for _ in range(5):
             procs = [spawn_cli(["classify", str(f), "--json", "--jobs", "2"]) for _ in range(4)]
@@ -844,7 +854,7 @@ class TestFanOut:
                         os.killpg(proc.pid, signal.SIGKILL)
                 raise
             for proc, (code, out, err) in zip(procs, runs):
-                assert (code, len(out.splitlines())) == (1, fanout.CHUNK)
+                assert (code, len(out.splitlines())) == (1, graphs.CHUNK)
                 assert err == b"twindom classify: gamma_t is undefined: graph has an isolated vertex\n"
                 assert_session_ends(proc.pid)
 
@@ -869,13 +879,13 @@ class TestFanOut:
 
         monkeypatch.setattr(fanout, "_send", recorded)
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # a real fan-out, even on one CPU
-        results = fanout.ordered_map(fn, range(200), 2)
+        results = graphs.ordered_map(fn, range(200), 2)
         assert next(results) == 0
         assert time.monotonic() < deadline - 2
         release.touch()
         assert list(results) == [-i for i in range(1, 200)]
         # the first CHUNK items are mapped here, the rest in full chunks
-        assert fanout.CHUNK == 64 and sizes == [64, 64, 8]
+        assert graphs.CHUNK == 64 and sizes == [64, 64, 8]
 
     @pytest.mark.parametrize("jobs,count,checked", [(1, 200, 200), (2, 200, 64)])
     def test_the_kth_result_needs_only_k_items(self, monkeypatch, jobs, count, checked):
@@ -887,7 +897,7 @@ class TestFanOut:
                 yield i
 
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # jobs 2 stays 2, even on one CPU
-        results = fanout.ordered_map(abs, source(), jobs)
+        results = graphs.ordered_map(abs, source(), jobs)
         for k in range(1, checked + 1):
             assert next(results) == k - 1
             assert len(pulled) == k
@@ -901,7 +911,7 @@ class TestFanOut:
         # the record fails in this process or in a worker, and nothing after
         # it is written; items 0..63 are mapped here, and the chunks sent to
         # the workers start at items 64 and 128
-        assert fanout.CHUNK == 64
+        assert graphs.CHUNK == 64
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 140)]
         lines[index] = "E"  # a size header without its body
         f = write_g6(tmp_path, lines)
@@ -958,23 +968,23 @@ class TestFanOut:
         # the parent parses the first CHUNK lines and the workers the rest;
         # nothing is encoded
         lines = [g6(g) for g in islice(enumerate_small_graphs(5), 100)]
-        assert len(lines) > fanout.CHUNK
+        assert len(lines) > graphs.CHUNK
         f = write_g6(tmp_path, lines)
         calls = TestPerGraphDriver._count_codec_calls(monkeypatch)
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)  # real workers, even on one CPU
         assert run(["sweep", "--input", str(f), "--jobs", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["graphs"] == len(lines)
-        assert calls == {"parse_graph6": fanout.CHUNK, "serialize_graph6": 0}
+        assert calls == {"parse_graph6": graphs.CHUNK, "serialize_graph6": 0}
 
     def test_small_input_sweep_is_identical_at_any_jobs(self, tmp_path, capsys):
-        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + fanout.CHUNK)]
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5), 20, 20 + graphs.CHUNK)]
         f = write_g6(tmp_path, lines)
         outs = []
         for jobs in ("1", "2"):
             assert run(["sweep", "--input", str(f), "--jobs", jobs, "--json"]) == 0
             outs.append(re.sub(r'"elapsedMicros":\d+', '"elapsedMicros":0', capsys.readouterr().out))
         assert outs[0] == outs[1]
-        assert json.loads(outs[0])["graphs"] == fanout.CHUNK
+        assert json.loads(outs[0])["graphs"] == graphs.CHUNK
 
     @pytest.mark.parametrize("command", [["classify"], ["sweep", "--input"]], ids=["classify", "sweep"])
     def test_a_one_chunk_batch_stays_in_this_process(self, tmp_path, capsys, monkeypatch, command):
@@ -987,7 +997,7 @@ class TestFanOut:
 
         monkeypatch.setattr(fanout.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(fanout, "_fork", fork)
-        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), fanout.CHUNK + 1)]
+        lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), graphs.CHUNK + 1)]
         assert run([*command, str(write_g6(tmp_path, lines[:-1])), "--jobs", "2"]) == 0
         with pytest.raises(FannedOut):
             run([*command, str(write_g6(tmp_path, lines)), "--jobs", "2"])
@@ -1002,9 +1012,9 @@ class TestFanOut:
             sizes.append(jobs)
             return map(fn, items)
 
-        monkeypatch.setattr(fanout, "_fan_out", fake_fan_out)
+        monkeypatch.setattr(fanout, "fan_out", fake_fan_out)
         lines = [g6(g) for g in islice(enumerate_small_graphs(5, "isolate_free"), 100)]
-        assert len(lines) > fanout.CHUNK
+        assert len(lines) > graphs.CHUNK
         f = str(write_g6(tmp_path, lines))
         argv = ["classify", f] if command == "classify" else ["sweep", "--input", f]
         outs = []
@@ -1402,7 +1412,7 @@ class TestErrors:
         lines.insert(36, b"B\xffw")  # line 37
         f = tmp_path / "in.g6"
         f.write_bytes(b"\n".join(lines) + b"\n")
-        assert len(lines) > fanout.CHUNK
+        assert len(lines) > graphs.CHUNK
         assert run([*argv, str(f)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"twindom {argv[0]}: line 37: invalid graph6 byte 255 at offset 1\n"
@@ -1675,8 +1685,8 @@ class TestHostileInput:
             # past the CHUNK-th, so that under --jobs 2 a worker may meet it
             lines = [g6(g).encode() for g in islice(enumerate_small_graphs(5, "isolate_free"),
                                                      rng.randrange(100), None, 7)]
-            lines = lines[:fanout.CHUNK + rng.randrange(1, 9)]
-            at = rng.randrange(fanout.CHUNK - 4, len(lines))
+            lines = lines[:graphs.CHUNK + rng.randrange(1, 9)]
+            at = rng.randrange(graphs.CHUNK - 4, len(lines))
             lines[at] = self._mutated(rng, lines[at])
         else:
             lines = []

@@ -10,12 +10,12 @@ from hypothesis import given
 from twindom import classify, forbidden
 from twindom.generators import complete, cycle, enumerate_small_graphs, fixture, path, star
 from twindom.domination import is_dominating
+from twindom.edgelist import parse_edgelist
 from twindom.graphs import (
     Graph,
     MAX_ORDER,
     GraphParseError,
     bit_indices,
-    parse_edgelist,
     parse_graph6,
     serialize_graph6,
 )

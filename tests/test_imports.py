@@ -6,8 +6,9 @@ of a class is read somewhere in the package, so deleting code cannot
 leave a dead import, parameter, helper, definition or member behind; and
 no module imports,
 when it is itself imported, what only a fan-out to worker processes
-needs or what no command needs; and only the CLI's entry point
-changes the garbage collector's settings."""
+needs, what no command needs or a package module that a ``classify`` run
+never runs; and only the CLI's entry point changes the garbage
+collector's settings."""
 
 from __future__ import annotations
 
@@ -92,15 +93,20 @@ def test_an_unused_parameter_is_reported():
 
 # Slow to import and needed by no per-graph command: never imported at all,
 # or imported only inside the functions that fork or run a worker.
-# fanout.ordered_map forks its workers itself, so multiprocessing is banned,
-# and they end through a pipe, so ctypes is too.
+# fanout forks its workers itself, so multiprocessing is banned, and they
+# end through a pipe, so ctypes is too. The package's own modules that a
+# classify run never runs, named with their leading dot, are imported only
+# inside the functions that use them: the other commands' runners, the
+# fan-out past the first chunk, and the edge-list parser.
 BANNED = {"ctypes", "dataclasses", "multiprocessing"}
-DEFERRED = {"pickle"}
+DEFERRED = {"pickle", ".commands", ".edgelist", ".fanout"}
 
 
 def slow_imports(source: str) -> list[str]:
     """The imports in ``source`` of a module in ``BANNED`` anywhere, and of
-    a module in ``DEFERRED`` outside a function body, as "line: module"."""
+    a module in ``DEFERRED`` outside a function body, as "line: module".
+    A relative import names its package module with a leading dot, as
+    ``from .m import x`` and ``from . import m`` both name ".m"."""
     tree = ast.parse(source)
     deferred = {
         id(node)
@@ -113,10 +119,12 @@ def slow_imports(source: str) -> list[str]:
             modules = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f".{node.module}"] if node.module else [f".{a.name}" for a in node.names]
         else:
             continue
         for module in modules:
-            root = module.split(".")[0]
+            root = module if module.startswith(".") else module.split(".")[0]
             if root in BANNED or (root in DEFERRED and id(node) not in deferred):
                 found.append((node.lineno, module))
     return [f"{line}: {module}" for line, module in sorted(found)]
@@ -131,12 +139,14 @@ def test_a_slow_import_is_reported():
     source = (
         "import ctypes\nfrom multiprocessing.pool import Pool\nfrom . import sweep\n"
         "def f():\n    import multiprocessing\n    from dataclasses import field\n    import pickle\n"
+        "    from .fanout import fan_out\n"
         "class C:\n    import ctypes.util as u\n"
         "if True:\n    import os, dataclasses, pickle\n"
+        "from . import graphs, commands\nfrom .edgelist import parse_edgelist\nfrom .graphs import CHUNK\n"
     )
     assert slow_imports(source) == [
         "1: ctypes", "2: multiprocessing.pool", "5: multiprocessing", "6: dataclasses",
-        "9: ctypes.util", "11: dataclasses", "11: pickle",
+        "10: ctypes.util", "12: dataclasses", "12: pickle", "13: .commands", "14: .edgelist",
     ]
 
 
